@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -222,8 +223,12 @@ def load_experiment(path: str, args) -> dict:
         cfg["out_prefix"] = args.out
     if cfg["n_trials"] < 1:
         raise ConfigError("n_trials must be >= 1")
+    if not 0.0 < cfg["epsilon"] <= 1.0:
+        raise ConfigError(f"epsilon must be in (0, 1], got {cfg['epsilon']}")
     if not cfg["snr_db"]:
         raise ConfigError("snr_db grid must be nonempty")
+    if not all(math.isfinite(v) for v in cfg["snr_db"]):
+        raise ConfigError(f"snr_db values must be finite, got {cfg['snr_db']}")
     for m in cfg["modes"]:
         if m not in MODES:
             raise ConfigError(f"unknown mode {m!r}")

@@ -8,6 +8,7 @@ any, happens at the CLI boundary).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +21,8 @@ class SnrConfig:
     snr_scalar: float
 
     def __post_init__(self):
-        if not self.snr_scalar > 0:
-            raise ValueError(f"snr_scalar must be positive, got {self.snr_scalar}")
+        if not (self.snr_scalar > 0 and math.isfinite(self.snr_scalar)):
+            raise ValueError(f"snr_scalar must be positive and finite, got {self.snr_scalar}")
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,8 @@ class LinkCapacityMatrix:
                 f"expected ({n}, {n}) arrays for {self.n_relays} relays, "
                 f"got caps {caps.shape}, mask {mask.shape}"
             )
+        if not np.all(np.isfinite(caps)):
+            raise ValueError("capacities must be finite")
         if np.any(caps < 0):
             raise ValueError("capacities must be nonnegative")
         if np.any(caps[~mask] != 0.0):

@@ -14,6 +14,12 @@ Three selectors over the 2^N subsets of the relay pool:
 
 All three break rate ties in favor of fewer relays, then the
 lexicographically smallest subset.
+
+``batch_optimized`` and ``batch_equal_time`` are the Monte Carlo engines:
+the same subset-tree walk over a stack of fading realizations, vectorized
+over trials.  Each child's per-trial state comes from its parent's in O(1)
+array operations, with no rate matrix built or solved, and every subset is
+visited so that reject counts cover the whole tree.
 """
 
 from __future__ import annotations
@@ -367,18 +373,113 @@ def worst_case_ops(n_relays: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Batched enumeration over many fading realizations at once.
+# Batched search over many fading realizations at once.
 #
-# The Monte Carlo harness evaluates the same subset lattice for thousands of
+# The Monte Carlo harness evaluates the same subset tree for thousands of
 # independent capacity draws; doing it one realization at a time would be
-# dominated by Python overhead.  These helpers run the brute-force oracle
-# with the trial axis vectorized.  Per-trial arithmetic is identical to the
-# scalar path, so results do not depend on how trials are batched.
+# dominated by Python overhead.  These helpers walk the tree depth first with
+# the trial axis vectorized, and evaluate all children of a node in one block
+# of array operations.  A child's state is its parent's plus one appended
+# transmitter, so no rate matrix is ever built or solved.  Every subset is
+# visited, because the reject counters are defined over all 2^N of them.
+#
+# Blocks are (children, trials): with the trial axis last, each operation
+# runs one long inner loop per child instead of one short loop per trial.
+# Capacities are read through transposed views, never copied.
 # ---------------------------------------------------------------------------
+
+
+def _subset_ids(n_relays: int) -> tuple[dict[tuple, int], np.ndarray]:
+    """Index of every subset in ``subsets_by_size`` order, and each index's size.
+
+    The size array carries a trailing 0, so a best index of -1 (no candidate
+    yet) maps to size 0.
+    """
+    ids = {sub: i for i, sub in enumerate(subsets_by_size(n_relays))}
+    return ids, np.array([len(sub) for sub in ids] + [0], dtype=np.int64)
+
+
+def _tie_tol(r: np.ndarray) -> np.ndarray:
+    # the _beats tolerance for the largest of the compared rates; rates are
+    # nonnegative or -inf (no candidate), which counts as magnitude 0
+    return RATE_TIE_TOL * np.maximum(r, 1.0)
+
+
+class _Best:
+    """Per-trial best subset so far, under the tie rule of ``_beats``."""
+
+    def __init__(self, n_trials: int):
+        self.rate = np.full(n_trials, -np.inf)
+        self.id = np.full(n_trials, -1, dtype=np.int64)
+        self._trials = np.arange(n_trials)
+
+    def offer(self, rate: np.ndarray, sid0: int) -> None:
+        """Merge a (k, T) block of sibling rates into the best, in place.
+
+        Row j is the subset with index ``sid0 + j``; -inf marks a rejected
+        subset.  The block's candidate is its first rate tied with the block
+        maximum.  It replaces the best when higher by more than the tie
+        tolerance, or when tied and earlier in ``subsets_by_size`` order, so
+        the walk's visiting order does not decide ties.
+        """
+        if len(rate) == 1:
+            r, sid = rate[0], sid0
+        else:
+            top = np.fmax.reduce(rate, axis=0)
+            j = np.argmax(rate >= top - _tie_tol(top), axis=0)
+            r = rate[j, self._trials]
+            sid = sid0 + j
+        tol = _tie_tol(np.maximum(r, self.rate))
+        take = (r > self.rate + tol) | ((r >= self.rate - tol) & (sid < self.id))
+        np.copyto(self.rate, r, where=take)
+        np.copyto(self.id, sid, where=take)
+
+
+def _add_slot(total: np.ndarray, u: np.ndarray, earlier: tuple) -> np.ndarray:
+    """Running slot sum with ``u`` appended, in numpy's summation order.
+
+    ``np.sum`` adds fewer than 8 terms in sequence and the first 8 of up to
+    15 terms as a pairwise tree, so appending the 8th slot rebuilds the sum
+    from the ``earlier`` slots.  Sums then match allocate's bit for bit, and
+    so do verdicts on exact cancellations (integer-valued capacities).
+    """
+    if len(earlier) != 7:
+        return total + u
+    u0, u1, u2, u3, u4, u5, u6 = earlier
+    return ((u0 + u1) + (u2 + u3)) + ((u4 + u5) + (u6 + u))
+
+
+def _node_rates(
+    singular: np.ndarray, s: np.ndarray, min_u: np.ndarray, rejects: np.ndarray
+) -> np.ndarray:
+    """Rates 1/s of a (k, T) block of nodes, -inf where rejected; counts rejects.
+
+    ``s`` and ``min_u`` are the sum and the minimum of each node's
+    unnormalized slots.  The verdicts are allocator.allocate's: singular,
+    then rate <= 0, then a slot duration at or below TIME_TOL.
+    """
+    negative = ~singular & (s <= 0.0)
+    solved = ~(singular | negative)
+    bad_time = solved & (min_u / s <= TIME_TOL)
+    rejects[0] += singular.sum(axis=0)
+    rejects[1] += negative.sum(axis=0)
+    rejects[2] += bad_time.sum(axis=0)
+    return np.where(solved & ~bad_time, 1.0 / s, -np.inf)
 
 
 def batch_optimized(caps_batch: np.ndarray) -> dict[str, np.ndarray]:
     """Optimal-subset rate and statistics for a stack of capacity matrices.
+
+    Batched form of the recursive search.  A node with chain (r1..rm) keeps,
+    per trial:
+
+    * ``h[k]``, the sum of a[tx, k] * u_tx over the transmitters whose
+      unnormalized slot u_tx is fixed (the source and r1..r_{m-1});
+    * the sum and the minimum of those slots, and whether any chain link
+      into r1..rm is absent (then every descendant is singular).
+
+    Appending relay c fixes the slot of r_m at (1 - h[c]) / a[r_m, c]; the
+    destination row then gives the child's last slot.
 
     Parameters
     ----------
@@ -390,90 +491,88 @@ def batch_optimized(caps_batch: np.ndarray) -> dict[str, np.ndarray]:
     into ``subsets_by_size`` order), and reject counters ``n_singular``,
     ``n_negative_rate``, ``n_nonpositive_time``.
     """
-    caps_batch = np.asarray(caps_batch, dtype=float)
-    n_trials, n, _ = caps_batch.shape
+    a = np.asarray(caps_batch, dtype=float)
+    n_trials, n, _ = a.shape
     n_relays = n - 2
     dest = n - 1
-
-    best_rate = np.full(n_trials, -np.inf)
-    best_size = np.zeros(n_trials, dtype=np.int64)
-    best_id = np.full(n_trials, -1, dtype=np.int64)
-    n_sing = np.zeros(n_trials, dtype=np.int64)
-    n_neg = np.zeros(n_trials, dtype=np.int64)
-    n_bad_t = np.zeros(n_trials, dtype=np.int64)
+    ids, sizes = _subset_ids(n_relays)
+    best = _Best(n_trials)
+    rejects = np.zeros((3, n_trials), dtype=np.int64)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for sid, sub in enumerate(subsets_by_size(n_relays)):
-            m = len(sub)
-            tx = np.array((0, *sub))
-            rx = np.array((*sub, dest))
-            rm = caps_batch[:, tx[:, None], rx[None, :]].transpose(0, 2, 1)
-            diag = np.einsum("tii->ti", rm)
-            singular = (diag <= SINGULARITY_TOL).any(axis=1)
-            u = np.empty((n_trials, m + 1))
-            for i in range(m + 1):
-                acc = np.einsum("tj,tj->t", rm[:, i, :i], u[:, :i]) if i else 0.0
-                u[:, i] = (1.0 - acc) / diag[:, i]
-            s = u.sum(axis=1)
-            negative = ~singular & (s <= 0.0)
-            t = u / s[:, None]
-            bad_time = ~singular & ~negative & (t.min(axis=1) <= TIME_TOL)
-            feasible = ~singular & ~negative & ~bad_time
-            n_sing += singular
-            n_neg += negative
-            n_bad_t += bad_time
+        direct = a[None, :, 0, dest]
+        u_direct = 1.0 / direct
+        best.offer(_node_rates(direct <= SINGULARITY_TOL, u_direct, u_direct, rejects), 0)
 
-            rate = np.where(feasible, 1.0 / s, -np.inf)
-            tol = RATE_TIE_TOL * np.maximum(
-                1.0,
-                np.maximum(
-                    np.where(np.isfinite(best_rate), np.abs(best_rate), 0.0),
-                    np.where(np.isfinite(rate), np.abs(rate), 0.0),
-                ),
+        # A stack entry is a node waiting to have its children evaluated; its
+        # own h is derived from its parent's block when it is popped, so only
+        # the blocks along the current path stay alive.  ``slots`` holds the
+        # node's fixed slots, which _add_slot needs.
+        root = ((), np.zeros((n - 1, n_trials)), 0.0, 0.0, 0.0, np.inf, False, ())
+        stack = [root] if n_relays else []
+        while stack:
+            chain, h_parent, a_parent, u, s_chain, min_chain, singular, slots = stack.pop()
+            h = h_parent + a_parent * u
+            last = chain[-1] if chain else 0
+            lo = last + 1
+            a_last = a[:, last, lo:].T  # links from the last transmitter to later nodes
+            a_rd = a[:, lo:dest, dest].T  # each child's destination link
+            u = (1.0 - h[:-1]) / a_last[:-1]
+            s_chain = _add_slot(s_chain, u, slots)
+            min_chain = np.minimum(min_chain, u)
+            singular = singular | (a_last[:-1] <= SINGULARITY_TOL)
+            u_dest = (1.0 - (h[-1] + a_last[-1] * u)) / a_rd
+            rate = _node_rates(
+                singular | (a_rd <= SINGULARITY_TOL),
+                _add_slot(s_chain, u_dest, (*slots, u)),
+                np.minimum(min_chain, u_dest),
+                rejects,
             )
-            take = rate > best_rate + tol
-            best_rate = np.where(take, rate, best_rate)
-            best_size = np.where(take, m, best_size)
-            best_id = np.where(take, sid, best_id)
+            best.offer(rate, ids[(*chain, lo)])
+            for j in range(n_relays - lo):  # children of relay N are leaves
+                stack.append((
+                    (*chain, lo + j), h[j + 1:], a_last[j + 1:], u[j],
+                    s_chain[j], min_chain[j], singular[j], (*slots, u[j]),
+                ))
 
-    if np.any(best_id < 0):
-        bad = int(np.nonzero(best_id < 0)[0][0])
+    if np.any(best.id < 0):
+        bad = int(np.nonzero(best.id < 0)[0][0])
         raise NoFeasibleSolution(f"trial {bad} has no feasible subset")
     return {
-        "rate": best_rate,
-        "n_active": best_size,
-        "best_id": best_id,
-        "n_singular": n_sing,
-        "n_negative_rate": n_neg,
-        "n_nonpositive_time": n_bad_t,
+        "rate": best.rate,
+        "n_active": sizes[best.id],
+        "best_id": best.id,
+        "n_singular": rejects[0],
+        "n_negative_rate": rejects[1],
+        "n_nonpositive_time": rejects[2],
     }
 
 
 def batch_equal_time(caps_batch: np.ndarray) -> dict[str, np.ndarray]:
-    """Equal-time baseline rate and subset size for a stack of capacity matrices."""
-    caps_batch = np.asarray(caps_batch, dtype=float)
-    n_trials, n, _ = caps_batch.shape
+    """Equal-time baseline rate and subset size for a stack of capacity matrices.
+
+    Under uniform slots a receiver's mutual information is the sum of its
+    links from every earlier transmitter over m+1.  A node keeps ``e``, the
+    sum of its transmitters' capacity rows, and the minimum over its relays
+    of what each received; a child c receives ``e[c]`` and adds row c.
+    """
+    a = np.asarray(caps_batch, dtype=float)
+    n_trials, n, _ = a.shape
     n_relays = n - 2
     dest = n - 1
+    ids, sizes = _subset_ids(n_relays)
+    best = _Best(n_trials)
 
-    best_rate = np.full(n_trials, -np.inf)
-    best_size = np.zeros(n_trials, dtype=np.int64)
-    best_id = np.full(n_trials, -1, dtype=np.int64)
-    for sid, sub in enumerate(subsets_by_size(n_relays)):
-        m = len(sub)
-        tx = np.array((0, *sub))
-        rx = np.array((*sub, dest))
-        rm = caps_batch[:, tx[:, None], rx[None, :]].transpose(0, 2, 1)
-        rm = rm * np.tri(m + 1)
-        rate = rm.sum(axis=2).min(axis=1) / (m + 1)
-        tol = RATE_TIE_TOL * np.maximum(
-            1.0,
-            np.maximum(
-                np.where(np.isfinite(best_rate), np.abs(best_rate), 0.0), np.abs(rate)
-            ),
-        )
-        take = rate > best_rate + tol
-        best_rate = np.where(take, rate, best_rate)
-        best_size = np.where(take, m, best_size)
-        best_id = np.where(take, sid, best_id)
-    return {"rate": best_rate, "n_active": best_size, "best_id": best_id}
+    best.offer(a[None, :, 0, dest], 0)
+    stack = [((), a[:, 0, 1:].T, 0.0, np.inf)] if n_relays else []
+    while stack:
+        chain, e_parent, a_row, min_chain = stack.pop()
+        e = e_parent + a_row
+        lo = (chain[-1] if chain else 0) + 1
+        min_chain = np.minimum(min_chain, e[:-1])
+        e_dest = e[-1] + a[:, lo:dest, dest].T
+        best.offer(np.minimum(min_chain, e_dest) / (len(chain) + 2), ids[(*chain, lo)])
+        for j in range(n_relays - lo):
+            c = lo + j
+            stack.append(((*chain, c), e[j + 1:], a[:, c, c + 1:].T, min_chain[j]))
+    return {"rate": best.rate, "n_active": sizes[best.id], "best_id": best.id}

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from relayalloc.allocator import SINGULARITY_TOL, TIME_TOL
 from relayalloc.rate_model import LinkCapacityMatrix
+from relayalloc.selector import RATE_TIE_TOL, NoFeasibleSolution, subsets_by_size
 
 
 def symmetric_exponential_caps(rng, n_relays, scale=1.0):
@@ -41,3 +43,101 @@ def caps_from_links(n_relays, links):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+# -- batched brute-force oracles ----------------------------------------------
+#
+# Fresh rate matrix and forward substitution for every subset, with the
+# trial axis vectorized.  The library's batched selectors walk the subset
+# tree instead; these are the reference they are compared against.
+
+
+def batch_brute_force(caps_batch):
+    """Exhaustive optimal-subset search; same return keys as batch_optimized."""
+    caps_batch = np.asarray(caps_batch, dtype=float)
+    n_trials, n, _ = caps_batch.shape
+    n_relays = n - 2
+    dest = n - 1
+
+    best_rate = np.full(n_trials, -np.inf)
+    best_size = np.zeros(n_trials, dtype=np.int64)
+    best_id = np.full(n_trials, -1, dtype=np.int64)
+    n_sing = np.zeros(n_trials, dtype=np.int64)
+    n_neg = np.zeros(n_trials, dtype=np.int64)
+    n_bad_t = np.zeros(n_trials, dtype=np.int64)
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for sid, sub in enumerate(subsets_by_size(n_relays)):
+            m = len(sub)
+            tx = np.array((0, *sub))
+            rx = np.array((*sub, dest))
+            rm = caps_batch[:, tx[:, None], rx[None, :]].transpose(0, 2, 1)
+            diag = np.einsum("tii->ti", rm)
+            singular = (diag <= SINGULARITY_TOL).any(axis=1)
+            u = np.empty((n_trials, m + 1))
+            for i in range(m + 1):
+                acc = np.einsum("tj,tj->t", rm[:, i, :i], u[:, :i]) if i else 0.0
+                u[:, i] = (1.0 - acc) / diag[:, i]
+            s = u.sum(axis=1)
+            negative = ~singular & (s <= 0.0)
+            t = u / s[:, None]
+            bad_time = ~singular & ~negative & (t.min(axis=1) <= TIME_TOL)
+            feasible = ~singular & ~negative & ~bad_time
+            n_sing += singular
+            n_neg += negative
+            n_bad_t += bad_time
+
+            rate = np.where(feasible, 1.0 / s, -np.inf)
+            tol = RATE_TIE_TOL * np.maximum(
+                1.0,
+                np.maximum(
+                    np.where(np.isfinite(best_rate), np.abs(best_rate), 0.0),
+                    np.where(np.isfinite(rate), np.abs(rate), 0.0),
+                ),
+            )
+            take = rate > best_rate + tol
+            best_rate = np.where(take, rate, best_rate)
+            best_size = np.where(take, m, best_size)
+            best_id = np.where(take, sid, best_id)
+
+    if np.any(best_id < 0):
+        bad = int(np.nonzero(best_id < 0)[0][0])
+        raise NoFeasibleSolution(f"trial {bad} has no feasible subset")
+    return {
+        "rate": best_rate,
+        "n_active": best_size,
+        "best_id": best_id,
+        "n_singular": n_sing,
+        "n_negative_rate": n_neg,
+        "n_nonpositive_time": n_bad_t,
+    }
+
+
+def batch_brute_equal_time(caps_batch):
+    """Exhaustive equal-time baseline; same return keys as batch_equal_time."""
+    caps_batch = np.asarray(caps_batch, dtype=float)
+    n_trials, n, _ = caps_batch.shape
+    n_relays = n - 2
+    dest = n - 1
+
+    best_rate = np.full(n_trials, -np.inf)
+    best_size = np.zeros(n_trials, dtype=np.int64)
+    best_id = np.full(n_trials, -1, dtype=np.int64)
+    for sid, sub in enumerate(subsets_by_size(n_relays)):
+        m = len(sub)
+        tx = np.array((0, *sub))
+        rx = np.array((*sub, dest))
+        rm = caps_batch[:, tx[:, None], rx[None, :]].transpose(0, 2, 1)
+        rm = rm * np.tri(m + 1)
+        rate = rm.sum(axis=2).min(axis=1) / (m + 1)
+        tol = RATE_TIE_TOL * np.maximum(
+            1.0,
+            np.maximum(
+                np.where(np.isfinite(best_rate), np.abs(best_rate), 0.0), np.abs(rate)
+            ),
+        )
+        take = rate > best_rate + tol
+        best_rate = np.where(take, rate, best_rate)
+        best_size = np.where(take, m, best_size)
+        best_id = np.where(take, sid, best_id)
+    return {"rate": best_rate, "n_active": best_size, "best_id": best_id}

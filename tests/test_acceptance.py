@@ -18,7 +18,6 @@ from relayalloc.montecarlo import sweep
 from relayalloc.rate_model import LinkCapacityMatrix, RelaySubset, build_rate_matrix
 from relayalloc.scenario import NumberingScheme, grid_topology, linear_topology
 from relayalloc.selector import (
-    batch_optimized,
     brute_force_select,
     op_count,
     recursive_select,
@@ -26,7 +25,7 @@ from relayalloc.selector import (
     worst_case_ops,
 )
 
-from conftest import exponential_caps_batch, symmetric_exponential_caps
+from conftest import batch_brute_force, exponential_caps_batch, symmetric_exponential_caps
 from test_selector import counted_extension
 
 DESC = NumberingScheme.AVERAGE_DESCENDING
@@ -63,7 +62,7 @@ def oracle_runs():
             lcm = LinkCapacityMatrix(n_relays, caps_b[k] * mask, mask)
             instances.append(lcm)
             outcomes.append(recursive_select(lcm))
-        oracle = batch_optimized(caps_b)
+        oracle = batch_brute_force(caps_b)
         runs[n_relays] = (instances, outcomes, oracle)
     runs["elapsed"] = time.time() - t0
     return runs

@@ -73,6 +73,12 @@ class TestOptimize:
         assert main(["optimize", "--instance", path]) == 2
         assert main(["optimize", "--instance", str(tmp_path / "nope.json")]) == 2
 
+    def test_nonfinite_capacity_exits_2(self, tmp_path, capsys):
+        path = write_json(tmp_path / "nan.json",
+                          {"n_relays": 1, "capacities": [0, 2, np.nan, 2, 0, 2, np.nan, 2, 0]})
+        assert main(["optimize", "--instance", path]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_no_feasible_solution_exits_3(self, tmp_path, capsys):
         path = write_json(tmp_path / "z.json", {"n_relays": 0, "capacities": [0, 0, 0, 0]})
         assert main(["optimize", "--instance", path]) == 3
@@ -174,6 +180,18 @@ class TestSimulate:
             {"topology": {"type": "linear", "n_relays": 1}, "modes": ["bogus"]},
         )
         assert main(["simulate", "--config", path]) == 2
+
+
+    def test_nonfinite_snr_exits_2(self, tmp_path, capsys):
+        path = write_json(tmp_path / "inf.json", {"topology": {"type": "linear", "n_relays": 1},
+                                                  "snr_db": [0, float("inf")]})
+        assert main(["simulate", "--config", path]) == 2
+        assert "snr_db values must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("epsilon", ["0", "-0.5", "1.5", "nan"])
+    def test_epsilon_out_of_range_exits_2(self, sweep_config, epsilon, capsys):
+        assert main(["simulate", "--config", sweep_config, "--epsilon", epsilon]) == 2
+        assert "epsilon must be in (0, 1]" in capsys.readouterr().err
 
 
 class TestNumbering:

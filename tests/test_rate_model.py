@@ -35,6 +35,11 @@ class TestLinkCapacity:
         with pytest.raises(ValueError):
             SnrConfig(0.0)
 
+    @pytest.mark.parametrize("snr", [np.inf, np.nan])
+    def test_snr_must_be_finite(self, snr):
+        with pytest.raises(ValueError):
+            SnrConfig(snr)
+
     def test_monotone_in_power_and_snr(self, rng):
         powers = np.sort(rng.exponential(size=20))
         caps = [link_capacity(SnrConfig(2.0), p) for p in powers]
@@ -72,6 +77,14 @@ class TestBuildCapacityMatrix:
     def test_not_square(self):
         with pytest.raises(ValueError):
             build_capacity_matrix(np.ones((3, 2)), None, SnrConfig(1.0))
+
+
+class TestLinkCapacityMatrix:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_capacity_rejected(self, bad):
+        caps = np.array([[0.0, 2.0, 1.0], [2.0, 0.0, bad], [1.0, bad, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            LinkCapacityMatrix(n_relays=1, caps=caps, link_mask=~np.eye(3, dtype=bool))
 
 
 class TestRelaySubset:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relayalloc.allocator import RejectReason, SingularMatrix, allocate
 from relayalloc.rate_model import LinkCapacityMatrix, RelaySubset, build_rate_matrix
@@ -18,7 +20,13 @@ from relayalloc.selector import (
     worst_case_ops,
 )
 
-from conftest import caps_from_links, exponential_caps_batch, symmetric_exponential_caps
+from conftest import (
+    batch_brute_equal_time,
+    batch_brute_force,
+    caps_from_links,
+    exponential_caps_batch,
+    symmetric_exponential_caps,
+)
 
 
 class TestBruteForce:
@@ -395,12 +403,121 @@ class TestBatchEngines:
         mask = ~np.eye(5, dtype=bool)
         for k in range(100):
             lcm = LinkCapacityMatrix(3, caps_b[k] * mask, mask)
-            counts = {RejectReason.SINGULAR: 0, RejectReason.NEGATIVE_RATE: 0,
-                      RejectReason.NONPOSITIVE_TIME: 0}
-            for sub in subsets_by_size(3):
-                res = allocate(build_rate_matrix(lcm, RelaySubset(sub)), RelaySubset(sub))
-                if res.reject_reason in counts:
-                    counts[res.reject_reason] += 1
-            assert opt["n_singular"][k] == counts[RejectReason.SINGULAR]
-            assert opt["n_negative_rate"][k] == counts[RejectReason.NEGATIVE_RATE]
-            assert opt["n_nonpositive_time"][k] == counts[RejectReason.NONPOSITIVE_TIME]
+            assert batch_reject_counts(opt, k) == allocate_reject_counts(lcm)
+
+    def test_exact_cancellation_verdict_matches_allocate(self):
+        # subset (1, 2, 3, 4, 6, 7, 8) of this integer instance has an exact
+        # slot sum of 0; the sign of its floating-point sum over 8 slots, and
+        # so its reject reason, depends on the order of the additions
+        upper = [3, 0, 2, 2, 1, 1, 3, 3, 2, 2, 0, 1, 3, 3, 0, 1, 3, 1, 1, 0, 0, 1, 3,
+                 3, 1, 2, 1, 0, 2, 1, 0, 1, 0, 1, 2, 1, 3, 0, 1, 2, 3, 3, 3, 3, 3]
+        caps = np.zeros((10, 10))
+        caps[np.triu_indices(10, 1)] = upper
+        caps += caps.T
+        lcm = LinkCapacityMatrix(8, caps, ~np.eye(10, dtype=bool))
+        assert batch_reject_counts(batch_optimized(caps[None]), 0) == allocate_reject_counts(lcm)
+
+    @pytest.mark.parametrize("n_relays", range(9))
+    def test_walk_matches_brute_force_oracle(self, rng, n_relays):
+        for name, caps_b in oracle_cases(rng, n_relays, 200).items():
+            for walk, oracle in (
+                (batch_optimized, batch_brute_force),
+                (batch_equal_time, batch_brute_equal_time),
+            ):
+                got, want = walk(caps_b), oracle(caps_b)
+                assert got.keys() == want.keys()
+                for key in want:
+                    where = f"{walk.__name__} {key} on {name} caps, N={n_relays}"
+                    if key == "rate":
+                        np.testing.assert_allclose(got[key], want[key], rtol=1e-12,
+                                                   atol=0, err_msg=where)
+                    else:
+                        np.testing.assert_array_equal(got[key], want[key], err_msg=where)
+
+    def test_walk_and_oracle_raise_on_the_same_trial(self, rng):
+        caps_b = exponential_caps_batch(rng, 3, 10)
+        caps_b[4] = 0.0  # every subset of trial 4 is singular
+        for engine in (batch_optimized, batch_brute_force):
+            with pytest.raises(NoFeasibleSolution, match="trial 4 "):
+                engine(caps_b)
+            with pytest.raises(NoFeasibleSolution, match="trial 0 "):
+                engine(np.zeros((5, 4, 4)))
+
+
+def allocate_reject_counts(caps):
+    """Reject reasons allocate gives over every subset of one instance."""
+    counts = dict.fromkeys(
+        (RejectReason.SINGULAR, RejectReason.NEGATIVE_RATE, RejectReason.NONPOSITIVE_TIME), 0
+    )
+    for sub in subsets_by_size(caps.n_relays):
+        res = allocate(build_rate_matrix(caps, RelaySubset(sub)), RelaySubset(sub))
+        if res.reject_reason in counts:
+            counts[res.reject_reason] += 1
+    return counts
+
+
+def batch_reject_counts(out, k):
+    return {
+        RejectReason.SINGULAR: out["n_singular"][k],
+        RejectReason.NEGATIVE_RATE: out["n_negative_rate"][k],
+        RejectReason.NONPOSITIVE_TIME: out["n_nonpositive_time"][k],
+    }
+
+
+def oracle_cases(rng, n_relays, n_draws):
+    """Named capacity stacks in which every trial has a feasible subset.
+
+    Fading draws, the same with 30% of links masked (the direct link kept),
+    without a direct link, and small integers, whose many exact rate ties
+    exercise the tie rule.
+    """
+    n = n_relays + 2
+    dest = n - 1
+    off_diagonal = ~np.eye(n, dtype=bool)
+    fading = exponential_caps_batch(rng, n_relays, n_draws)
+    masked = fading * (rng.random(fading.shape) < 0.7)
+    masked[:, 0, dest] = fading[:, 0, dest]
+    integer = rng.integers(0, 4, size=fading.shape) * off_diagonal.astype(float)
+    integer[:, 0, dest] = rng.integers(1, 4, size=n_draws)
+    cases = {"fading": fading, "masked": masked, "integer": integer}
+    if n_relays:
+        # with every relay link present, any single relay is feasible
+        no_direct = fading.copy()
+        no_direct[:, 0, dest] = 0.0
+        integer_no_direct = rng.integers(1, 4, size=fading.shape) * off_diagonal.astype(float)
+        integer_no_direct[:, 0, dest] = 0.0
+        cases.update(no_direct=no_direct, integer_no_direct=integer_no_direct)
+    return cases
+
+
+@st.composite
+def integer_instances(draw):
+    """Small instances with capacities in 0..3, a random link mask and
+    possibly no direct link: exact ties and cancellations are common."""
+    n_relays = draw(st.integers(0, 5))
+    n = n_relays + 2
+    cells = st.lists(st.integers(0, 3), min_size=n * n, max_size=n * n)
+    flags = st.lists(st.booleans(), min_size=n * n, max_size=n * n)
+    mask = np.array(draw(flags)).reshape(n, n) & ~np.eye(n, dtype=bool)
+    caps = np.array(draw(cells), dtype=float).reshape(n, n) * mask
+    return LinkCapacityMatrix(n_relays=n_relays, caps=caps, link_mask=mask)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(integer_instances())
+def test_scalar_and_batched_selectors_agree(caps):
+    batch = caps.caps[None]
+    try:
+        want = brute_force_select(caps).best
+    except NoFeasibleSolution:
+        with pytest.raises(NoFeasibleSolution):
+            recursive_select(caps)
+        with pytest.raises(NoFeasibleSolution):
+            batch_optimized(batch)
+        return
+    got = recursive_select(caps).best
+    assert got.subset == want.subset
+    assert got.rate == pytest.approx(want.rate, rel=1e-9)
+    walk = batch_optimized(batch)
+    assert list(subsets_by_size(caps.n_relays))[walk["best_id"][0]] == want.subset.indices
+    assert walk["rate"][0] == pytest.approx(want.rate, rel=1e-12)
