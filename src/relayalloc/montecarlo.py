@@ -1,16 +1,26 @@
 """Seeded outage-rate experiments over fading realizations.
 
 Trials are embarrassingly parallel: every (pair, trial) channel draw comes
-from its own counter-based substream, so results are bit-identical for any
-worker count, and the same substreams are reused at every SNR point (common
-random numbers).  Within a worker, the subset search runs with the trial
-axis vectorized.
+from its own counter-based substream, which a worker seeks to its first
+trial, and the same substreams are reused at every SNR point (common random
+numbers).
+
+A worker evaluates its trial range in equal blocks sized by BLOCK_BYTES.
+The SNR axis is folded into the batch axis, so a block of C trials is one
+call per selector on an (S*C, n, n) capacity stack, with the trial axis
+vectorized.  The worker keeps only what the curves need: per mode and SNR
+point, the k = ceil(epsilon*T) smallest rates and the sums of the active
+relay counts and reject counters.  Memory per worker is thus bounded by the
+block and by k, not by T.  The parent merges the parts and takes the k-th
+smallest rate; every step is exact, so results are bit-identical for any
+worker count and block size.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -25,11 +35,16 @@ from .scenario import (
     renumber,
     trial_permutations,
 )
-from .selector import batch_equal_time, batch_optimized
+from .selector import NoFeasibleSolution, batch_equal_time, batch_optimized
 
 MODES = ("optimized", "equal_time")
 
 REJECT_KEYS = ("singular", "negative_rate", "nonpositive_time")
+
+# Byte budget of one block's (S*C, n, n) float64 capacity stack.  Larger
+# blocks buy little once numpy's per-call overhead is amortized, and they
+# raise peak memory; the selectors' working set is a few times the stack.
+BLOCK_BYTES = 2 * 2**20
 
 
 class InsufficientSamples(Exception):
@@ -61,16 +76,27 @@ class OutageCurve:
     reject_totals: dict[str, tuple[int, ...]] | None = None
 
 
-def outage_rate(samples: np.ndarray, epsilon: float) -> float:
-    """Empirical epsilon-outage rate: the ceil(epsilon*n)-th smallest sample."""
+def outage_rate(
+    samples: np.ndarray, epsilon: float, n_samples: int | None = None
+) -> float:
+    """Empirical epsilon-outage rate: the ceil(epsilon*n)-th smallest of n samples.
+
+    ``samples`` holds all n samples, or, when ``n_samples`` gives n, at
+    least the ceil(epsilon*n) smallest of them.
+    """
     samples = np.asarray(samples, dtype=float)
-    n = samples.size
+    k = _outage_rank(epsilon, samples.size if n_samples is None else n_samples)
+    if k > samples.size:
+        raise ValueError(f"rank {k} needs more than the {samples.size} samples given")
+    return float(np.partition(samples, k - 1)[k - 1])
+
+
+def _outage_rank(epsilon: float, n: int) -> int:
     if epsilon * n < 1.0:
         raise InsufficientSamples(
             f"{n} samples cannot resolve outage probability {epsilon}"
         )
-    k = math.ceil(epsilon * n)
-    return float(np.partition(samples, k - 1)[k - 1])
+    return math.ceil(epsilon * n)
 
 
 def run_trials(
@@ -92,23 +118,30 @@ def run_trials(
     if mode not in (*MODES, "both"):
         raise ValueError(f"mode must be one of {MODES + ('both',)}, got {mode!r}")
     modes = MODES if mode == "both" else (mode,)
-    out = _evaluate_trials(
-        fading_params(topology), topology, scheme, [float(snr)], base_seed,
-        0, n_trials, modes,
-    )
+    params = fading_params(topology)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        snr_db = float(10.0 * np.log10(snr))  # only names the SNR in errors
+    blocks = list(_evaluate_blocks(
+        params, topology, scheme, (snr_db,), (float(snr),), base_seed, 0, n_trials,
+        modes, _block_trials(1, params.lam.shape[0]),
+    ))
+    out = {
+        m: {key: np.concatenate([b[m][key][0] for b in blocks]) for key in blocks[0][m]}
+        for m in modes
+    }
+    opt = out.get("optimized")
+    eq = out.get("equal_time")
     records = []
     for i in range(n_trials):
-        opt = out.get("optimized")
-        eq = out.get("equal_time")
         rejects = {}
         if opt is not None:
-            rejects = {k: int(opt["n_" + k][0, i]) for k in REJECT_KEYS}
+            rejects = {k: int(opt["n_" + k][i]) for k in REJECT_KEYS}
         records.append(
             TrialRecord(
-                rate_optimized=float(opt["rate"][0, i]) if opt else None,
-                rate_equal_time=float(eq["rate"][0, i]) if eq else None,
-                active_relays_optimized=int(opt["n_active"][0, i]) if opt else None,
-                active_relays_equal_time=int(eq["n_active"][0, i]) if eq else None,
+                rate_optimized=float(opt["rate"][i]) if opt else None,
+                rate_equal_time=float(eq["rate"][i]) if eq else None,
+                active_relays_optimized=int(opt["n_active"][i]) if opt else None,
+                active_relays_equal_time=int(eq["n_active"][i]) if eq else None,
                 reject_counters=rejects,
             )
         )
@@ -128,59 +161,54 @@ def sweep(
     """Outage curves over an SNR grid (given in dB), one per requested mode.
 
     The same per-trial channel draws are used at every grid point, and work
-    is split over ``parallel`` processes by contiguous trial ranges with a
-    deterministic in-order fold.
+    is split over ``parallel`` processes by contiguous trial ranges.  Each
+    worker returns, per mode and SNR point, its k = ceil(epsilon*n_trials)
+    smallest rates and its counter sums; the merge is exact, so results are
+    bit-identical for any ``parallel``.
     """
     if not snr_grid_db:
         raise ValueError("snr grid must be nonempty")
-    if epsilon * n_trials < 1.0:
-        raise InsufficientSamples(
-            f"{n_trials} trials cannot resolve outage probability {epsilon}"
-        )
+    if not 0.0 < epsilon <= 1.0:
+        raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
+    snr_db = tuple(float(v) for v in snr_grid_db)
+    if not all(math.isfinite(v) for v in snr_db):
+        raise ValueError(f"snr grid must be finite, got {list(snr_db)}")
+    rank = _outage_rank(epsilon, n_trials)
     for m in modes:
         if m not in MODES:
             raise ValueError(f"unknown mode {m!r}")
-    snr_db = [float(v) for v in snr_grid_db]
-    snr_lin = [10.0 ** (v / 10.0) for v in snr_db]
+    modes = tuple(modes)
+    snr_lin = tuple(10.0 ** (v / 10.0) for v in snr_db)
     params = fading_params(topology)
+    block_trials = _block_trials(len(snr_db), params.lam.shape[0])
 
+    bounds = np.linspace(0, n_trials, max(parallel, 1) + 1, dtype=int).tolist()
+    jobs = [
+        (params, topology, scheme, snr_db, snr_lin, base_seed, a, b - a, modes,
+         block_trials, rank)
+        for a, b in zip(bounds[:-1], bounds[1:])
+        if b > a
+    ]
     if parallel <= 1:
-        out = _evaluate_trials(
-            params, topology, scheme, snr_lin, base_seed, 0, n_trials, tuple(modes)
-        )
+        parts = [_fold_trials(*jobs[0])]
     else:
-        bounds = np.linspace(0, n_trials, parallel + 1, dtype=int)
-        jobs = [
-            (params, topology, scheme, snr_lin, base_seed, int(a), int(b - a), tuple(modes))
-            for a, b in zip(bounds[:-1], bounds[1:])
-            if b > a
-        ]
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            parts = list(pool.map(_evaluate_trials_star, jobs))
-        out = {
-            m: {
-                key: np.concatenate([p[m][key] for p in parts], axis=1)
-                for key in parts[0][m]
-            }
-            for m in modes
-        }
+            parts = list(pool.map(_fold_trials, *zip(*jobs)))
 
     curves: dict[str, OutageCurve] = {}
     for m in modes:
-        rates = out[m]["rate"]
+        low = np.concatenate([p[m]["low"] for p in parts], axis=1)
+        sums = {key: sum(p[m][key] for p in parts) for key in parts[0][m] if key != "low"}
         curves[m] = OutageCurve(
-            snr_grid=tuple(snr_lin),
-            snr_grid_db=tuple(snr_db),
-            outage_rate=tuple(outage_rate(rates[s], epsilon) for s in range(len(snr_db))),
-            avg_active=tuple(float(out[m]["n_active"][s].mean()) for s in range(len(snr_db))),
+            snr_grid=snr_lin,
+            snr_grid_db=snr_db,
+            outage_rate=tuple(outage_rate(row, epsilon, n_trials) for row in low),
+            avg_active=tuple(float(v) / n_trials for v in sums["n_active"]),
             n_trials=n_trials,
             epsilon=epsilon,
             mode=m,
             reject_totals=(
-                {
-                    k: tuple(int(out[m]["n_" + k][s].sum()) for s in range(len(snr_db)))
-                    for k in REJECT_KEYS
-                }
+                {k: tuple(int(v) for v in sums["n_" + k]) for k in REJECT_KEYS}
                 if m == "optimized"
                 else None
             ),
@@ -188,23 +216,126 @@ def sweep(
     return curves
 
 
-def _evaluate_trials_star(args):
-    return _evaluate_trials(*args)
+def _block_trials(n_snr: int, n_nodes: int) -> int:
+    """Most trials whose (S*C, n, n) capacity stack fits in BLOCK_BYTES, at least 1."""
+    return max(1, BLOCK_BYTES // (n_snr * n_nodes * n_nodes * 8))
 
 
-def _evaluate_trials(
+def _smallest(rates: np.ndarray, k: int) -> np.ndarray:
+    """The k smallest entries of each row of (S, T) ``rates``, unordered; all if T <= k."""
+    if rates.shape[1] <= k:
+        return rates
+    return np.partition(rates, k - 1, axis=1)[:, :k]
+
+
+def _fold_trials(
     params: FadingParams,
     topology: Topology,
     scheme: NumberingScheme,
-    snr_list: list[float],
+    snr_db: tuple[float, ...],
+    snr_lin: tuple[float, ...],
     base_seed: int,
     start: int,
     count: int,
     modes: tuple[str, ...],
+    block_trials: int,
+    k: int,
 ) -> dict[str, dict[str, np.ndarray]]:
-    """Evaluate trials [start, start+count) at every SNR; arrays are (S, T)."""
+    """One worker's trials [start, start+count), reduced to what the curves need.
+
+    Per mode, arrays over the SNR grid: ``low`` (S, min(k, count)), the
+    smallest rates, and the sums over trials of ``n_active`` and, for the
+    optimized mode, of the reject counters.  Rates are cut back to the k
+    smallest once 2k are held, so the cost stays linear in ``count``.
+    """
+    low: dict[str, list[np.ndarray]] = {m: [] for m in modes}
+    sums: dict[str, dict[str, np.ndarray]] = {m: {} for m in modes}
+    for block in _evaluate_blocks(
+        params, topology, scheme, snr_db, snr_lin, base_seed, start, count, modes,
+        block_trials,
+    ):
+        for m, res in block.items():
+            low[m].append(res.pop("rate"))
+            if sum(r.shape[1] for r in low[m]) >= 2 * k:
+                low[m] = [_smallest(np.concatenate(low[m], axis=1), k)]
+            for key, arr in res.items():
+                sums[m][key] = sums[m].get(key, 0) + arr.sum(axis=1)
+    return {
+        m: {"low": _smallest(np.concatenate(low[m], axis=1), k), **sums[m]}
+        for m in modes
+    }
+
+
+def _evaluate_blocks(
+    params: FadingParams,
+    topology: Topology,
+    scheme: NumberingScheme,
+    snr_db: tuple[float, ...],
+    snr_lin: tuple[float, ...],
+    base_seed: int,
+    start: int,
+    count: int,
+    modes: tuple[str, ...],
+    block_trials: int,
+) -> Iterator[dict[str, dict[str, np.ndarray]]]:
+    """Evaluate trials [start, start+count) in equal blocks of at most ``block_trials``.
+
+    Yields, per block in trial order, each mode's per-trial selector arrays
+    (``best_id`` dropped) shaped (S, C).  The SNR axis is folded into the
+    batch axis: a block is one selector call per mode on an (S*C, n, n)
+    stack.  ``snr_db`` only names the SNR point in errors.
+    """
     n = params.lam.shape[0]
-    n_relays = n - 2
+    n_blocks = -(-count // block_trials)
+    edges = (start + count * np.arange(n_blocks + 1) // n_blocks).tolist()
+    snr = np.asarray(snr_lin)[:, None, None, None]
+    for a, b in zip(edges[:-1], edges[1:]):
+        # built in place, so that no second stack-sized array is alive
+        caps = snr * _ordered_powers(params, topology, scheme, base_seed, a, b - a)
+        caps += 1.0
+        caps = np.log2(caps, out=caps).reshape(-1, n, n)
+        out: dict[str, dict[str, np.ndarray]] = {}
+        for m in modes:
+            select = batch_optimized if m == "optimized" else batch_equal_time
+            try:
+                res = select(caps)
+            except NoFeasibleSolution:
+                s, i = divmod(_first_infeasible(select, caps), b - a)
+                raise NoFeasibleSolution(
+                    f"trial {a + i} at {snr_db[s]:g} dB has no feasible subset"
+                ) from None
+            out[m] = {
+                key: arr.reshape(len(snr_lin), b - a)
+                for key, arr in res.items()
+                if key != "best_id"
+            }
+        yield out
+
+
+def _first_infeasible(select, caps: np.ndarray) -> int:
+    """Row of the first matrix in ``caps`` on which ``select`` raises, by bisection."""
+    lo, hi = 0, len(caps)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            select(caps[lo:mid])
+            lo = mid
+        except NoFeasibleSolution:
+            hi = mid
+    return lo
+
+
+def _ordered_powers(
+    params: FadingParams,
+    topology: Topology,
+    scheme: NumberingScheme,
+    base_seed: int,
+    start: int,
+    count: int,
+) -> np.ndarray:
+    """(count, n, n) channel powers of trials [start, start+count), relays in
+    each trial's transmission order."""
+    n_relays = params.lam.shape[0] - 2
     powers = draw_channel_powers_keyed(params, base_seed, count, start)
     orders = _trial_orders(powers, topology, scheme, base_seed, start)
     idx = np.concatenate(
@@ -216,21 +347,7 @@ def _evaluate_trials(
         axis=1,
     )
     trial_ax = np.arange(count)[:, None, None]
-    powers = powers[trial_ax, idx[:, :, None], idx[:, None, :]]
-
-    out: dict[str, dict[str, np.ndarray]] = {m: {} for m in modes}
-    for s, snr in enumerate(snr_list):
-        caps_b = np.log2(1.0 + snr * powers)
-        for m in modes:
-            res = batch_optimized(caps_b) if m == "optimized" else batch_equal_time(caps_b)
-            for key, arr in res.items():
-                if key == "best_id":
-                    continue
-                store = out[m].setdefault(
-                    key, np.empty((len(snr_list), count), dtype=arr.dtype)
-                )
-                store[s] = arr
-    return out
+    return powers[trial_ax, idx[:, :, None], idx[:, None, :]]
 
 
 def _trial_orders(

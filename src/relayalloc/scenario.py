@@ -181,7 +181,8 @@ def draw_channel_powers(params: FadingParams, rng: Generator) -> np.ndarray:
 # -- counter-based substreams ------------------------------------------------
 #
 # Each unordered node pair owns a Philox stream keyed by (seed, pair); trial
-# i reads position i of that stream.  Draws therefore depend only on
+# i reads position i of that stream, reached by seeking rather than by
+# replaying the trials before it.  Draws therefore depend only on
 # (seed, pair, trial): worker count, chunking, and appending extra relays to
 # the pool all leave existing links' fading untouched.
 
@@ -190,9 +191,17 @@ def _node_stream_key(node: int, n_nodes: int) -> int:
     return _DEST_STREAM_KEY if node == n_nodes - 1 else node
 
 
-def _philox_stream(base_seed: int, word: int) -> Generator:
+def _philox_stream(base_seed: int, word: int, skip: int = 0) -> Generator:
+    """Generator over one keyed stream, positioned after its first ``skip`` doubles.
+
+    Each Philox counter yields four 64-bit words and each double takes one,
+    so seeking costs one counter jump plus at most three discarded draws,
+    whatever ``skip`` is.
+    """
     key = np.array([base_seed & 0xFFFFFFFFFFFFFFFF, word], dtype=np.uint64)
-    return Generator(Philox(key=key))
+    gen = Generator(Philox(key=key).advance(skip // 4))
+    gen.random(skip % 4)
+    return gen
 
 
 def pair_uniforms(
@@ -200,7 +209,7 @@ def pair_uniforms(
 ) -> np.ndarray:
     """Uniforms for trials [start, start+n_trials) of one pair's substream."""
     ki, kj = min(key_i, key_j), max(key_i, key_j)
-    return _philox_stream(base_seed, (ki << 32) | kj).random(start + n_trials)[start:]
+    return _philox_stream(base_seed, (ki << 32) | kj, start).random(n_trials)
 
 
 def draw_channel_powers_keyed(
@@ -230,8 +239,10 @@ def trial_permutations(
     reproducible per trial index under any chunking.
     """
     # reserved stream word; node keys are far too small to collide with it
-    gen = _philox_stream(base_seed, (_DEST_STREAM_KEY << 32) | _DEST_STREAM_KEY)
-    u = gen.random((start + n_trials, n_relays))[start:]
+    gen = _philox_stream(
+        base_seed, (_DEST_STREAM_KEY << 32) | _DEST_STREAM_KEY, start * n_relays
+    )
+    u = gen.random((n_trials, n_relays))
     return np.argsort(u, axis=1, kind="stable") + 1
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from relayalloc import montecarlo
 from relayalloc.montecarlo import (
     InsufficientSamples,
     curves_to_csv,
@@ -9,7 +10,14 @@ from relayalloc.montecarlo import (
     run_trials,
     sweep,
 )
-from relayalloc.scenario import NumberingScheme, Topology, linear_topology
+from relayalloc.scenario import (
+    NumberingScheme,
+    Topology,
+    draw_channel_powers_keyed,
+    fading_params,
+    linear_topology,
+)
+from relayalloc.selector import NoFeasibleSolution
 
 DESC = NumberingScheme.AVERAGE_DESCENDING
 
@@ -34,6 +42,12 @@ class TestOutageRate:
     def test_fractional_rank_rounds_up(self):
         samples = np.arange(1, 11, dtype=float)
         assert outage_rate(samples, 0.25) == 3.0  # ceil(2.5) = 3
+
+    def test_smallest_samples_of_a_larger_set(self):
+        # the 10 smallest of 1000 samples resolve the 1% outage rate
+        assert outage_rate(np.arange(10, 0, -1, dtype=float), 1e-2, n_samples=1000) == 10.0
+        with pytest.raises(ValueError):
+            outage_rate(np.arange(1, 10, dtype=float), 1e-2, n_samples=1000)
 
 
 class TestRunTrials:
@@ -120,12 +134,92 @@ class TestSweep:
         with pytest.raises(InsufficientSamples):
             sweep(linear_topology(1), DESC, [0], 100, 1e-3, base_seed=0)
 
+    @pytest.mark.parametrize("epsilon", [1.5, 0.0, -0.1, float("nan")])
+    def test_epsilon_outside_unit_interval_rejected(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            sweep(linear_topology(1), DESC, [0], 100, epsilon, base_seed=0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_snr_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            sweep(linear_topology(1), DESC, [0, bad], 100, 0.1, base_seed=0)
+
+    def test_infeasible_trial_named_with_its_snr(self):
+        # -4000 dB is finite, but its linear SNR underflows to 0.0, so every
+        # subset of every trial is singular
+        with pytest.raises(NoFeasibleSolution, match=r"trial 0 at -4000 dB"):
+            sweep(linear_topology(2), DESC, [0, -4000], 100, 0.1, base_seed=0)
+
+    def test_infeasible_trial_index_is_absolute(self, monkeypatch):
+        # direct link only: a trial is infeasible where snr * power underflows
+        # log2(1 + x) to 0; with 7-trial blocks the first such trial lies in
+        # a later block, and the error must name its index in the sweep
+        db = -140.0
+        snr = 10.0 ** (db / 10.0)
+        powers = draw_channel_powers_keyed(fading_params(linear_topology(0)), 6, 500)
+        dead = np.nonzero(np.log2(1.0 + snr * powers[:, 0, 1]) == 0.0)[0]
+        assert dead.size and dead[0] >= 7
+        monkeypatch.setattr(montecarlo, "BLOCK_BYTES", 7 * 2 * 4 * 8)
+        with pytest.raises(NoFeasibleSolution, match=rf"trial {dead[0]} at -140 dB"):
+            sweep(linear_topology(0), DESC, [0, db], 500, 0.1, base_seed=6, parallel=2)
+
     def test_common_randomness_across_schemes(self):
         # different numbering schemes see identical per-trial fading: with a
         # single relay every scheme gives identical rates
         a = run_trials(linear_topology(1), NumberingScheme.RANDOM, 5.0, 50, 7, mode="optimized")
         b = run_trials(linear_topology(1), DESC, 5.0, 50, 7, mode="optimized")
         assert [r.rate_optimized for r in a] == [r.rate_optimized for r in b]
+
+
+class TestBlocks:
+    """Blocks, worker ranges and the worker-side fold must not change a bit."""
+
+    TOPO = linear_topology(3)
+    SCHEME = NumberingScheme.RANDOM  # per-trial orders from a seeked stream
+    GRID = [0, 10, 20]
+
+    def _set_block_trials(self, monkeypatch, trials):
+        n_nodes = self.TOPO.positions.shape[0]
+        monkeypatch.setattr(
+            montecarlo, "BLOCK_BYTES", trials * len(self.GRID) * n_nodes**2 * 8
+        )
+
+    def _json(self, n_trials, epsilon, parallel):
+        curves = sweep(self.TOPO, self.SCHEME, self.GRID, n_trials, epsilon,
+                       base_seed=13, parallel=parallel)
+        return curves_to_json(curves, {})
+
+    def test_sweep_output_independent_of_blocks_and_workers(self, monkeypatch):
+        reference = self._json(301, 0.05, 1)  # one block under the default budget
+        # 1-trial blocks, uneven 7-trial blocks, one block per worker range
+        for trials in (1, 7, 301):
+            self._set_block_trials(monkeypatch, trials)
+            for parallel in (1, 3):
+                assert self._json(301, 0.05, parallel) == reference, (trials, parallel)
+
+    def test_worker_range_shorter_than_rank(self, monkeypatch):
+        # k = 50, but each of 8 workers holds only 12 or 13 trials
+        serial = self._json(100, 0.5, 1)
+        assert self._json(100, 0.5, 8) == serial
+        self._set_block_trials(monkeypatch, 3)
+        assert self._json(100, 0.5, 8) == serial
+
+    def test_fold_matches_per_trial_records(self, monkeypatch):
+        self._set_block_trials(monkeypatch, 7)
+        curves = sweep(self.TOPO, self.SCHEME, self.GRID, 200, 0.1, base_seed=13)
+        for s, db in enumerate(self.GRID):
+            records = run_trials(self.TOPO, self.SCHEME, 10.0 ** (db / 10.0), 200, 13)
+            rates = [r.rate_optimized for r in records]
+            assert curves["optimized"].outage_rate[s] == outage_rate(rates, 0.1)
+            assert curves["equal_time"].avg_active[s] == np.mean(
+                [r.active_relays_equal_time for r in records])
+            assert curves["optimized"].reject_totals["negative_rate"][s] == sum(
+                r.reject_counters["negative_rate"] for r in records)
+
+    def test_run_trials_independent_of_blocks(self, monkeypatch):
+        whole = run_trials(self.TOPO, self.SCHEME, 10.0, 50, base_seed=4)
+        monkeypatch.setattr(montecarlo, "BLOCK_BYTES", 1)  # 1-trial blocks
+        assert run_trials(self.TOPO, self.SCHEME, 10.0, 50, base_seed=4) == whole
 
 
 class TestEmitters:

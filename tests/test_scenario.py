@@ -125,7 +125,17 @@ class TestKeyedStreams:
         again = draw_channel_powers_keyed(params, 11, 10)
         tail = draw_channel_powers_keyed(params, 11, 4, start=6)
         assert np.array_equal(full, again)
-        assert np.allclose(full[6:], tail)
+        assert np.array_equal(full[6:], tail)
+
+    @pytest.mark.parametrize("start", [1, 3, 4, 5, 101, 125003])
+    def test_seeking_reproduces_the_stream(self, start):
+        # a seek jumps whole Philox counters (4 doubles) and discards the rest;
+        # it must land on the exact bits a replay from trial 0 gives
+        n = 7
+        uniforms = pair_uniforms(5, 2, 0xFFFFFFFF, start + n)
+        assert np.array_equal(pair_uniforms(5, 2, 0xFFFFFFFF, n, start=start), uniforms[start:])
+        perms = trial_permutations(5, 3, start + n)
+        assert np.array_equal(trial_permutations(5, 3, n, start=start), perms[start:])
 
     def test_seed_changes_draws(self):
         params = fading_params(linear_topology(2))
