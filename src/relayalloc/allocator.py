@@ -3,7 +3,7 @@
 Solving ``rate_matrix @ t = R * 1`` equalizes the mutual information at every
 relay and at the destination, which is the unique interior max-min optimum
 for that subset.  The solve is one forward substitution; the full inverse is
-only ever materialized by the recursive selector.
+only ever materialized by the selector's incremental-inverse API.
 """
 
 from __future__ import annotations
@@ -44,6 +44,8 @@ class TimeAllocation:
         t = np.asarray(self.t, dtype=float)
         if t.ndim != 1 or t.size == 0:
             raise ValueError("time allocation must be a nonempty vector")
+        if not np.all(np.isfinite(t)):
+            raise ValueError(f"slot durations must be finite, got {t}")
         # scale-aware gate: for feasible vectors (all positive) the scale is 1
         # and this is an absolute 1e-12 check; rejected solutions may carry
         # huge cancelling entries whose float sum cannot do better than this
@@ -61,8 +63,10 @@ class AllocationResult:
     """Outcome of the equalizing solve for one subset.
 
     ``times`` is present for any outcome where the linear system had a
-    solution (even an infeasible one, so callers can inspect which slot went
-    nonpositive); it is None only for singular matrices.
+    solution with finite slot durations (even an infeasible one, so callers
+    can inspect which slot went nonpositive).  It is None for singular
+    matrices, for a zero slot sum, and when renormalizing overflows, which
+    exact cancellations (small-integer capacities) can cause.
     """
 
     subset: RelaySubset
@@ -112,24 +116,41 @@ def allocate(rm: RateMatrix, subset: RelaySubset) -> AllocationResult:
             reject_reason=RejectReason.SINGULAR,
         )
     s = u.sum()
+    rate = 1.0 / s if s != 0.0 else None
+    times = slot_times(u, s)
     if s <= 0.0:
-        t = u / s if s != 0.0 else None
         return AllocationResult(
-            subset=subset,
-            times=TimeAllocation(_renormalize(t)) if t is not None else None,
-            rate=1.0 / s if s != 0.0 else None,
-            feasible=False,
+            subset=subset, times=times, rate=rate, feasible=False,
             reject_reason=RejectReason.NEGATIVE_RATE,
         )
-    rate = 1.0 / s
-    t = _renormalize(u / s)
-    bad = np.nonzero(t <= TIME_TOL)[0]
+    if times is None:
+        # at a positive rate, durations overflow only when some slot dwarfs
+        # the slot sum, which takes another slot far below zero
+        return AllocationResult(
+            subset=subset, times=None, rate=rate, feasible=False,
+            reject_reason=RejectReason.NONPOSITIVE_TIME,
+        )
+    bad = np.nonzero(times.t <= TIME_TOL)[0]
     if bad.size:
         return AllocationResult(
-            subset=subset, times=TimeAllocation(t), rate=rate, feasible=False,
+            subset=subset, times=times, rate=rate, feasible=False,
             reject_reason=RejectReason.NONPOSITIVE_TIME, reject_index=int(bad[0]),
         )
-    return AllocationResult(subset=subset, times=TimeAllocation(t), rate=rate, feasible=True)
+    return AllocationResult(subset=subset, times=times, rate=rate, feasible=True)
+
+
+def slot_times(u: np.ndarray, s: float) -> TimeAllocation | None:
+    """Slot durations from unnormalized slots ``u`` with sum ``s``.
+
+    ``u / s`` is renormalized once more, which keeps the durations summing to
+    one to machine precision even for badly scaled solutions.  Returns None
+    when the durations are not finite (``s`` is zero, or the solution
+    cancels so exactly that renormalizing overflows).
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t = u / s
+        t = t / t.sum()
+    return TimeAllocation(t) if np.all(np.isfinite(t)) else None
 
 
 def verify_equalization(rm: RateMatrix, result: AllocationResult) -> float:
@@ -139,8 +160,3 @@ def verify_equalization(rm: RateMatrix, result: AllocationResult) -> float:
     info = mutual_informations(rm, result.times.t)
     return float(np.max(np.abs(info - result.rate)))
 
-
-def _renormalize(t: np.ndarray) -> np.ndarray:
-    # One extra normalization pass keeps sum(t) = 1 to machine precision even
-    # for badly scaled solutions.
-    return t / t.sum()

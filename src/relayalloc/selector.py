@@ -5,10 +5,13 @@ Three selectors over the 2^N subsets of the relay pool:
 * ``brute_force_select``: builds every rate matrix from scratch and solves it
   (the reference oracle).
 * ``recursive_select``: depth-first walk of the subset tree where each child
-  subset appends one relay with a larger index.  The child's inverse, slot
-  vector, and rate are obtained from the parent's in O(p^2) via the
-  partitioned-inverse update, and subtrees are skipped once an inherited slot
-  duration goes nonpositive.
+  subset appends one relay with a larger index.  A node carries only Python
+  floats: the slots fixed for its descendants and ``h[k]``, what each later
+  node k receives from them.  A child's two new slots follow in O(1) and its
+  ``h`` in O(N).  This is the partitioned-inverse update of the paper
+  (``extend_inverse``, O(p^2) per child) applied to the all-ones vector, so
+  the inverse blocks are only built when a trace asks for them.  Subtrees
+  are skipped once an inherited slot duration goes nonpositive.
 * ``equal_time_select``: optimal subset choice under uniform slot durations
   (the non-optimized cooperation baseline).
 
@@ -19,7 +22,9 @@ lexicographically smallest subset.
 the same subset-tree walk over a stack of fading realizations, vectorized
 over trials.  Each child's per-trial state comes from its parent's in O(1)
 array operations, with no rate matrix built or solved, and every subset is
-visited so that reject counts cover the whole tree.
+visited so that reject counts cover the whole tree.  ``batch_optimized``
+runs the float recurrence of ``recursive_select`` operation for operation,
+so the two return bit-identical rates.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from .allocator import (
     SingularMatrix,
     TimeAllocation,
     allocate,
+    slot_times,
 )
 from .rate_model import LinkCapacityMatrix, RelaySubset, build_rate_matrix, mutual_informations
 
@@ -175,43 +181,10 @@ def extend_solution(blocks: InverseBlocks) -> tuple[TimeAllocation, float]:
         raise SingularMatrix(f"subset {blocks.subset} has a singular rate matrix")
     u = np.append(blocks.u_chain, blocks.dest_row.sum())
     s = u.sum()
-    if s == 0.0:
-        raise ValueError("slot solution sums to zero; no normalizable allocation")
-    t = u / s
-    return TimeAllocation(t / t.sum()), 1.0 / s
-
-
-def _allocation_from_blocks(blocks: InverseBlocks) -> AllocationResult:
-    """Feasibility verdict for one tree node, mirroring allocator.allocate."""
-    subset = RelaySubset(blocks.subset)
-    if blocks.dest_row is None:
-        return AllocationResult(
-            subset=subset, times=None, rate=None, feasible=False,
-            reject_reason=RejectReason.SINGULAR,
-        )
-    u = np.append(blocks.u_chain, blocks.dest_row.sum())
-    s = u.sum()
-    if s <= 0.0:
-        times = None
-        if s != 0.0:
-            t = u / s
-            times = TimeAllocation(t / t.sum())
-        return AllocationResult(
-            subset=subset, times=times, rate=1.0 / s if s != 0.0 else None,
-            feasible=False, reject_reason=RejectReason.NEGATIVE_RATE,
-        )
-    rate = 1.0 / s
-    t = u / s
-    t = t / t.sum()
-    bad = np.nonzero(t <= TIME_TOL)[0]
-    if bad.size:
-        return AllocationResult(
-            subset=subset, times=TimeAllocation(t), rate=rate, feasible=False,
-            reject_reason=RejectReason.NONPOSITIVE_TIME, reject_index=int(bad[0]),
-        )
-    return AllocationResult(
-        subset=subset, times=TimeAllocation(t), rate=rate, feasible=True
-    )
+    times = slot_times(u, s)
+    if times is None:
+        raise ValueError("slot solution does not normalize (zero or cancelling sum)")
+    return times, 1.0 / s
 
 
 def _beats(rate_new: float, sub_new: tuple, rate_old: float, sub_old: tuple | None) -> bool:
@@ -258,74 +231,126 @@ def recursive_select(
 ) -> OptimizationOutcome:
     """Depth-first incremental search, equivalent to brute_force_select.
 
-    Children of a subset append one relay beyond its largest index; each
-    child reuses the parent's cached inverse blocks.  When any of the first
-    p-1 slot durations of a p-relay subset is nonpositive, every descendant
-    inherits that slot, so the subtree is skipped.  A broken decode-chain
-    link likewise kills the subtree; a missing last-relay-to-destination
-    link only rejects the node itself.
+    Children of a subset append one relay beyond its largest index.  A node
+    with chain (r1..rm) carries, as Python floats, the unnormalized slots
+    fixed for all its descendants (the source and r1..r_{m-1}), their sum
+    and extremes, and ``h[k]``, the sum of a[tx, k] * u_tx over those fixed
+    transmitters: the state ``batch_optimized`` keeps per trial.  Appending
+    relay c fixes the slot of r_m at (1 - h[c]) / a[r_m, c] and the
+    destination row gives the child's last slot, so a child costs O(1) plus
+    an O(N) update of ``h``, and no matrix or result object is built per
+    node.  This is the partitioned-inverse update applied to the all-ones
+    vector: ``h[c]`` equals ``f_c @ chain_inv @ 1``, which ``_extend_blocks``
+    forms in O(p^2), so the reported operation count stays the paper's.
+
+    When any of the first p-1 slot durations of a p-relay subset is
+    nonpositive, every descendant inherits that slot, so the subtree is
+    skipped.  A broken decode-chain link likewise kills the subtree; a
+    missing last-relay-to-destination link only rejects the node itself.
 
     ``trace``, if given, collects (subset, result, blocks) triples for every
-    node visited.
+    node visited; only then are each node's ``AllocationResult`` and
+    ``InverseBlocks`` built, from the same verdicts.
     """
     n = caps.n_relays
-    a = caps.caps
-    dest = caps.destination
-    evaluated = 0
+    dest = n + 1
+    a = caps.caps.tolist()
+    # ops_at[m]: the reported cost of one step from an m-relay node to a child
+    ops_at = [op_count(q) for q in range(1, n + 2)]
+    evaluated = 1
     pruned = 0
     ops = 0
-    best: AllocationResult | None = None
+    # the best node so far: rate, subset, unnormalized slots and their sum
+    best_rate, best_sub, best_slots, best_s = 0.0, None, (), 0.0
 
-    def consider(result: AllocationResult) -> None:
-        nonlocal best
-        if result.feasible and _beats(
-            result.rate,
-            result.subset.indices,
-            best.rate if best else 0.0,
-            best.subset.indices if best else None,
-        ):
-            best = result
-
-    def visit(blocks: InverseBlocks) -> None:
-        nonlocal evaluated, pruned, ops
-        start = blocks.subset[-1] + 1 if blocks.subset else 1
-        for j in range(start, n + 1):
+    def visit(chain, h, s_fixed, min_fixed, max_fixed, slots, blocks):
+        # h[i] belongs to node last + 1 + i, the last entry to the destination
+        nonlocal evaluated, pruned, ops, best_rate, best_sub, best_slots, best_s
+        last = chain[-1] if chain else 0
+        row = a[last]
+        op = ops_at[len(chain)]
+        for i, c in enumerate(range(last + 1, dest)):
             evaluated += 1
-            child = _extend_blocks(blocks, a, dest, j)
-            if child is None:
-                # chain link into relay j is absent: every descendant is singular
-                pruned += (1 << (n - j)) - 1
+            sub = (*chain, c)
+            t11 = row[c]
+            if t11 <= SINGULARITY_TOL:
+                # chain link into relay c is absent: every descendant is singular
+                pruned += (1 << (n - c)) - 1
                 if trace is not None:
-                    trace.append(((*blocks.subset, j), None, None))
+                    trace.append((sub, None, None))
                 continue
-            ops += op_count(len(child.subset))
-            result = _allocation_from_blocks(child)
+            ops += op
+            u = (1.0 - h[i]) / t11
+            child_slots = (*slots, u)
+            s_chain = _add_slot(s_fixed, u, slots)
+            t22 = a[c][dest]
+            skip = False
+            if t22 <= SINGULARITY_TOL:
+                reason, node_slots, s = RejectReason.SINGULAR, None, None
+            else:
+                u_dest = (1.0 - (h[-1] + row[dest] * u)) / t22
+                node_slots = (*child_slots, u_dest)
+                s = _add_slot(s_chain, u_dest, child_slots)
+                if s <= 0.0:
+                    reason = RejectReason.NEGATIVE_RATE
+                elif min(min_fixed, u, u_dest) / s <= TIME_TOL:
+                    reason = RejectReason.NONPOSITIVE_TIME
+                else:
+                    reason = RejectReason.NONE
+                    rate = 1.0 / s
+                    if _beats(rate, sub, best_rate, best_sub):
+                        best_rate, best_sub, best_slots, best_s = rate, sub, node_slots, s
+                # the slots fixed by the parent belong to every descendant
+                if s != 0.0:
+                    skip = (min_fixed if s > 0.0 else max_fixed) / s <= 0.0
             if trace is not None:
-                trace.append((child.subset, result, child))
-            consider(result)
-            p = len(child.subset)
-            if (
-                result.times is not None
-                and p >= 2
-                and np.any(result.times.t[: p - 1] <= 0.0)
-            ):
-                pruned += (1 << (n - j)) - 1
-                continue
-            visit(child)
+                child_blocks = _extend_blocks(blocks, caps.caps, dest, c)
+                trace.append((sub, _node_result(sub, reason, node_slots, s), child_blocks))
+            else:
+                child_blocks = None
+            if skip:
+                pruned += (1 << (n - c)) - 1
+            elif c < n:
+                h_child = [hk + ak * u for hk, ak in zip(h[i + 1:], row[c + 1:])]
+                visit(sub, h_child, s_chain, min(min_fixed, u), max(max_fixed, u),
+                      child_slots, child_blocks)
 
-    root = root_blocks(caps)
-    evaluated += 1
-    root_result = _allocation_from_blocks(root)
+    direct = a[0][dest]
+    root = root_blocks(caps) if trace is not None else None
+    if direct > SINGULARITY_TOL:
+        u = 1.0 / direct
+        best_rate, best_sub, best_slots, best_s = 1.0 / u, (), (u,), u
+        root_reason = RejectReason.NONE
+    else:
+        root_reason = RejectReason.SINGULAR
     if trace is not None:
-        trace.append(((), root_result, root))
-    consider(root_result)
-    visit(root)
+        trace.append(((), _node_result((), root_reason, best_slots, best_s), root))
+    visit((), [0.0] * (n + 1), 0.0, math.inf, -math.inf, (), root)
 
-    if best is None:
+    if best_sub is None:
         raise NoFeasibleSolution("no relay subset nor direct transmission is feasible")
     return OptimizationOutcome(
-        best=best, candidates_evaluated=evaluated, candidates_pruned=pruned,
-        op_count_reported=ops,
+        best=_node_result(best_sub, RejectReason.NONE, best_slots, best_s),
+        candidates_evaluated=evaluated, candidates_pruned=pruned, op_count_reported=ops,
+    )
+
+
+def _node_result(
+    sub: tuple, reason: RejectReason, slots: tuple | None, s: float | None
+) -> AllocationResult:
+    """AllocationResult of one tree node from the walk's verdict and its slots."""
+    subset = RelaySubset(sub)
+    if reason is RejectReason.SINGULAR:
+        return AllocationResult(
+            subset=subset, times=None, rate=None, feasible=False, reject_reason=reason
+        )
+    index = None
+    if reason is RejectReason.NONPOSITIVE_TIME:
+        index = next(i for i, u in enumerate(slots) if u / s <= TIME_TOL)
+    return AllocationResult(
+        subset=subset, times=slot_times(np.array(slots), s),
+        rate=1.0 / s if s != 0.0 else None, feasible=reason is RejectReason.NONE,
+        reject_reason=reason, reject_index=index,
     )
 
 

@@ -1,9 +1,26 @@
 import numpy as np
 import pytest
 
-from relayalloc.allocator import SINGULARITY_TOL, TIME_TOL
-from relayalloc.rate_model import LinkCapacityMatrix
-from relayalloc.selector import RATE_TIE_TOL, NoFeasibleSolution, subsets_by_size
+from relayalloc.allocator import (
+    SINGULARITY_TOL,
+    TIME_TOL,
+    AllocationResult,
+    RejectReason,
+    TimeAllocation,
+    slot_times,
+)
+from relayalloc.rate_model import LinkCapacityMatrix, RelaySubset
+from relayalloc.selector import (
+    RATE_TIE_TOL,
+    InverseBlocks,
+    NoFeasibleSolution,
+    OptimizationOutcome,
+    _beats,
+    _extend_blocks,
+    op_count,
+    root_blocks,
+    subsets_by_size,
+)
 
 
 def symmetric_exponential_caps(rng, n_relays, scale=1.0):
@@ -141,3 +158,117 @@ def batch_brute_equal_time(caps_batch):
         best_size = np.where(take, m, best_size)
         best_id = np.where(take, sid, best_id)
     return {"rate": best_rate, "n_active": best_size, "best_id": best_id}
+
+
+# -- blocks-based recursive search oracle ---------------------------------------
+#
+# The recursive search as it was written before it ran on Python floats:
+# every node carries its InverseBlocks and gets a full AllocationResult.
+# The one change is that a negative-rate node's times come from
+# allocator.slot_times, since TimeAllocation refuses the non-finite entries
+# the old renormalization produced on exact cancellations.
+
+
+def allocation_from_blocks(blocks: InverseBlocks) -> AllocationResult:
+    """Feasibility verdict for one tree node, mirroring allocator.allocate."""
+    subset = RelaySubset(blocks.subset)
+    if blocks.dest_row is None:
+        return AllocationResult(
+            subset=subset, times=None, rate=None, feasible=False,
+            reject_reason=RejectReason.SINGULAR,
+        )
+    u = np.append(blocks.u_chain, blocks.dest_row.sum())
+    s = u.sum()
+    if s <= 0.0:
+        return AllocationResult(
+            subset=subset, times=slot_times(u, s), rate=1.0 / s if s != 0.0 else None,
+            feasible=False, reject_reason=RejectReason.NEGATIVE_RATE,
+        )
+    rate = 1.0 / s
+    t = u / s
+    t = t / t.sum()
+    bad = np.nonzero(t <= TIME_TOL)[0]
+    if bad.size:
+        return AllocationResult(
+            subset=subset, times=TimeAllocation(t), rate=rate, feasible=False,
+            reject_reason=RejectReason.NONPOSITIVE_TIME, reject_index=int(bad[0]),
+        )
+    return AllocationResult(
+        subset=subset, times=TimeAllocation(t), rate=rate, feasible=True
+    )
+
+
+def recursive_select_blocks(
+    caps: LinkCapacityMatrix, trace: list | None = None
+) -> OptimizationOutcome:
+    """The recursive search on cached inverse blocks, one solve per node.
+
+    Children of a subset append one relay beyond its largest index; each
+    child reuses the parent's cached inverse blocks.  When any of the first
+    p-1 slot durations of a p-relay subset is nonpositive, every descendant
+    inherits that slot, so the subtree is skipped.  A broken decode-chain
+    link likewise kills the subtree; a missing last-relay-to-destination
+    link only rejects the node itself.
+
+    ``trace``, if given, collects (subset, result, blocks) triples for every
+    node visited.
+    """
+    n = caps.n_relays
+    a = caps.caps
+    dest = caps.destination
+    evaluated = 0
+    pruned = 0
+    ops = 0
+    best: AllocationResult | None = None
+
+    def consider(result: AllocationResult) -> None:
+        nonlocal best
+        if result.feasible and _beats(
+            result.rate,
+            result.subset.indices,
+            best.rate if best else 0.0,
+            best.subset.indices if best else None,
+        ):
+            best = result
+
+    def visit(blocks: InverseBlocks) -> None:
+        nonlocal evaluated, pruned, ops
+        start = blocks.subset[-1] + 1 if blocks.subset else 1
+        for j in range(start, n + 1):
+            evaluated += 1
+            child = _extend_blocks(blocks, a, dest, j)
+            if child is None:
+                # chain link into relay j is absent: every descendant is singular
+                pruned += (1 << (n - j)) - 1
+                if trace is not None:
+                    trace.append(((*blocks.subset, j), None, None))
+                continue
+            ops += op_count(len(child.subset))
+            result = allocation_from_blocks(child)
+            if trace is not None:
+                trace.append((child.subset, result, child))
+            consider(result)
+            p = len(child.subset)
+            if (
+                result.times is not None
+                and p >= 2
+                and np.any(result.times.t[: p - 1] <= 0.0)
+            ):
+                pruned += (1 << (n - j)) - 1
+                continue
+            visit(child)
+
+    root = root_blocks(caps)
+    evaluated += 1
+    root_result = allocation_from_blocks(root)
+    if trace is not None:
+        trace.append(((), root_result, root))
+    consider(root_result)
+    visit(root)
+
+    if best is None:
+        raise NoFeasibleSolution("no relay subset nor direct transmission is feasible")
+    return OptimizationOutcome(
+        best=best, candidates_evaluated=evaluated, candidates_pruned=pruned,
+        op_count_reported=ops,
+    )

@@ -12,8 +12,14 @@ from relayalloc.allocator import (
     solve_lower_triangular,
     verify_equalization,
 )
-from relayalloc.rate_model import RateMatrix, RelaySubset, build_rate_matrix, mutual_informations
-from relayalloc.selector import brute_force_select
+from relayalloc.rate_model import (
+    LinkCapacityMatrix,
+    RateMatrix,
+    RelaySubset,
+    build_rate_matrix,
+    mutual_informations,
+)
+from relayalloc.selector import brute_force_select, recursive_select, subsets_by_size
 
 from conftest import symmetric_exponential_caps
 
@@ -80,6 +86,62 @@ class TestAllocate:
     def test_zero_direct_link_is_singular(self):
         res = allocate(rm([[0.0]]), RelaySubset(()))
         assert res.reject_reason is RejectReason.SINGULAR
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_exact_cancellation_leaves_no_infinite_times(self):
+        # subset (2, 3, 4, 5, 6) of this integer instance has a slot sum of
+        # about -1.7e-16 and durations u / s that sum to exactly 0, so
+        # renormalizing them divided by zero and gave infinite times
+        caps = np.array([
+            [0, 2, 3, 1, 3, 3, 0, 1], [2, 0, 1, 0, 1, 1, 2, 2], [3, 1, 0, 1, 2, 2, 2, 3],
+            [1, 0, 1, 0, 2, 3, 0, 0], [3, 1, 2, 2, 0, 2, 0, 1], [3, 1, 2, 3, 2, 0, 1, 2],
+            [0, 2, 2, 0, 0, 1, 0, 3], [1, 2, 3, 0, 1, 2, 3, 0],
+        ], dtype=float)
+        lcm = LinkCapacityMatrix(6, caps, caps > 0)
+        sub = RelaySubset((2, 3, 4, 5, 6))
+        res = allocate(build_rate_matrix(lcm, sub), sub)
+        assert res.reject_reason is RejectReason.NEGATIVE_RATE
+        assert res.rate < 0
+        assert res.times is None
+        for other in subsets_by_size(6):
+            r = allocate(build_rate_matrix(lcm, RelaySubset(other)), RelaySubset(other))
+            assert r.times is None or np.all(np.isfinite(r.times.t)), other
+        brute = brute_force_select(lcm)
+        trace = []
+        walk = recursive_select(lcm, trace=trace)
+        assert walk.best.subset == brute.best.subset
+        assert walk.best.rate == pytest.approx(brute.best.rate, rel=1e-9)
+        for _sub, result, _blocks in trace:
+            assert result is None or result.times is None or np.all(
+                np.isfinite(result.times.t))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_durations_at_positive_rate(self):
+        # u = (1e250, -1e250, 1e-100) sums to 1e-100 > 0, and u / s overflows:
+        # a nonpositive slot, reported without times
+        entries = [[1e-250, 0, 0], [1, 1, 0], [1e-250, 1e-250, 1e100]]
+        res = allocate(rm(entries), RelaySubset((1, 2)))
+        assert res.reject_reason is RejectReason.NONPOSITIVE_TIME
+        assert res.times is None
+        assert res.rate == pytest.approx(1e100)
+        caps = np.zeros((4, 4))
+        for (i, j), value in {(0, 1): 1e-250, (0, 2): 1.0, (1, 2): 1.0, (0, 3): 1e-250,
+                              (1, 3): 1e-250, (2, 3): 1e100}.items():
+            caps[i, j] = caps[j, i] = value
+        lcm = LinkCapacityMatrix(2, caps, caps > 0)
+        assert build_rate_matrix(lcm, RelaySubset((1, 2))).entries.tolist() == entries
+        assert recursive_select(lcm).best.subset == brute_force_select(lcm).best.subset
+
+
+class TestTimeAllocation:
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_durations(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            TimeAllocation(np.array([0.5, bad, 0.5]))
+
+    def test_rejects_durations_not_summing_to_one(self):
+        with pytest.raises(ValueError, match="sum to 1"):
+            TimeAllocation(np.array([0.5, 0.6]))
 
 
 class TestVerifyEqualization:

@@ -4,7 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relayalloc.allocator import RejectReason, SingularMatrix, allocate
-from relayalloc.rate_model import LinkCapacityMatrix, RelaySubset, build_rate_matrix
+from relayalloc.rate_model import (
+    LinkCapacityMatrix,
+    RelaySubset,
+    SnrConfig,
+    build_capacity_matrix,
+    build_rate_matrix,
+)
+from relayalloc.scenario import (
+    draw_channel_powers_keyed,
+    fading_params,
+    linear_topology,
+    random_topology,
+)
 from relayalloc.selector import (
     NoFeasibleSolution,
     batch_equal_time,
@@ -25,6 +37,7 @@ from conftest import (
     batch_brute_force,
     caps_from_links,
     exponential_caps_batch,
+    recursive_select_blocks,
     symmetric_exponential_caps,
 )
 
@@ -166,6 +179,75 @@ class TestRecursiveSelect:
     def test_no_feasible_solution(self):
         with pytest.raises(NoFeasibleSolution):
             recursive_select(caps_from_links(1, {(0, 1): 1.0}))  # no paths to d
+
+
+class TestFloatWalk:
+    """recursive_select against the blocks-based oracle and the batched walk."""
+
+    @pytest.mark.parametrize("family", ["fading", "exponential", "masked", "integer"])
+    def test_matches_blocks_oracle(self, rng, family):
+        for caps in scalar_cases(rng, family):
+            try:
+                want = recursive_select_blocks(caps)
+            except NoFeasibleSolution:
+                with pytest.raises(NoFeasibleSolution):
+                    recursive_select(caps)
+                continue
+            got = recursive_select(caps)
+            assert got.best.subset == want.best.subset
+            assert got.best.rate == pytest.approx(want.best.rate, rel=1e-12, abs=0)
+            if family != "integer":
+                # on exact cancellations the oracle's renormalized durations
+                # and the walk's slot / s can disagree in sign, so the two may
+                # prune differently; only the chosen subset and rate must agree
+                assert counters(got) == counters(want)
+
+    @pytest.mark.parametrize("n_relays", range(9))
+    def test_equals_batched_walk_exactly(self, rng, n_relays):
+        cases = oracle_cases(rng, n_relays, 60)
+        for name in ("fading", "masked"):
+            assert_scalar_equals_batched(cases[name], where=f"{name}, N={n_relays}")
+
+    def test_equals_batched_walk_exactly_on_layouts(self):
+        stack = np.stack([caps.caps for caps in fading_instances(8)])
+        assert_scalar_equals_batched(stack, where="random_topology(9)")
+        # with a path-loss exponent of 6 a 9-relay line mostly picks 8 or 9
+        # relays, where the slot sum follows numpy's pairwise order (_add_slot)
+        params = fading_params(linear_topology(9, p_a=6.0))
+        powers = draw_channel_powers_keyed(params, 11, 40)
+        snrs = 10.0 ** (np.array([10.0, 20.0, 30.0]) / 10.0)
+        stack = np.concatenate([np.log2(1.0 + snr * powers) for snr in snrs])
+        assert_scalar_equals_batched(stack, where="linear_topology(9, p_a=6)")
+
+    @pytest.mark.parametrize("family", ["exponential", "masked", "integer"])
+    def test_trace_changes_no_outcome(self, rng, family):
+        for caps in scalar_cases(rng, family, max_relays=7):
+            try:
+                plain = recursive_select(caps)
+            except NoFeasibleSolution:
+                with pytest.raises(NoFeasibleSolution):
+                    recursive_select(caps, trace=[])
+                continue
+            trace = []
+            traced = recursive_select(caps, trace=trace)
+            assert traced.best.subset == plain.best.subset
+            assert traced.best.rate == plain.best.rate
+            np.testing.assert_array_equal(traced.best.times.t, plain.best.times.t)
+            assert counters(traced) == counters(plain)
+            assert len(trace) == plain.candidates_evaluated
+
+    @pytest.mark.parametrize("family", ["exponential", "masked"])
+    def test_traced_verdicts_match_allocate(self, rng, family):
+        for caps in scalar_cases(rng, family, max_relays=7):
+            trace = []
+            recursive_select(caps, trace=trace)
+            for sub, result, _blocks in trace:
+                ref = allocate(build_rate_matrix(caps, RelaySubset(sub)), RelaySubset(sub))
+                if result is None:  # broken decode chain
+                    assert ref.reject_reason is RejectReason.SINGULAR, sub
+                    continue
+                assert result.feasible == ref.feasible, sub
+                assert result.reject_reason is ref.reject_reason, sub
 
 
 class TestExtendInverse:
@@ -490,6 +572,56 @@ def oracle_cases(rng, n_relays, n_draws):
     return cases
 
 
+def counters(outcome):
+    return (
+        outcome.candidates_evaluated, outcome.candidates_pruned, outcome.op_count_reported
+    )
+
+
+def fading_instances(n_layouts):
+    """Seeded random_topology(9) fading instances, each at 0, 5, ..., 20 dB."""
+    for seed in range(n_layouts):
+        powers = draw_channel_powers_keyed(fading_params(random_topology(9, seed)), seed, 1)[0]
+        for db in (0.0, 5.0, 10.0, 15.0, 20.0):
+            yield build_capacity_matrix(powers, None, SnrConfig(10.0 ** (db / 10.0)))
+
+
+def scalar_cases(rng, family, max_relays=9):
+    """LinkCapacityMatrix instances of one family for the scalar selectors.
+
+    ``fading``: 9-relay random layouts (see fading_instances); for the other
+    families, pools of 0..max_relays relays with exponential capacities,
+    the same with 30% of the links masked (the direct link kept), or
+    integers 0..3 with every zero masked, which may leave no feasible subset.
+    """
+    if family == "fading":
+        yield from fading_instances(20)
+        return
+    for n_relays in range(max_relays + 1):
+        n = n_relays + 2
+        for _ in range(20):
+            caps = symmetric_exponential_caps(rng, n_relays).caps
+            if family == "masked":
+                keep = np.triu(rng.random((n, n)) < 0.7, 1)
+                keep[0, n - 1] = True
+                caps = caps * (keep | keep.T)
+            elif family == "integer":
+                caps = np.triu(rng.integers(0, 4, size=(n, n)), 1).astype(float)
+                caps = caps + caps.T
+            yield LinkCapacityMatrix(n_relays, caps, caps > 0)
+
+
+def assert_scalar_equals_batched(caps_b, where):
+    """recursive_select on each matrix of the stack equals batch_optimized exactly."""
+    n_relays = caps_b.shape[1] - 2
+    walk = batch_optimized(caps_b)
+    subsets = list(subsets_by_size(n_relays))
+    for k, caps in enumerate(caps_b):
+        got = recursive_select(LinkCapacityMatrix(n_relays, caps, caps > 0)).best
+        assert got.subset.indices == subsets[walk["best_id"][k]], (where, k)
+        assert got.rate == walk["rate"][k], (where, k)
+
+
 @st.composite
 def integer_instances(draw):
     """Small instances with capacities in 0..3, a random link mask and
@@ -521,3 +653,5 @@ def test_scalar_and_batched_selectors_agree(caps):
     walk = batch_optimized(batch)
     assert list(subsets_by_size(caps.n_relays))[walk["best_id"][0]] == want.subset.indices
     assert walk["rate"][0] == pytest.approx(want.rate, rel=1e-12)
+    # the scalar and batched walks run the same float recurrence
+    assert walk["rate"][0] == got.rate
