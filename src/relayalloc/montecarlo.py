@@ -8,12 +8,15 @@ numbers).
 A worker evaluates its trial range in equal blocks sized by BLOCK_BYTES.
 The SNR axis is folded into the batch axis, so a block of C trials is one
 call per selector on an (S*C, n, n) capacity stack, with the trial axis
-vectorized.  The worker keeps only what the curves need: per mode and SNR
-point, the k = ceil(epsilon*T) smallest rates and the sums of the active
-relay counts and reject counters.  Memory per worker is thus bounded by the
-block and by k, not by T.  The parent merges the parts and takes the k-th
-smallest rate; every step is exact, so results are bit-identical for any
-worker count and block size.
+vectorized.  The stack is link-major: it is the transposed view of an
+(n, n, S*C) array, so each link's values over the block are contiguous, and
+only the links i < j that the selectors read (from an earlier to a later
+node in the transmission order) are computed.  The worker keeps only what
+the curves need: per mode and SNR point, the k = ceil(epsilon*T) smallest
+rates and the sums of the active relay counts and reject counters.  Memory
+per worker is thus bounded by the block and by k, not by T.  The parent
+merges the parts and takes the k-th smallest rate; every step is exact, so
+results are bit-identical for any worker count and block size.
 """
 
 from __future__ import annotations
@@ -41,9 +44,9 @@ MODES = ("optimized", "equal_time")
 
 REJECT_KEYS = ("singular", "negative_rate", "nonpositive_time")
 
-# Byte budget of one block's (S*C, n, n) float64 capacity stack.  Larger
-# blocks buy little once numpy's per-call overhead is amortized, and they
-# raise peak memory; the selectors' working set is a few times the stack.
+# Byte budget of one block's link-major (n, n, S*C) float64 capacity stack.
+# Larger blocks buy little once numpy's per-call overhead is amortized, and
+# they raise peak memory; the selectors' working set is a few times the stack.
 BLOCK_BYTES = 2 * 2**20
 
 
@@ -111,18 +114,21 @@ def run_trials(
 
     Each trial draws channel powers, applies the numbering scheme, builds
     capacities, and runs the selector(s) named by ``mode`` ("optimized",
-    "equal_time", or "both").  Deterministic given ``base_seed``.
+    "equal_time", or "both").  Deterministic given ``base_seed``.  ``snr``
+    must be finite and positive.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
+    snr = float(snr)
+    if not (math.isfinite(snr) and snr > 0.0):
+        raise ValueError(f"snr must be finite and positive, got {snr}")
     if mode not in (*MODES, "both"):
         raise ValueError(f"mode must be one of {MODES + ('both',)}, got {mode!r}")
     modes = MODES if mode == "both" else (mode,)
     params = fading_params(topology)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        snr_db = float(10.0 * np.log10(snr))  # only names the SNR in errors
+    snr_db = 10.0 * math.log10(snr)  # only names the SNR in errors
     blocks = list(_evaluate_blocks(
-        params, topology, scheme, (snr_db,), (float(snr),), base_seed, 0, n_trials,
+        params, topology, scheme, (snr_db,), (snr,), base_seed, 0, n_trials,
         modes, _block_trials(1, params.lam.shape[0]),
     ))
     out = {
@@ -217,7 +223,7 @@ def sweep(
 
 
 def _block_trials(n_snr: int, n_nodes: int) -> int:
-    """Most trials whose (S*C, n, n) capacity stack fits in BLOCK_BYTES, at least 1."""
+    """Most trials whose (n, n, S*C) capacity stack fits in BLOCK_BYTES, at least 1."""
     return max(1, BLOCK_BYTES // (n_snr * n_nodes * n_nodes * 8))
 
 
@@ -283,17 +289,26 @@ def _evaluate_blocks(
     Yields, per block in trial order, each mode's per-trial selector arrays
     (``best_id`` dropped) shaped (S, C).  The SNR axis is folded into the
     batch axis: a block is one selector call per mode on an (S*C, n, n)
-    stack.  ``snr_db`` only names the SNR point in errors.
+    link-major stack.  ``snr_db`` only names the SNR point in errors.
     """
     n = params.lam.shape[0]
     n_blocks = -(-count // block_trials)
     edges = (start + count * np.arange(n_blocks + 1) // n_blocks).tolist()
-    snr = np.asarray(snr_lin)[:, None, None, None]
+    snr = np.asarray(snr_lin)[:, None]
     for a, b in zip(edges[:-1], edges[1:]):
-        # built in place, so that no second stack-sized array is alive
-        caps = snr * _ordered_powers(params, topology, scheme, base_seed, a, b - a)
-        caps += 1.0
-        caps = np.log2(caps, out=caps).reshape(-1, n, n)
+        links = _ordered_powers(params, topology, scheme, base_seed, a, b - a)
+        # link-major stack: transmitter i's links to the later nodes are one
+        # contiguous (n-1-i, S, C) run, built in place; the diagonal and the
+        # lower triangle stay 0, since the selectors never read them
+        stack = np.zeros((n, n, len(snr_lin), b - a))
+        first = 0
+        for i in range(n - 1):
+            row = stack[i, i + 1:]
+            np.multiply(links[first : first + n - 1 - i, None], snr, out=row)
+            first += n - 1 - i
+            row += 1.0
+            np.log2(row, out=row)
+        caps = stack.reshape(n, n, -1).transpose(2, 0, 1)
         out: dict[str, dict[str, np.ndarray]] = {}
         for m in modes:
             select = batch_optimized if m == "optimized" else batch_equal_time
@@ -333,21 +348,19 @@ def _ordered_powers(
     start: int,
     count: int,
 ) -> np.ndarray:
-    """(count, n, n) channel powers of trials [start, start+count), relays in
-    each trial's transmission order."""
-    n_relays = params.lam.shape[0] - 2
+    """(pairs, count) channel powers of trials [start, start+count), relays in
+    each trial's transmission order: one row per link i < j, in
+    ``np.triu_indices`` order."""
+    n = params.lam.shape[0]
     powers = draw_channel_powers_keyed(params, base_seed, count, start)
     orders = _trial_orders(powers, topology, scheme, base_seed, start)
-    idx = np.concatenate(
-        [
-            np.zeros((count, 1), dtype=np.intp),
-            orders.astype(np.intp),
-            np.full((count, 1), n_relays + 1, dtype=np.intp),
-        ],
-        axis=1,
-    )
-    trial_ax = np.arange(count)[:, None, None]
-    return powers[trial_ax, idx[:, :, None], idx[:, None, :]]
+    idx = np.column_stack([
+        np.zeros(len(orders), dtype=np.intp), orders, np.full(len(orders), n - 1),
+    ])
+    iu, ju = np.triu_indices(n, 1)
+    # (pairs, 1) for a shared order, broadcast over the trials
+    tx, rx = idx[:, iu].T, idx[:, ju].T
+    return powers.transpose(1, 2, 0)[tx, rx, np.arange(count)]
 
 
 def _trial_orders(
@@ -357,7 +370,8 @@ def _trial_orders(
     base_seed: int,
     start: int,
 ) -> np.ndarray:
-    """Per-trial transmission orders, (T, N), 1-based relay labels.
+    """Transmission orders, 1-based relay labels: (T, N), one per trial, or
+    (1, N) when every trial shares one order (average schemes, no relays).
 
     Capacities are monotone in channel power at any SNR, so instantaneous
     orders are computed from powers directly and hold for the whole grid.
@@ -365,10 +379,9 @@ def _trial_orders(
     n_trials, n, _ = powers.shape
     n_relays = n - 2
     if n_relays == 0:
-        return np.empty((n_trials, 0), dtype=np.intp)
+        return np.empty((1, 0), dtype=np.intp)
     if scheme in (NumberingScheme.AVERAGE_DESCENDING, NumberingScheme.AVERAGE_LINEAR):
-        fixed = np.asarray(renumber(topology, scheme), dtype=np.intp)
-        return np.tile(fixed, (n_trials, 1))
+        return np.array([renumber(topology, scheme)], dtype=np.intp)
     if scheme is NumberingScheme.RANDOM:
         return trial_permutations(base_seed, n_relays, n_trials, start)
     if scheme is NumberingScheme.INSTANTANEOUS_SOURCE_RELAY:

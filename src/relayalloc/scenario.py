@@ -215,19 +215,24 @@ def pair_uniforms(
 def draw_channel_powers_keyed(
     params: FadingParams, base_seed: int, n_trials: int, start: int = 0
 ) -> np.ndarray:
-    """(n_trials, n, n) symmetric power draws from per-pair substreams."""
+    """(n_trials, n, n) symmetric power draws from per-pair substreams.
+
+    The result is the transposed view of a link-major (n, n, n_trials)
+    buffer: ``powers.transpose(1, 2, 0)`` is C-contiguous, so each link's
+    draws over the trials are adjacent in memory.
+    """
     n = params.lam.shape[0]
     mean = params.mean_power
-    powers = np.zeros((n_trials, n, n))
+    powers = np.zeros((n, n, n_trials))
     for i in range(n):
         for j in range(i + 1, n):
             u = pair_uniforms(
                 base_seed, _node_stream_key(i, n), _node_stream_key(j, n), n_trials, start
             )
             draws = -mean[i, j] * np.log1p(-u)
-            powers[:, i, j] = draws
-            powers[:, j, i] = draws
-    return powers
+            powers[i, j] = draws
+            powers[j, i] = draws
+    return powers.transpose(2, 0, 1)
 
 
 def trial_permutations(

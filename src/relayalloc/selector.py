@@ -138,9 +138,14 @@ def _extend_blocks(
     else:
         f_dest = a[tx, dest]
         fb_dest = f_dest @ parent.chain_inv
+        # t21 / t11 / t22, not t21 / (t11 * t22): the product of two small
+        # admissible capacities can underflow to 0; an entry that is itself
+        # beyond the float range becomes inf, as the scalar walk's slots do
         dest_row = np.empty(p + 2)
-        dest_row[:p] = (t21 / (t11 * t22)) * fb_new - fb_dest / t22
-        dest_row[p] = -t21 / (t11 * t22)
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = t21 / t11 / t22
+            dest_row[:p] = r * fb_new - fb_dest / t22
+        dest_row[p] = -r
         dest_row[p + 1] = 1.0 / t22
 
     return InverseBlocks(
@@ -410,8 +415,18 @@ def worst_case_ops(n_relays: int) -> int:
 #
 # Blocks are (children, trials): with the trial axis last, each operation
 # runs one long inner loop per child instead of one short loop per trial.
-# Capacities are read through transposed views, never copied.
+# Capacities are held link-major, (n, n, trials), so a node's links
+# (a[last, lo:], a[lo:dest, dest], a[c, c + 1:]) are rows whose trials are
+# adjacent in memory.  The Monte Carlo builds its stacks in that layout, and
+# a C-ordered (trials, n, n) stack costs one copy.  Only the links i < j,
+# from an earlier node to a later one, are ever read.
 # ---------------------------------------------------------------------------
+
+
+def _link_major(caps_batch: np.ndarray) -> np.ndarray:
+    """(n, n, T) C-contiguous capacities of a (T, n, n) stack; no copy when
+    the stack is already the transposed view of such an array."""
+    return np.ascontiguousarray(np.asarray(caps_batch, dtype=float).transpose(1, 2, 0))
 
 
 def _subset_ids(n_relays: int) -> tuple[dict[tuple, int], np.ndarray]:
@@ -508,7 +523,10 @@ def batch_optimized(caps_batch: np.ndarray) -> dict[str, np.ndarray]:
 
     Parameters
     ----------
-    caps_batch : (T, N+2, N+2) array of link capacities.
+    caps_batch : (T, N+2, N+2) array of link capacities.  Only the links
+        i < j are read; the diagonal and the lower triangle may hold
+        anything.  A link-major stack, the (T, n, n) transposed view of a
+        C-contiguous (n, n, T) array, is used without a copy.
 
     Returns
     -------
@@ -516,8 +534,8 @@ def batch_optimized(caps_batch: np.ndarray) -> dict[str, np.ndarray]:
     into ``subsets_by_size`` order), and reject counters ``n_singular``,
     ``n_negative_rate``, ``n_nonpositive_time``.
     """
-    a = np.asarray(caps_batch, dtype=float)
-    n_trials, n, _ = a.shape
+    a = _link_major(caps_batch)
+    n, _, n_trials = a.shape
     n_relays = n - 2
     dest = n - 1
     ids, sizes = _subset_ids(n_relays)
@@ -525,7 +543,7 @@ def batch_optimized(caps_batch: np.ndarray) -> dict[str, np.ndarray]:
     rejects = np.zeros((3, n_trials), dtype=np.int64)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        direct = a[None, :, 0, dest]
+        direct = a[None, 0, dest]
         u_direct = 1.0 / direct
         best.offer(_node_rates(direct <= SINGULARITY_TOL, u_direct, u_direct, rejects), 0)
 
@@ -540,8 +558,8 @@ def batch_optimized(caps_batch: np.ndarray) -> dict[str, np.ndarray]:
             h = h_parent + a_parent * u
             last = chain[-1] if chain else 0
             lo = last + 1
-            a_last = a[:, last, lo:].T  # links from the last transmitter to later nodes
-            a_rd = a[:, lo:dest, dest].T  # each child's destination link
+            a_last = a[last, lo:]  # links from the last transmitter to later nodes
+            a_rd = a[lo:dest, dest]  # each child's destination link
             u = (1.0 - h[:-1]) / a_last[:-1]
             s_chain = _add_slot(s_chain, u, slots)
             min_chain = np.minimum(min_chain, u)
@@ -580,24 +598,27 @@ def batch_equal_time(caps_batch: np.ndarray) -> dict[str, np.ndarray]:
     links from every earlier transmitter over m+1.  A node keeps ``e``, the
     sum of its transmitters' capacity rows, and the minimum over its relays
     of what each received; a child c receives ``e[c]`` and adds row c.
+
+    ``caps_batch`` is read as in ``batch_optimized``: links i < j only, and
+    a link-major stack without a copy.
     """
-    a = np.asarray(caps_batch, dtype=float)
-    n_trials, n, _ = a.shape
+    a = _link_major(caps_batch)
+    n, _, n_trials = a.shape
     n_relays = n - 2
     dest = n - 1
     ids, sizes = _subset_ids(n_relays)
     best = _Best(n_trials)
 
-    best.offer(a[None, :, 0, dest], 0)
-    stack = [((), a[:, 0, 1:].T, 0.0, np.inf)] if n_relays else []
+    best.offer(a[None, 0, dest], 0)
+    stack = [((), a[0, 1:], 0.0, np.inf)] if n_relays else []
     while stack:
         chain, e_parent, a_row, min_chain = stack.pop()
         e = e_parent + a_row
         lo = (chain[-1] if chain else 0) + 1
         min_chain = np.minimum(min_chain, e[:-1])
-        e_dest = e[-1] + a[:, lo:dest, dest].T
+        e_dest = e[-1] + a[lo:dest, dest]
         best.offer(np.minimum(min_chain, e_dest) / (len(chain) + 2), ids[(*chain, lo)])
         for j in range(n_relays - lo):
             c = lo + j
-            stack.append(((*chain, c), e[j + 1:], a[:, c, c + 1:].T, min_chain[j]))
+            stack.append(((*chain, c), e[j + 1:], a[c, c + 1:], min_chain[j]))
     return {"rate": best.rate, "n_active": sizes[best.id], "best_id": best.id}

@@ -10,14 +10,21 @@ from relayalloc.montecarlo import (
     run_trials,
     sweep,
 )
+from relayalloc.rate_model import LinkCapacityMatrix
 from relayalloc.scenario import (
     NumberingScheme,
     Topology,
     draw_channel_powers_keyed,
     fading_params,
+    grid_topology,
     linear_topology,
+    permute_relays,
+    renumber,
+    trial_permutations,
 )
-from relayalloc.selector import NoFeasibleSolution
+from relayalloc.selector import NoFeasibleSolution, batch_equal_time, batch_optimized
+
+from conftest import batch_brute_equal_time, batch_brute_force
 
 DESC = NumberingScheme.AVERAGE_DESCENDING
 
@@ -93,6 +100,13 @@ class TestRunTrials:
     def test_invalid_mode(self):
         with pytest.raises(ValueError):
             run_trials(linear_topology(1), DESC, 1.0, 5, 0, mode="bogus")
+
+    @pytest.mark.parametrize(
+        "snr", [float("nan"), -1.0, 0.0, -0.0, float("inf"), float("-inf")]
+    )
+    def test_non_finite_or_nonpositive_snr_rejected(self, snr):
+        with pytest.raises(ValueError, match="snr must be finite and positive"):
+            run_trials(linear_topology(2), DESC, snr, 3, 1)
 
 
 class TestSweep:
@@ -220,6 +234,70 @@ class TestBlocks:
         whole = run_trials(self.TOPO, self.SCHEME, 10.0, 50, base_seed=4)
         monkeypatch.setattr(montecarlo, "BLOCK_BYTES", 1)  # 1-trial blocks
         assert run_trials(self.TOPO, self.SCHEME, 10.0, 50, base_seed=4) == whole
+
+
+class TestLinkMajorStacks:
+    """The capacity stacks a block hands the selectors."""
+
+    TOPO = grid_topology(2)
+    SNR_DB = (0.0, 10.0)
+
+    @pytest.mark.parametrize("scheme", list(NumberingScheme))
+    def test_blocks_match_a_per_trial_reference(self, scheme):
+        # the reference orders each trial on its own, relabels its C-ordered
+        # power matrix and takes log2 of every entry, then runs the
+        # brute-force oracles; the blocks must agree bit for bit
+        seed, start, count = 21, 5, 17
+        params = fading_params(self.TOPO)
+        snr = tuple(10.0 ** (db / 10.0) for db in self.SNR_DB)
+        blocks = list(montecarlo._evaluate_blocks(
+            params, self.TOPO, scheme, self.SNR_DB, snr, seed, start, count,
+            montecarlo.MODES, 4,
+        ))
+        powers = np.ascontiguousarray(draw_channel_powers_keyed(params, seed, count, start))
+        orders = per_trial_orders(self.TOPO, scheme, powers, seed, start)
+        ordered = np.stack([permute_relays(p, o) for p, o in zip(powers, orders)])
+        reference = np.concatenate([np.log2(1.0 + s * ordered) for s in snr])
+        assert reference.flags.c_contiguous
+        for mode, oracle in (
+            ("optimized", batch_brute_force), ("equal_time", batch_brute_equal_time)
+        ):
+            want = oracle(reference)
+            for key in blocks[0][mode]:
+                got = np.concatenate([b[mode][key] for b in blocks], axis=1)
+                assert np.array_equal(got.reshape(-1), want[key]), (mode, key)
+
+    def test_selectors_receive_link_major_stacks(self, monkeypatch):
+        # a stack whose (n, n, trials) transpose is C-contiguous keeps each
+        # link's trials adjacent; a strided stack would still give the same
+        # numbers, so only this guard would notice a return to it
+        calls = []
+
+        def guarded(select):
+            def wrapper(caps):
+                assert caps.transpose(1, 2, 0).flags.c_contiguous
+                calls.append(len(caps))
+                return select(caps)
+            return wrapper
+
+        monkeypatch.setattr(montecarlo, "batch_optimized", guarded(batch_optimized))
+        monkeypatch.setattr(montecarlo, "batch_equal_time", guarded(batch_equal_time))
+        monkeypatch.setattr(montecarlo, "BLOCK_BYTES", 7 * 2 * 5**2 * 8)  # 7-trial blocks
+        for scheme in (DESC, NumberingScheme.INSTANTANEOUS_RELAY_RELAY):
+            sweep(linear_topology(3), scheme, [0, 10], 30, 0.1, base_seed=3)
+        # per sweep: 5 blocks of 6 trials at 2 SNR points, 2 selectors each
+        assert calls == [12] * 20
+
+
+def per_trial_orders(topology, scheme, powers, seed, start):
+    """Each trial's transmission order, found one trial at a time."""
+    n_relays = topology.n_relays
+    if scheme is NumberingScheme.RANDOM:
+        return [tuple(o) for o in trial_permutations(seed, n_relays, len(powers), start)]
+    if scheme in (NumberingScheme.AVERAGE_DESCENDING, NumberingScheme.AVERAGE_LINEAR):
+        return [renumber(topology, scheme)] * len(powers)
+    mask = ~np.eye(n_relays + 2, dtype=bool)
+    return [renumber(LinkCapacityMatrix(n_relays, p, mask), scheme) for p in powers]
 
 
 class TestEmitters:

@@ -137,6 +137,17 @@ class TestKeyedStreams:
         perms = trial_permutations(5, 3, start + n)
         assert np.array_equal(trial_permutations(5, 3, n, start=start), perms[start:])
 
+    def test_draws_are_symmetric_per_pair_exponentials(self):
+        params = fading_params(grid_topology(2))
+        n = params.lam.shape[0]
+        powers = draw_channel_powers_keyed(params, 7, 9, start=3)
+        assert np.array_equal(powers, powers.transpose(0, 2, 1))
+        assert not powers[:, np.arange(n), np.arange(n)].any()
+        for i, j in itertools.combinations(range(n), 2):
+            key_j = 0xFFFFFFFF if j == n - 1 else j
+            u = pair_uniforms(7, i, key_j, 9, start=3)
+            assert np.array_equal(powers[:, i, j], -params.mean_power[i, j] * np.log1p(-u))
+
     def test_seed_changes_draws(self):
         params = fading_params(linear_topology(2))
         assert not np.allclose(

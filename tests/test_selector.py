@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -302,6 +304,26 @@ class TestExtendInverse:
         with pytest.raises(ValueError):
             extend_inverse(blocks, caps, 1)
 
+    def test_tiny_capacities_do_not_underflow(self):
+        # t11 * t22 = 1e-500 underflows to 0, though each link is admissible
+        caps = caps_from_links(2, {
+            (0, 1): 1e-250, (1, 3): 1e-250, (0, 2): 1.0, (1, 2): 1.0, (2, 3): 1.0,
+            (0, 3): 0.5,
+        })
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            blocks = extend_inverse(root_blocks(caps), caps, 1)
+            plain = recursive_select(caps)
+            trace = []
+            traced = recursive_select(caps, trace=trace)
+        assert blocks.dest_row[-1] == 1e250
+        assert plain.best.subset.indices == (2,)
+        assert traced.best.subset == plain.best.subset
+        assert traced.best.rate == plain.best.rate
+        np.testing.assert_array_equal(traced.best.times.t, plain.best.times.t)
+        assert counters(traced) == counters(plain)
+        assert len(trace) == plain.candidates_evaluated
+
 
 class TestExtendSolution:
     def test_matches_fresh_allocate_along_paths(self, rng):
@@ -515,6 +537,27 @@ class TestBatchEngines:
                                                    atol=0, err_msg=where)
                     else:
                         np.testing.assert_array_equal(got[key], want[key], err_msg=where)
+
+    @pytest.mark.parametrize("n_relays", range(9))
+    def test_layout_and_unread_entries_change_nothing(self, rng, n_relays):
+        # the selectors read only the links i < j, and a link-major stack
+        # (the transposed view of a C-contiguous (n, n, T) array) is read
+        # in place: neither layout nor the unread entries may move a bit
+        n = n_relays + 2
+        lower = np.tril_indices(n)
+        for name, caps_b in oracle_cases(rng, n_relays, 60).items():
+            link_major = np.ascontiguousarray(caps_b.transpose(1, 2, 0)).transpose(2, 0, 1)
+            assert link_major.transpose(1, 2, 0).flags.c_contiguous
+            unread = caps_b.copy()
+            unread[:, lower[0], lower[1]] = np.nan
+            for select in (batch_optimized, batch_equal_time):
+                want = select(caps_b)
+                for variant, stack in (("link-major", link_major), ("NaN lower", unread)):
+                    got = select(stack)
+                    assert got.keys() == want.keys()
+                    for key in want:
+                        assert np.array_equal(got[key], want[key]), (
+                            select.__name__, key, variant, name)
 
     def test_walk_and_oracle_raise_on_the_same_trial(self, rng):
         caps_b = exponential_caps_batch(rng, 3, 10)
