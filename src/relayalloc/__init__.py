@@ -6,15 +6,12 @@ from .allocator import (
     SingularMatrix,
     TimeAllocation,
     allocate,
-    solve_lower_triangular,
     verify_equalization,
 )
 from .montecarlo import (
     InsufficientSamples,
     OutageCurve,
-    TrialRecord,
     outage_rate,
-    run_trials,
     sweep,
 )
 from .rate_model import (
@@ -31,7 +28,6 @@ from .scenario import (
     FadingParams,
     NumberingScheme,
     Topology,
-    draw_channel_powers,
     fading_params,
     grid_topology,
     linear_topology,

@@ -2,7 +2,6 @@
 
 Subcommands: ``optimize`` (single instance), ``simulate`` (SNR sweep),
 ``numbering`` (scheme comparison), ``complexity`` (operation counts).
-dB-to-linear conversion happens here; the library works on linear SNR.
 Exit codes: 0 success, 2 usage or config error, 3 no feasible solution.
 """
 
@@ -17,7 +16,10 @@ import numpy as np
 
 from .allocator import RejectReason, allocate
 from .montecarlo import MODES, curves_to_csv, curves_to_json, sweep
-from .rate_model import LinkCapacityMatrix, RelaySubset, SnrConfig, build_capacity_matrix, build_rate_matrix
+from .rate_model import (
+    LinkCapacityMatrix, RelaySubset, SnrConfig, build_capacity_matrix, build_rate_matrix,
+    snr_from_db,
+)
 from .scenario import (
     NumberingScheme,
     Topology,
@@ -179,7 +181,7 @@ def load_instance(path: str) -> LinkCapacityMatrix:
     topo = parse_topology(doc["topology"])
     if "snr_db" not in doc or "seed" not in doc:
         raise ConfigError(f"{path}: generated instances need 'snr_db' and 'seed'")
-    snr = SnrConfig(10.0 ** (float(doc["snr_db"]) / 10.0))
+    snr = SnrConfig(snr_from_db(doc["snr_db"]))
     powers = draw_channel_powers_keyed(fading_params(topo), int(doc["seed"]), 1)[0]
     return build_capacity_matrix(powers, None, snr)
 

@@ -25,16 +25,18 @@ import json
 import math
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .rate_model import snr_from_db
 from .scenario import (
     FadingParams,
     NumberingScheme,
     Topology,
     draw_channel_powers_keyed,
     fading_params,
+    instantaneous_orders,
     renumber,
     trial_permutations,
 )
@@ -50,19 +52,8 @@ REJECT_KEYS = ("singular", "negative_rate", "nonpositive_time")
 BLOCK_BYTES = 2 * 2**20
 
 
-class InsufficientSamples(Exception):
+class InsufficientSamples(ValueError):
     """Too few samples to resolve the requested outage probability."""
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """Per-realization outcome of the selected selector(s)."""
-
-    rate_optimized: float | None
-    rate_equal_time: float | None
-    active_relays_optimized: int | None
-    active_relays_equal_time: int | None
-    reject_counters: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -102,58 +93,6 @@ def _outage_rank(epsilon: float, n: int) -> int:
     return math.ceil(epsilon * n)
 
 
-def run_trials(
-    topology: Topology,
-    scheme: NumberingScheme,
-    snr: float,
-    n_trials: int,
-    base_seed: int,
-    mode: str = "both",
-) -> list[TrialRecord]:
-    """Simulate ``n_trials`` fading realizations at one linear SNR.
-
-    Each trial draws channel powers, applies the numbering scheme, builds
-    capacities, and runs the selector(s) named by ``mode`` ("optimized",
-    "equal_time", or "both").  Deterministic given ``base_seed``.  ``snr``
-    must be finite and positive.
-    """
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
-    snr = float(snr)
-    if not (math.isfinite(snr) and snr > 0.0):
-        raise ValueError(f"snr must be finite and positive, got {snr}")
-    if mode not in (*MODES, "both"):
-        raise ValueError(f"mode must be one of {MODES + ('both',)}, got {mode!r}")
-    modes = MODES if mode == "both" else (mode,)
-    params = fading_params(topology)
-    snr_db = 10.0 * math.log10(snr)  # only names the SNR in errors
-    blocks = list(_evaluate_blocks(
-        params, topology, scheme, (snr_db,), (snr,), base_seed, 0, n_trials,
-        modes, _block_trials(1, params.lam.shape[0]),
-    ))
-    out = {
-        m: {key: np.concatenate([b[m][key][0] for b in blocks]) for key in blocks[0][m]}
-        for m in modes
-    }
-    opt = out.get("optimized")
-    eq = out.get("equal_time")
-    records = []
-    for i in range(n_trials):
-        rejects = {}
-        if opt is not None:
-            rejects = {k: int(opt["n_" + k][i]) for k in REJECT_KEYS}
-        records.append(
-            TrialRecord(
-                rate_optimized=float(opt["rate"][i]) if opt else None,
-                rate_equal_time=float(eq["rate"][i]) if eq else None,
-                active_relays_optimized=int(opt["n_active"][i]) if opt else None,
-                active_relays_equal_time=int(eq["n_active"][i]) if eq else None,
-                reject_counters=rejects,
-            )
-        )
-    return records
-
-
 def sweep(
     topology: Topology,
     scheme: NumberingScheme,
@@ -177,14 +116,12 @@ def sweep(
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
     snr_db = tuple(float(v) for v in snr_grid_db)
-    if not all(math.isfinite(v) for v in snr_db):
-        raise ValueError(f"snr grid must be finite, got {list(snr_db)}")
+    snr_lin = tuple(snr_from_db(v) for v in snr_db)
     rank = _outage_rank(epsilon, n_trials)
     for m in modes:
         if m not in MODES:
             raise ValueError(f"unknown mode {m!r}")
     modes = tuple(modes)
-    snr_lin = tuple(10.0 ** (v / 10.0) for v in snr_db)
     params = fading_params(topology)
     block_trials = _block_trials(len(snr_db), params.lam.shape[0])
 
@@ -195,10 +132,11 @@ def sweep(
         for a, b in zip(bounds[:-1], bounds[1:])
         if b > a
     ]
-    if parallel <= 1:
+    if len(jobs) == 1:
         parts = [_fold_trials(*jobs[0])]
     else:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+        # a pool starts all its workers at once, so one per nonempty range
+        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
             parts = list(pool.map(_fold_trials, *zip(*jobs)))
 
     curves: dict[str, OutageCurve] = {}
@@ -372,9 +310,7 @@ def _trial_orders(
 ) -> np.ndarray:
     """Transmission orders, 1-based relay labels: (T, N), one per trial, or
     (1, N) when every trial shares one order (average schemes, no relays).
-
-    Capacities are monotone in channel power at any SNR, so instantaneous
-    orders are computed from powers directly and hold for the whole grid.
+    Instantaneous orders come from the powers and hold for the whole grid.
     """
     n_trials, n, _ = powers.shape
     n_relays = n - 2
@@ -384,22 +320,7 @@ def _trial_orders(
         return np.array([renumber(topology, scheme)], dtype=np.intp)
     if scheme is NumberingScheme.RANDOM:
         return trial_permutations(base_seed, n_relays, n_trials, start)
-    if scheme is NumberingScheme.INSTANTANEOUS_SOURCE_RELAY:
-        return np.argsort(-powers[:, 0, 1 : n_relays + 1], axis=1, kind="stable") + 1
-    if scheme is NumberingScheme.INSTANTANEOUS_RELAY_RELAY:
-        order = np.empty((n_trials, n_relays), dtype=np.intp)
-        taken = np.zeros((n_trials, n_relays), dtype=bool)
-        cur = np.zeros(n_trials, dtype=np.intp)  # source
-        rows = np.arange(n_trials)
-        for step in range(n_relays):
-            scores = powers[rows, cur, 1 : n_relays + 1].copy()
-            scores[taken] = -np.inf
-            nxt = np.argmax(scores, axis=1)
-            order[:, step] = nxt + 1
-            taken[rows, nxt] = True
-            cur = nxt + 1
-        return order
-    raise ValueError(f"unknown numbering scheme {scheme!r}")
+    return instantaneous_orders(powers, scheme)
 
 
 # -- output formats -----------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Node indexing convention used throughout the package: the source is node 0,
 relays are nodes 1..N in transmission order, and the destination is node N+1.
-All capacities are in bits/symbol on a linear SNR scale (dB conversion, if
-any, happens at the CLI boundary).
+All capacities are in bits/symbol on a linear SNR scale; ``snr_from_db``
+converts the dB values that the sweep and the CLI take.
 """
 
 from __future__ import annotations
@@ -12,6 +12,20 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def snr_from_db(db: float) -> float:
+    """Linear SNR of a dB value; ValueError unless both are finite.
+
+    Very negative values underflow to 0.0, on which every link is absent.
+    """
+    db = float(db)
+    if math.isfinite(db):
+        try:
+            return 10.0 ** (db / 10.0)
+        except OverflowError:
+            pass
+    raise ValueError(f"snr_db {db:g} has no finite linear SNR")
 
 
 @dataclass(frozen=True)

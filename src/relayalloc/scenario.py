@@ -166,18 +166,6 @@ def fading_params(topology: Topology) -> FadingParams:
     return FadingParams(lam=lam)
 
 
-def draw_channel_powers(params: FadingParams, rng: Generator) -> np.ndarray:
-    """One symmetric exponential draw per node pair from the given generator."""
-    n = params.lam.shape[0]
-    mean = params.mean_power
-    iu, ju = np.triu_indices(n, k=1)
-    draws = rng.exponential(scale=mean[iu, ju])
-    powers = np.zeros((n, n))
-    powers[iu, ju] = draws
-    powers[ju, iu] = draws
-    return powers
-
-
 # -- counter-based substreams ------------------------------------------------
 #
 # Each unordered node pair owns a Philox stream keyed by (seed, pair); trial
@@ -284,12 +272,34 @@ def renumber(
 
     if not isinstance(caps_or_topology, LinkCapacityMatrix):
         raise ValueError(f"{scheme.value} numbering requires a LinkCapacityMatrix")
-    caps = caps_or_topology.caps
-    n = caps_or_topology.n_relays
+    return tuple(int(r) for r in instantaneous_orders(caps_or_topology.caps[None], scheme)[0])
+
+
+def instantaneous_orders(links: np.ndarray, scheme: NumberingScheme) -> np.ndarray:
+    """(T, N) transmission orders, 1-based relay labels, of a (T, n, n) stack.
+
+    Source-relay sorts the relays by their source link, strongest first;
+    relay-relay chains greedily from the source, each step to the strongest
+    link into a relay not yet placed.  Ties go to the smaller label.  Links
+    may be powers or capacities: capacities are monotone in power at any SNR.
+    """
+    n_trials, n, _ = links.shape
+    n_relays = n - 2
     if scheme is NumberingScheme.INSTANTANEOUS_SOURCE_RELAY:
-        return _order_by_source_link(caps, n)
+        return np.argsort(-links[:, 0, 1 : n_relays + 1], axis=1, kind="stable") + 1
     if scheme is NumberingScheme.INSTANTANEOUS_RELAY_RELAY:
-        return _order_greedy_chain(caps, n)
+        order = np.empty((n_trials, n_relays), dtype=np.intp)
+        taken = np.zeros((n_trials, n_relays), dtype=bool)
+        cur = np.zeros(n_trials, dtype=np.intp)  # source
+        rows = np.arange(n_trials)
+        for step in range(n_relays):
+            scores = links[rows, cur, 1 : n_relays + 1].copy()
+            scores[taken] = -np.inf
+            nxt = np.argmax(scores, axis=1)
+            order[:, step] = nxt + 1
+            taken[rows, nxt] = True
+            cur = nxt + 1
+        return order
     raise ValueError(f"unknown numbering scheme {scheme!r}")
 
 
@@ -307,22 +317,6 @@ def _average_order(topo: Topology, serpentine: bool) -> tuple[int, ...]:
             col.reverse()
         result.extend(col)
     return tuple(i + 1 for i in result)
-
-
-def _order_by_source_link(caps: np.ndarray, n: int) -> tuple[int, ...]:
-    return tuple(sorted(range(1, n + 1), key=lambda r: (-caps[0, r], r)))
-
-
-def _order_greedy_chain(caps: np.ndarray, n: int) -> tuple[int, ...]:
-    remaining = set(range(1, n + 1))
-    order: list[int] = []
-    prev = 0  # start from the source
-    while remaining:
-        nxt = min(remaining, key=lambda r: (-caps[prev, r], r))
-        order.append(nxt)
-        remaining.remove(nxt)
-        prev = nxt
-    return tuple(order)
 
 
 def permute_relays(matrix: np.ndarray, order: tuple[int, ...]) -> np.ndarray:

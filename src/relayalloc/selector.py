@@ -13,7 +13,8 @@ Three selectors over the 2^N subsets of the relay pool:
   the inverse blocks are only built when a trace asks for them.  Subtrees
   are skipped once an inherited slot duration goes nonpositive.
 * ``equal_time_select``: optimal subset choice under uniform slot durations
-  (the non-optimized cooperation baseline).
+  (the non-optimized cooperation baseline), a one-matrix call of
+  ``batch_equal_time``.
 
 All three break rate ties in favor of fewer relays, then the
 lexicographically smallest subset.
@@ -45,7 +46,7 @@ from .allocator import (
     allocate,
     slot_times,
 )
-from .rate_model import LinkCapacityMatrix, RelaySubset, build_rate_matrix, mutual_informations
+from .rate_model import LinkCapacityMatrix, RelaySubset, build_rate_matrix
 
 # Two rates within this absolute-plus-relative distance are tied.
 RATE_TIE_TOL = 1e-9
@@ -362,29 +363,21 @@ def _node_result(
 def equal_time_select(caps: LinkCapacityMatrix) -> OptimizationOutcome:
     """Best subset under uniform slot durations t_i = 1/(m+1).
 
-    No equalizing system is solved; each subset's rate is the minimum mutual
-    information over its receivers.  Always returns an outcome (the empty
-    subset is a candidate whatever the channels).
+    ``batch_equal_time`` on a one-matrix stack: a subset's rate is the
+    minimum mutual information over its receivers, and the empty subset is
+    always a candidate, so an outcome is always returned.
     """
-    best_rate = -np.inf
-    best_sub: tuple | None = None
-    best_times: TimeAllocation | None = None
-    count = 0
-    for sub in subsets_by_size(caps.n_relays):
-        count += 1
-        rm = build_rate_matrix(caps, RelaySubset(sub))
-        m = len(sub)
-        t = np.full(m + 1, 1.0 / (m + 1))
-        rate = float(mutual_informations(rm, t).min())
-        if _beats(rate, sub, best_rate, best_sub):
-            best_rate = rate
-            best_sub = sub
-            best_times = TimeAllocation(t)
+    res = batch_equal_time(caps.caps[None])
+    best_id = int(res["best_id"][0])
+    sub = next(itertools.islice(subsets_by_size(caps.n_relays), best_id, None))
+    m = len(sub)
     best = AllocationResult(
-        subset=RelaySubset(best_sub), times=best_times, rate=best_rate, feasible=True
+        subset=RelaySubset(sub), times=TimeAllocation(np.full(m + 1, 1.0 / (m + 1))),
+        rate=float(res["rate"][0]), feasible=True,
     )
     return OptimizationOutcome(
-        best=best, candidates_evaluated=count, candidates_pruned=0, op_count_reported=0
+        best=best, candidates_evaluated=2**caps.n_relays, candidates_pruned=0,
+        op_count_reported=0,
     )
 
 

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from relayalloc import montecarlo
 from relayalloc.allocator import (
     SINGULARITY_TOL,
     TIME_TOL,
@@ -10,6 +13,7 @@ from relayalloc.allocator import (
     slot_times,
 )
 from relayalloc.rate_model import LinkCapacityMatrix, RelaySubset
+from relayalloc.scenario import fading_params
 from relayalloc.selector import (
     RATE_TIE_TOL,
     InverseBlocks,
@@ -60,6 +64,25 @@ def caps_from_links(n_relays, links):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def trial_outcomes(topology, scheme, snr, n_trials, base_seed, modes=montecarlo.MODES):
+    """Per-trial selector arrays of trials [0, n_trials) at one linear SNR.
+
+    Read from the block evaluator that ``sweep`` folds: {mode: {key: (T,)
+    array}} with keys ``rate``, ``n_active`` and, for the optimized mode,
+    the three reject counters ``n_singular``, ``n_negative_rate`` and
+    ``n_nonpositive_time``.
+    """
+    params = fading_params(topology)
+    blocks = list(montecarlo._evaluate_blocks(
+        params, topology, scheme, (10.0 * math.log10(snr),), (snr,), base_seed, 0,
+        n_trials, tuple(modes), montecarlo._block_trials(1, params.lam.shape[0]),
+    ))
+    return {
+        m: {key: np.concatenate([b[m][key][0] for b in blocks]) for key in blocks[0][m]}
+        for m in modes
+    }
 
 
 # -- batched brute-force oracles ----------------------------------------------

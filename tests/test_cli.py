@@ -79,6 +79,14 @@ class TestOptimize:
         assert main(["optimize", "--instance", path]) == 2
         assert capsys.readouterr().out == ""
 
+    def test_snr_beyond_float_range_exits_2(self, tmp_path, capsys):
+        doc = {"topology": {"type": "linear", "n_relays": 2}, "snr_db": 4000, "seed": 4}
+        path = write_json(tmp_path / "huge.json", doc)
+        assert main(["optimize", "--instance", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "snr_db 4000 has no finite linear SNR" in captured.err
+
     def test_no_feasible_solution_exits_3(self, tmp_path, capsys):
         path = write_json(tmp_path / "z.json", {"n_relays": 0, "capacities": [0, 0, 0, 0]})
         assert main(["optimize", "--instance", path]) == 3
@@ -188,6 +196,17 @@ class TestSimulate:
         assert main(["simulate", "--config", path]) == 2
         assert "snr_db values must be finite" in capsys.readouterr().err
 
+    def test_snr_beyond_float_range_exits_2(self, tmp_path, capsys):
+        path = write_json(tmp_path / "huge.json", {"topology": {"type": "linear", "n_relays": 1},
+                                                   "snr_db": [4000]})
+        assert main(["simulate", "--config", path]) == 2
+        assert "snr_db 4000 has no finite linear SNR" in capsys.readouterr().err
+
+    def test_too_few_trials_for_epsilon_exits_2(self, sweep_config, capsys):
+        argv = ["simulate", "--config", sweep_config, "--trials", "50", "--epsilon", "0.001"]
+        assert main(argv) == 2
+        assert "50 samples cannot resolve outage probability 0.001" in capsys.readouterr().err
+
     @pytest.mark.parametrize("epsilon", ["0", "-0.5", "1.5", "nan"])
     def test_epsilon_out_of_range_exits_2(self, sweep_config, epsilon, capsys):
         assert main(["simulate", "--config", sweep_config, "--epsilon", epsilon]) == 2
@@ -233,3 +252,17 @@ class TestNumbering:
         assert "skipping average_linear" in err
         doc = json.loads((tmp_path / "rnd.json").read_text())
         assert len(doc) == 3
+
+    def test_too_few_trials_for_epsilon_exits_2(self, tmp_path, capsys):
+        cfg = write_json(
+            tmp_path / "few.json",
+            {
+                "topology": {"type": "linear", "n_relays": 2},
+                "n_trials": 50,
+                "epsilon": 0.001,
+                "out_prefix": str(tmp_path / "few"),
+            },
+        )
+        assert main(["numbering", "--config", cfg]) == 2
+        assert "50 samples cannot resolve outage probability 0.001" in capsys.readouterr().err
+        assert not list(tmp_path.glob("few*.csv"))

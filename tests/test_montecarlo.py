@@ -7,7 +7,6 @@ from relayalloc.montecarlo import (
     curves_to_csv,
     curves_to_json,
     outage_rate,
-    run_trials,
     sweep,
 )
 from relayalloc.rate_model import LinkCapacityMatrix
@@ -24,7 +23,7 @@ from relayalloc.scenario import (
 )
 from relayalloc.selector import NoFeasibleSolution, batch_equal_time, batch_optimized
 
-from conftest import batch_brute_equal_time, batch_brute_force
+from conftest import batch_brute_equal_time, batch_brute_force, trial_outcomes
 
 DESC = NumberingScheme.AVERAGE_DESCENDING
 
@@ -58,37 +57,44 @@ class TestOutageRate:
 
 
 class TestRunTrials:
+    """Per-trial outcomes of the block evaluator that the sweep folds, and
+    the sweep's mode check."""
+
     def test_deterministic(self):
         topo = linear_topology(2)
-        a = run_trials(topo, DESC, 10.0, 50, base_seed=3, mode="both")
-        b = run_trials(topo, DESC, 10.0, 50, base_seed=3, mode="both")
-        assert a == b
+        a = trial_outcomes(topo, DESC, 10.0, 50, base_seed=3)
+        b = trial_outcomes(topo, DESC, 10.0, 50, base_seed=3)
+        for mode in montecarlo.MODES:
+            assert a[mode].keys() == b[mode].keys()
+            for key in a[mode]:
+                assert np.array_equal(a[mode][key], b[mode][key]), (mode, key)
 
     def test_mode_both_dominance(self):
-        records = run_trials(linear_topology(3), DESC, 10.0, 300, base_seed=1, mode="both")
-        for r in records:
-            assert r.rate_optimized >= r.rate_equal_time - 1e-12
-            assert r.rate_equal_time >= 0.0
-            assert 0 <= r.active_relays_optimized <= 3
+        out = trial_outcomes(linear_topology(3), DESC, 10.0, 300, base_seed=1)
+        opt, eq = out["optimized"], out["equal_time"]
+        assert np.all(opt["rate"] >= eq["rate"] - 1e-12)
+        assert np.all(eq["rate"] >= 0.0)
+        assert np.all((opt["n_active"] >= 0) & (opt["n_active"] <= 3))
 
     def test_single_mode_leaves_other_empty(self):
-        records = run_trials(linear_topology(1), DESC, 5.0, 10, base_seed=0, mode="optimized")
-        assert all(r.rate_equal_time is None for r in records)
-        assert all(r.rate_optimized is not None for r in records)
-        records = run_trials(linear_topology(1), DESC, 5.0, 10, base_seed=0, mode="equal_time")
-        assert all(r.rate_optimized is None for r in records)
+        out = trial_outcomes(linear_topology(1), DESC, 5.0, 10, 0, modes=("optimized",))
+        assert set(out) == {"optimized"}
+        assert out["optimized"]["rate"].shape == (10,)
+        out = trial_outcomes(linear_topology(1), DESC, 5.0, 10, 0, modes=("equal_time",))
+        assert set(out) == {"equal_time"}
 
     def test_reject_counters_present(self):
-        records = run_trials(linear_topology(4), DESC, 10.0, 200, base_seed=2, mode="optimized")
-        keys = {"singular", "negative_rate", "nonpositive_time"}
-        assert all(set(r.reject_counters) == keys for r in records)
-        assert sum(r.reject_counters["negative_rate"] for r in records) > 0
+        out = trial_outcomes(linear_topology(4), DESC, 10.0, 200, 2, modes=("optimized",))
+        keys = {"n_singular", "n_negative_rate", "n_nonpositive_time"}
+        assert keys <= set(out["optimized"])
+        assert all(out["optimized"][k].shape == (200,) for k in keys)
+        assert out["optimized"]["n_negative_rate"].sum() > 0
 
     def test_direct_link_empirical_cdf_matches_closed_form(self):
         # N=0: R = log2(1 + snr X) with X ~ Exp(1); KS distance below 0.02
         snr = 10.0 ** (10.0 / 10.0)
-        records = run_trials(linear_topology(0), DESC, snr, 10_000, base_seed=5, mode="optimized")
-        samples = np.sort([r.rate_optimized for r in records])
+        out = trial_outcomes(linear_topology(0), DESC, snr, 10_000, 5, modes=("optimized",))
+        samples = np.sort(out["optimized"]["rate"])
         cdf = 1.0 - np.exp(-(2.0**samples - 1.0) / snr)
         n = samples.size
         ks = max(
@@ -98,15 +104,8 @@ class TestRunTrials:
         assert ks < 0.02
 
     def test_invalid_mode(self):
-        with pytest.raises(ValueError):
-            run_trials(linear_topology(1), DESC, 1.0, 5, 0, mode="bogus")
-
-    @pytest.mark.parametrize(
-        "snr", [float("nan"), -1.0, 0.0, -0.0, float("inf"), float("-inf")]
-    )
-    def test_non_finite_or_nonpositive_snr_rejected(self, snr):
-        with pytest.raises(ValueError, match="snr must be finite and positive"):
-            run_trials(linear_topology(2), DESC, snr, 3, 1)
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            sweep(linear_topology(1), DESC, [0], 100, 0.1, 0, modes=("optimized", "bogus"))
 
 
 class TestSweep:
@@ -128,14 +127,12 @@ class TestSweep:
         pos_small = np.array([[0, 0], [0.4, 0], [1, 0]], dtype=float)
         pos_big = np.array([[0, 0], [0.4, 0], [0.7, 0], [1, 0]], dtype=float)
         snr = 10.0
-        small = run_trials(
-            Topology(pos_small, layout="linear"), DESC, snr, 400, base_seed=8, mode="optimized"
+        small, big = (
+            trial_outcomes(Topology(pos, layout="linear"), DESC, snr, 400, 8,
+                           modes=("optimized",))["optimized"]["rate"]
+            for pos in (pos_small, pos_big)
         )
-        big = run_trials(
-            Topology(pos_big, layout="linear"), DESC, snr, 400, base_seed=8, mode="optimized"
-        )
-        for s, b in zip(small, big):
-            assert b.rate_optimized >= s.rate_optimized - 1e-12
+        assert np.all(big >= small - 1e-12)
 
     def test_parallel_fold_is_bit_identical(self):
         topo = linear_topology(2)
@@ -153,10 +150,35 @@ class TestSweep:
         with pytest.raises(ValueError, match="epsilon"):
             sweep(linear_topology(1), DESC, [0], 100, epsilon, base_seed=0)
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    # 4000 dB is finite, but its linear SNR overflows a float
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 4000.0])
     def test_non_finite_snr_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             sweep(linear_topology(1), DESC, [0, bad], 100, 0.1, base_seed=0)
+
+    def test_pool_sized_to_nonempty_ranges(self, monkeypatch):
+        # 8 workers asked for, but 3 trials make only 3 nonempty ranges; the
+        # stand-in pool maps in this process and records its size
+        requested = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return list(map(fn, *iterables))
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+        topo = linear_topology(2)
+        pooled = sweep(topo, DESC, [0, 10], 3, 0.5, base_seed=1, parallel=8)
+        assert pooled == sweep(topo, DESC, [0, 10], 3, 0.5, base_seed=1, parallel=1)
+        assert requested == [3]
 
     def test_infeasible_trial_named_with_its_snr(self):
         # -4000 dB is finite, but its linear SNR underflows to 0.0, so every
@@ -180,9 +202,9 @@ class TestSweep:
     def test_common_randomness_across_schemes(self):
         # different numbering schemes see identical per-trial fading: with a
         # single relay every scheme gives identical rates
-        a = run_trials(linear_topology(1), NumberingScheme.RANDOM, 5.0, 50, 7, mode="optimized")
-        b = run_trials(linear_topology(1), DESC, 5.0, 50, 7, mode="optimized")
-        assert [r.rate_optimized for r in a] == [r.rate_optimized for r in b]
+        a = trial_outcomes(linear_topology(1), NumberingScheme.RANDOM, 5.0, 50, 7)
+        b = trial_outcomes(linear_topology(1), DESC, 5.0, 50, 7)
+        assert np.array_equal(a["optimized"]["rate"], b["optimized"]["rate"])
 
 
 class TestBlocks:
@@ -219,21 +241,27 @@ class TestBlocks:
         assert self._json(100, 0.5, 8) == serial
 
     def test_fold_matches_per_trial_records(self, monkeypatch):
+        # per-trial outcomes under whole-range blocks against 7-trial blocks
+        records = [
+            trial_outcomes(self.TOPO, self.SCHEME, 10.0 ** (db / 10.0), 200, 13)
+            for db in self.GRID
+        ]
         self._set_block_trials(monkeypatch, 7)
         curves = sweep(self.TOPO, self.SCHEME, self.GRID, 200, 0.1, base_seed=13)
-        for s, db in enumerate(self.GRID):
-            records = run_trials(self.TOPO, self.SCHEME, 10.0 ** (db / 10.0), 200, 13)
-            rates = [r.rate_optimized for r in records]
-            assert curves["optimized"].outage_rate[s] == outage_rate(rates, 0.1)
-            assert curves["equal_time"].avg_active[s] == np.mean(
-                [r.active_relays_equal_time for r in records])
-            assert curves["optimized"].reject_totals["negative_rate"][s] == sum(
-                r.reject_counters["negative_rate"] for r in records)
+        for s, out in enumerate(records):
+            opt, eq = out["optimized"], out["equal_time"]
+            assert curves["optimized"].outage_rate[s] == outage_rate(opt["rate"], 0.1)
+            assert curves["equal_time"].avg_active[s] == np.mean(eq["n_active"])
+            assert (curves["optimized"].reject_totals["negative_rate"][s]
+                    == opt["n_negative_rate"].sum())
 
-    def test_run_trials_independent_of_blocks(self, monkeypatch):
-        whole = run_trials(self.TOPO, self.SCHEME, 10.0, 50, base_seed=4)
+    def test_trial_outcomes_independent_of_blocks(self, monkeypatch):
+        whole = trial_outcomes(self.TOPO, self.SCHEME, 10.0, 50, base_seed=4)
         monkeypatch.setattr(montecarlo, "BLOCK_BYTES", 1)  # 1-trial blocks
-        assert run_trials(self.TOPO, self.SCHEME, 10.0, 50, base_seed=4) == whole
+        single = trial_outcomes(self.TOPO, self.SCHEME, 10.0, 50, base_seed=4)
+        for mode in whole:
+            for key in whole[mode]:
+                assert np.array_equal(single[mode][key], whole[mode][key]), (mode, key)
 
 
 class TestLinkMajorStacks:

@@ -12,6 +12,7 @@ from relayalloc.rate_model import (
     build_rate_matrix,
     link_capacity,
     mutual_informations,
+    snr_from_db,
 )
 
 from conftest import symmetric_exponential_caps
@@ -39,6 +40,16 @@ class TestLinkCapacity:
     def test_snr_must_be_finite(self, snr):
         with pytest.raises(ValueError):
             SnrConfig(snr)
+
+    def test_snr_from_db(self):
+        assert snr_from_db(10) == 10.0
+        assert snr_from_db(-30.0) == pytest.approx(1e-3)
+        assert snr_from_db(-4000.0) == 0.0  # underflow: every link absent
+
+    @pytest.mark.parametrize("db", [4000.0, 1e308, np.inf, -np.inf, np.nan])
+    def test_snr_from_db_must_be_finite(self, db):
+        with pytest.raises(ValueError, match="has no finite linear SNR"):
+            snr_from_db(db)
 
     def test_monotone_in_power_and_snr(self, rng):
         powers = np.sort(rng.exponential(size=20))

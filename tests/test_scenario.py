@@ -8,7 +8,6 @@ from relayalloc.scenario import (
     FadingParams,
     NumberingScheme,
     Topology,
-    draw_channel_powers,
     draw_channel_powers_keyed,
     fading_params,
     grid_topology,
@@ -98,23 +97,20 @@ class TestFadingParams:
 class TestDrawChannelPowers:
     def test_sample_mean_matches_exponential(self):
         params = fading_params(linear_topology(0))  # single unit-distance link
-        rng = np.random.default_rng(5)
-        draws = np.array(
-            [draw_channel_powers(params, rng)[0, 1] for _ in range(100_000)]
-        )
+        draws = draw_channel_powers_keyed(params, 5, 100_000)[:, 0, 1]
         assert draws.mean() == pytest.approx(1.0, abs=0.02)
 
     def test_positive_and_symmetric(self):
         params = fading_params(grid_topology(2))
-        p = draw_channel_powers(params, np.random.default_rng(0))
+        p = draw_channel_powers_keyed(params, 0, 3)
         off = ~np.eye(6, dtype=bool)
-        assert np.all(p[off] > 0)
-        assert np.allclose(p, p.T)
+        assert np.all(p[:, off] > 0)
+        assert np.array_equal(p, p.transpose(0, 2, 1))
 
     def test_fixed_seed_identical(self):
         params = fading_params(linear_topology(2))
-        a = draw_channel_powers(params, np.random.default_rng(7))
-        b = draw_channel_powers(params, np.random.default_rng(7))
+        a = draw_channel_powers_keyed(params, 7, 5)
+        b = draw_channel_powers_keyed(params, 7, 5)
         assert np.array_equal(a, b)
 
 
@@ -195,6 +191,23 @@ class TestRenumber:
         order = renumber(caps, NumberingScheme.INSTANTANEOUS_RELAY_RELAY)
         assert order == (1, 3, 2)
 
+    def test_tied_source_links_keep_the_smaller_label(self):
+        caps = caps_from_links(
+            4, {(0, 1): 1.0, (0, 2): 2.0, (0, 3): 1.0, (0, 4): 2.0, (0, 5): 1.0}
+        )
+        order = renumber(caps, NumberingScheme.INSTANTANEOUS_SOURCE_RELAY)
+        assert order == (2, 4, 1, 3)
+
+    def test_tied_greedy_step_keeps_the_smaller_label(self):
+        # from the source, relays 2 and 3 tie; from relay 2, relays 1 and 3
+        # tie; relay 4 has no link from relay 1, so it goes last
+        caps = caps_from_links(
+            4, {(0, 1): 1.0, (0, 2): 3.0, (0, 3): 3.0, (0, 4): 2.0,
+                (2, 1): 2.0, (2, 3): 2.0, (2, 4): 1.0, (1, 3): 0.5, (0, 5): 1.0},
+        )
+        order = renumber(caps, NumberingScheme.INSTANTANEOUS_RELAY_RELAY)
+        assert order == (2, 1, 3, 4)
+
     def test_average_descending_identity_on_line(self):
         assert renumber(linear_topology(4), NumberingScheme.AVERAGE_DESCENDING) == (1, 2, 3, 4)
 
@@ -224,22 +237,21 @@ class TestRenumber:
         with pytest.raises(ValueError):
             renumber(topo, NumberingScheme.RANDOM)
 
-    def test_every_scheme_returns_permutation(self, rng):
+    def test_every_scheme_returns_permutation(self):
         topo = grid_topology(2)
         params = fading_params(topo)
-        powers = draw_channel_powers(params, rng)
+        powers = draw_channel_powers_keyed(params, 3, 1)[0]
         caps = build_capacity_matrix(powers, None, SnrConfig(10.0))
         for scheme in NumberingScheme:
             src = topo if scheme.value.startswith("average") else caps
             order = renumber(src, scheme, rng=np.random.default_rng(0))
             assert sorted(order) == [1, 2, 3, 4]
 
-    def test_heuristics_never_beat_exhaustive_numbering(self, rng):
+    def test_heuristics_never_beat_exhaustive_numbering(self):
         # oracle: the best rate over all relay orderings dominates each heuristic
         topo = grid_topology(2)
         params = fading_params(topo)
-        for _ in range(5):
-            powers = draw_channel_powers(params, rng)
+        for powers in draw_channel_powers_keyed(params, 3, 5):
             caps = build_capacity_matrix(powers, None, SnrConfig(10.0))
             best_any = max(
                 brute_force_select(
