@@ -98,6 +98,34 @@ def _build_parser() -> argparse.ArgumentParser:
 # -- instance / config loading ------------------------------------------------
 
 
+_MISSING = object()
+
+
+def _field(doc: dict, key: str, convert, kind: str, default=_MISSING):
+    """``convert(doc[key])``, or of ``default`` when given and the key is absent.
+
+    A value that does not convert raises a ConfigError naming the field and
+    ``kind``, what it should be; a missing field without a default raises
+    KeyError.
+    """
+    value = doc[key] if default is _MISSING else doc.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key!r} must be {kind}, got {value!r}") from None
+
+
+def _list_of(convert):
+    """Converter of a JSON list whose items each go through ``convert``."""
+
+    def convert_list(value) -> list:
+        if not isinstance(value, list):
+            raise TypeError(f"{value!r} is not a list")
+        return [convert(v) for v in value]
+
+    return convert_list
+
+
 def _load_json(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -128,16 +156,17 @@ def parse_topology(spec: dict) -> Topology:
     if not isinstance(spec, dict) or "type" not in spec:
         raise ConfigError("topology spec must be an object with a 'type' field")
     kind = spec["type"]
-    p_a = float(spec.get("p_a", 2.5))
-    scale = float(spec.get("scale", 1.0))
+    p_a = _field(spec, "p_a", float, "a number", 2.5)
+    scale = _field(spec, "scale", float, "a number", 1.0)
     try:
         if kind == "linear":
-            return linear_topology(int(spec["n_relays"]), p_a=p_a)
+            return linear_topology(_field(spec, "n_relays", int, "an integer"), p_a=p_a)
         if kind == "grid":
-            return grid_topology(int(spec["side"]), p_a=p_a, scale=scale)
+            return grid_topology(_field(spec, "side", int, "an integer"), p_a=p_a, scale=scale)
         if kind == "random":
             return random_topology(
-                int(spec["n_relays"]), int(spec["seed"]), p_a=p_a, scale=scale
+                _field(spec, "n_relays", int, "an integer"),
+                _field(spec, "seed", int, "an integer"), p_a=p_a, scale=scale,
             )
         if kind == "custom":
             return Topology(positions=np.asarray(spec["positions"], dtype=float), p_a=p_a)
@@ -156,7 +185,7 @@ def load_instance(path: str) -> LinkCapacityMatrix:
     if has_caps:
         if "n_relays" not in doc:
             raise ConfigError(f"{path}: 'n_relays' required with 'capacities'")
-        n = int(doc["n_relays"]) + 2
+        n = _field(doc, "n_relays", int, "an integer") + 2
         caps = np.asarray(doc["capacities"], dtype=float)
         if caps.size != n * n:
             raise ConfigError(
@@ -181,8 +210,9 @@ def load_instance(path: str) -> LinkCapacityMatrix:
     topo = parse_topology(doc["topology"])
     if "snr_db" not in doc or "seed" not in doc:
         raise ConfigError(f"{path}: generated instances need 'snr_db' and 'seed'")
-    snr = SnrConfig(snr_from_db(doc["snr_db"]))
-    powers = draw_channel_powers_keyed(fading_params(topo), int(doc["seed"]), 1)[0]
+    snr = SnrConfig(snr_from_db(_field(doc, "snr_db", float, "a number")))
+    seed = _field(doc, "seed", int, "an integer")
+    powers = draw_channel_powers_keyed(fading_params(topo), seed, 1)[0]
     return build_capacity_matrix(powers, None, snr)
 
 
@@ -201,13 +231,14 @@ def load_experiment(path: str, args) -> dict:
     cfg = {
         "topology": doc["topology"],
         "scheme": doc.get("scheme", "average_descending"),
-        "snr_db": [float(v) for v in doc.get("snr_db", [0, 5, 10, 15, 20])],
-        "n_trials": int(doc.get("n_trials", 10000)),
-        "epsilon": float(doc.get("epsilon", 0.01)),
-        "base_seed": int(doc.get("base_seed", 0)),
-        "modes": list(doc.get("modes", list(MODES))),
+        "snr_db": _field(doc, "snr_db", _list_of(float), "a list of numbers",
+                         [0, 5, 10, 15, 20]),
+        "n_trials": _field(doc, "n_trials", int, "an integer", 10000),
+        "epsilon": _field(doc, "epsilon", float, "a number", 0.01),
+        "base_seed": _field(doc, "base_seed", int, "an integer", 0),
+        "modes": _field(doc, "modes", _list_of(str), "a list of modes", list(MODES)),
         "out_prefix": doc.get("out_prefix", "sweep"),
-        "parallel": int(doc.get("parallel", 1)),
+        "parallel": _field(doc, "parallel", int, "an integer", 1),
     }
     if getattr(args, "trials", None) is not None:
         cfg["n_trials"] = args.trials

@@ -21,6 +21,7 @@ from relayalloc.selector import (
     OptimizationOutcome,
     _beats,
     _extend_blocks,
+    _tie_tol,
     op_count,
     root_blocks,
     subsets_by_size,
@@ -181,6 +182,32 @@ def batch_brute_equal_time(caps_batch):
         best_size = np.where(take, m, best_size)
         best_id = np.where(take, sid, best_id)
     return {"rate": best_rate, "n_active": best_size, "best_id": best_id}
+
+
+# -- full-width best-subset merge oracle ----------------------------------------
+
+
+def full_width_offer(best_rate, best_id, rate, sid0):
+    """The best-subset merge of ``selector._Best.offer`` over every trial.
+
+    ``best_rate`` and ``best_id`` are updated in place with the (k, T) block
+    ``rate`` of subsets ``sid0 .. sid0 + k - 1``: the block's candidate is
+    its first rate tied with the block maximum, and it replaces the best
+    when higher by more than the tie tolerance, or when tied and earlier in
+    ``subsets_by_size`` order.  The library reads only the trials whose
+    block maximum reaches its rate floor; this reads them all.
+    """
+    if len(rate) == 1:
+        r, sid = rate[0], sid0
+    else:
+        top = np.fmax.reduce(rate, axis=0)
+        j = np.argmax(rate >= top - _tie_tol(top), axis=0)
+        r = rate[j, np.arange(rate.shape[1])]
+        sid = sid0 + j
+    tol = _tie_tol(np.maximum(r, best_rate))
+    take = (r > best_rate + tol) | ((r >= best_rate - tol) & (sid < best_id))
+    np.copyto(best_rate, r, where=take)
+    np.copyto(best_id, sid, where=take)
 
 
 # -- blocks-based recursive search oracle ---------------------------------------

@@ -87,6 +87,21 @@ class TestOptimize:
         assert captured.out == ""
         assert "snr_db 4000 has no finite linear SNR" in captured.err
 
+    @pytest.mark.parametrize("field, value", [
+        ("snr_db", [10]), ("seed", [4]), ("seed", "four"), ("n_relays", [2]),
+    ])
+    def test_wrongly_typed_generated_instance_exits_2(self, tmp_path, field, value, capsys):
+        doc = {"topology": {"type": "linear", "n_relays": 2}, "snr_db": 10, "seed": 4}
+        if field == "n_relays":
+            doc["topology"][field] = value
+        else:
+            doc[field] = value
+        path = write_json(tmp_path / "typed.json", doc)
+        assert main(["optimize", "--instance", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"'{field}' must be" in captured.err
+
     def test_no_feasible_solution_exits_3(self, tmp_path, capsys):
         path = write_json(tmp_path / "z.json", {"n_relays": 0, "capacities": [0, 0, 0, 0]})
         assert main(["optimize", "--instance", path]) == 3
@@ -189,6 +204,19 @@ class TestSimulate:
         )
         assert main(["simulate", "--config", path]) == 2
 
+
+    @pytest.mark.parametrize("field, value", [
+        ("snr_db", 10), ("snr_db", "0, 10"), ("n_trials", [300]), ("n_trials", 1e400),
+        ("epsilon", [0.05]), ("base_seed", [7]), ("parallel", [1]), ("modes", 5),
+    ])
+    def test_wrongly_typed_field_exits_2(self, sweep_config, field, value, capsys):
+        with open(sweep_config, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc[field] = value
+        with open(sweep_config, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        assert main(["simulate", "--config", sweep_config]) == 2
+        assert f"'{field}' must be" in capsys.readouterr().err
 
     def test_nonfinite_snr_exits_2(self, tmp_path, capsys):
         path = write_json(tmp_path / "inf.json", {"topology": {"type": "linear", "n_relays": 1},

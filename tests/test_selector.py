@@ -20,7 +20,10 @@ from relayalloc.scenario import (
     random_topology,
 )
 from relayalloc.selector import (
+    RATE_TIE_TOL,
     NoFeasibleSolution,
+    _Best,
+    _tie_tol,
     batch_equal_time,
     batch_optimized,
     brute_force_select,
@@ -39,6 +42,7 @@ from conftest import (
     batch_brute_force,
     caps_from_links,
     exponential_caps_batch,
+    full_width_offer,
     recursive_select_blocks,
     symmetric_exponential_caps,
 )
@@ -698,3 +702,79 @@ def test_scalar_and_batched_selectors_agree(caps):
     assert walk["rate"][0] == pytest.approx(want.rate, rel=1e-12)
     # the scalar and batched walks run the same float recurrence
     assert walk["rate"][0] == got.rate
+
+
+# Cell codes of an offered block, read against the best before the offer:
+# a multiple of the tie tolerance away from it (0.0 is an exact tie), far
+# above it, far below it, or a rejected subset.
+NEAR = (-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5)
+REACHING = (*NEAR, "above")
+SHORT = ("below", "-inf", "nan")
+
+
+@st.composite
+def offer_sequences(draw):
+    """Trial count, per-trial start rates and blocks to offer to a _Best.
+
+    A block has 1 to 5 rows and is one of: no trial may reach the floor,
+    fewer than a quarter may, or every trial may.  Some rows are wholly
+    rejected (-inf) or NaN.
+    """
+    n_trials = draw(st.integers(8, 24))
+    start = draw(st.lists(st.sampled_from((0.25, 1.0, 3.0, 1e3)),
+                          min_size=n_trials, max_size=n_trials))
+    blocks = []
+    for _ in range(draw(st.integers(1, 10))):
+        k = draw(st.sampled_from((1, 1, 2, 3, 5)))
+        reach = draw(st.sampled_from(("none", "sparse", "all")))
+        if reach == "sparse":
+            cols = draw(st.sets(st.integers(0, n_trials - 1),
+                                min_size=1, max_size=(n_trials - 1) // 4))
+        else:
+            cols = set(range(n_trials)) if reach == "all" else set()
+        codes = [
+            [draw(st.sampled_from(REACHING if t in cols else SHORT)) for t in range(n_trials)]
+            for _ in range(k)
+        ]
+        dead = draw(st.sampled_from((None, -np.inf, np.nan)))
+        blocks.append((codes, dead, draw(st.integers(0, 40))))
+    return n_trials, np.array(start), blocks
+
+
+def block_rates(codes, dead, best, start):
+    """The (k, T) rates a block's codes stand for, given the current best."""
+    base = np.where(np.isfinite(best), best, start)
+    rate = np.empty((len(codes), len(base)))
+    for i, row in enumerate(codes):
+        for t, code in enumerate(row):
+            b = base[t]
+            if code == "above":
+                rate[i, t] = 2.0 * b + 1.0
+            elif code == "below":
+                rate[i, t] = b / 4.0 - 1.0 if np.isfinite(best[t]) else b / 4.0
+            elif code == "-inf":
+                rate[i, t] = -np.inf
+            elif code == "nan":
+                rate[i, t] = np.nan
+            else:
+                rate[i, t] = b + code * RATE_TIE_TOL * max(b, 1.0)
+    if dead is not None:
+        rate[len(codes) // 2] = dead
+    return rate
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(offer_sequences())
+def test_floor_merge_equals_full_width_merge(case):
+    n_trials, start, blocks = case
+    best = _Best(n_trials)
+    want_rate = np.full(n_trials, -np.inf)
+    want_id = np.full(n_trials, -1, dtype=np.int64)
+    for codes, dead, sid0 in blocks:
+        rate = block_rates(codes, dead, want_rate, start)
+        full_width_offer(want_rate, want_id, rate, sid0)
+        best.offer(rate, sid0)
+        assert np.array_equal(best.rate, want_rate)
+        assert np.array_equal(best.id, want_id)
+        # the tie test reads the floor, so it must be exactly this bound
+        assert np.array_equal(best.floor, best.rate - _tie_tol(best.rate))
