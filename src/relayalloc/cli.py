@@ -115,6 +115,22 @@ def _field(doc: dict, key: str, convert, kind: str, default=_MISSING):
         raise ConfigError(f"{key!r} must be {kind}, got {value!r}") from None
 
 
+def _integer(value) -> int:
+    """A JSON integer; an integral float such as 1e4 counts, a bool does not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    if value != int(value):
+        raise ValueError(f"{value!r} is not integral")
+    return int(value)
+
+
+def _text(value) -> str:
+    """A JSON string, taken as is."""
+    if not isinstance(value, str):
+        raise TypeError(f"{value!r} is not a string")
+    return value
+
+
 def _list_of(convert):
     """Converter of a JSON list whose items each go through ``convert``."""
 
@@ -160,13 +176,13 @@ def parse_topology(spec: dict) -> Topology:
     scale = _field(spec, "scale", float, "a number", 1.0)
     try:
         if kind == "linear":
-            return linear_topology(_field(spec, "n_relays", int, "an integer"), p_a=p_a)
+            return linear_topology(_field(spec, "n_relays", _integer, "an integer"), p_a=p_a)
         if kind == "grid":
-            return grid_topology(_field(spec, "side", int, "an integer"), p_a=p_a, scale=scale)
+            return grid_topology(_field(spec, "side", _integer, "an integer"), p_a=p_a, scale=scale)
         if kind == "random":
             return random_topology(
-                _field(spec, "n_relays", int, "an integer"),
-                _field(spec, "seed", int, "an integer"), p_a=p_a, scale=scale,
+                _field(spec, "n_relays", _integer, "an integer"),
+                _field(spec, "seed", _integer, "an integer"), p_a=p_a, scale=scale,
             )
         if kind == "custom":
             return Topology(positions=np.asarray(spec["positions"], dtype=float), p_a=p_a)
@@ -185,7 +201,7 @@ def load_instance(path: str) -> LinkCapacityMatrix:
     if has_caps:
         if "n_relays" not in doc:
             raise ConfigError(f"{path}: 'n_relays' required with 'capacities'")
-        n = _field(doc, "n_relays", int, "an integer") + 2
+        n = _field(doc, "n_relays", _integer, "an integer") + 2
         caps = np.asarray(doc["capacities"], dtype=float)
         if caps.size != n * n:
             raise ConfigError(
@@ -211,7 +227,7 @@ def load_instance(path: str) -> LinkCapacityMatrix:
     if "snr_db" not in doc or "seed" not in doc:
         raise ConfigError(f"{path}: generated instances need 'snr_db' and 'seed'")
     snr = SnrConfig(snr_from_db(_field(doc, "snr_db", float, "a number")))
-    seed = _field(doc, "seed", int, "an integer")
+    seed = _field(doc, "seed", _integer, "an integer")
     powers = draw_channel_powers_keyed(fading_params(topo), seed, 1)[0]
     return build_capacity_matrix(powers, None, snr)
 
@@ -233,12 +249,12 @@ def load_experiment(path: str, args) -> dict:
         "scheme": doc.get("scheme", "average_descending"),
         "snr_db": _field(doc, "snr_db", _list_of(float), "a list of numbers",
                          [0, 5, 10, 15, 20]),
-        "n_trials": _field(doc, "n_trials", int, "an integer", 10000),
+        "n_trials": _field(doc, "n_trials", _integer, "an integer", 10000),
         "epsilon": _field(doc, "epsilon", float, "a number", 0.01),
-        "base_seed": _field(doc, "base_seed", int, "an integer", 0),
+        "base_seed": _field(doc, "base_seed", _integer, "an integer", 0),
         "modes": _field(doc, "modes", _list_of(str), "a list of modes", list(MODES)),
-        "out_prefix": doc.get("out_prefix", "sweep"),
-        "parallel": _field(doc, "parallel", int, "an integer", 1),
+        "out_prefix": _field(doc, "out_prefix", _text, "a string", "sweep"),
+        "parallel": _field(doc, "parallel", _integer, "an integer", 1),
     }
     if getattr(args, "trials", None) is not None:
         cfg["n_trials"] = args.trials

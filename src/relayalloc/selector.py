@@ -487,16 +487,13 @@ class _Best:
         else:
             rate, top = rate[:, cols], top[cols]
             tied = rate >= top - _tie_tol(top)
-            if dense:
-                # np.argmax(tied, axis=0) costs one call per trial; the
-                # largest rank of a tied row runs row by row.  A trial with
-                # no tied row (its maximum is inf or NaN) gets row 0, as from
-                # argmax.
-                k = len(tied)
-                j = k - np.max(tied * np.arange(k, 0, -1)[:, None], axis=0)
-                j[j == k] = 0
-            else:
-                j = np.argmax(tied, axis=0)
+            # np.argmax(tied, axis=0) costs one call per trial; the largest
+            # rank of a tied row runs row by row.  A trial with no tied row
+            # (its maximum is inf or NaN) has rank 0 and gets row 0, as from
+            # argmax.  A block has at most N < 256 rows, so ranks fit uint8.
+            k = len(tied)
+            rank = np.max(tied * np.arange(k, 0, -1, dtype=np.uint8)[:, None], axis=0)
+            j = (k - rank.astype(np.intp)) % k
             r, sid = np.take(rate, j * len(j) + self._trials[:len(j)]), sid0 + j
         tol = _tie_tol(np.maximum(r, best))
         # r >= floor is the tie test r >= best - tol: where r <= best, tol

@@ -88,7 +88,8 @@ class TestOptimize:
         assert "snr_db 4000 has no finite linear SNR" in captured.err
 
     @pytest.mark.parametrize("field, value", [
-        ("snr_db", [10]), ("seed", [4]), ("seed", "four"), ("n_relays", [2]),
+        ("snr_db", [10]), ("seed", [4]), ("seed", "four"), ("seed", "4"), ("seed", 4.5),
+        ("seed", True), ("n_relays", [2]), ("n_relays", 2.5),
     ])
     def test_wrongly_typed_generated_instance_exits_2(self, tmp_path, field, value, capsys):
         doc = {"topology": {"type": "linear", "n_relays": 2}, "snr_db": 10, "seed": 4}
@@ -208,6 +209,8 @@ class TestSimulate:
     @pytest.mark.parametrize("field, value", [
         ("snr_db", 10), ("snr_db", "0, 10"), ("n_trials", [300]), ("n_trials", 1e400),
         ("epsilon", [0.05]), ("base_seed", [7]), ("parallel", [1]), ("modes", 5),
+        ("n_trials", 200.9), ("n_trials", True), ("n_trials", "300"), ("base_seed", 7.5),
+        ("parallel", 1.5), ("out_prefix", 5),
     ])
     def test_wrongly_typed_field_exits_2(self, sweep_config, field, value, capsys):
         with open(sweep_config, encoding="utf-8") as fh:
@@ -217,6 +220,16 @@ class TestSimulate:
             json.dump(doc, fh)
         assert main(["simulate", "--config", sweep_config]) == 2
         assert f"'{field}' must be" in capsys.readouterr().err
+
+    def test_integral_float_trial_count_is_accepted(self, sweep_config, tmp_path, capsys):
+        with open(sweep_config, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["n_trials"] = 300.0
+        with open(sweep_config, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        assert main(["simulate", "--config", sweep_config]) == 0
+        echoed = json.loads((tmp_path / "curve.json").read_text())["config"]["n_trials"]
+        assert echoed == 300 and isinstance(echoed, int)
 
     def test_nonfinite_snr_exits_2(self, tmp_path, capsys):
         path = write_json(tmp_path / "inf.json", {"topology": {"type": "linear", "n_relays": 1},
