@@ -21,7 +21,6 @@ from .rate_model import (
     SnrConfig,
     build_capacity_matrix,
     build_rate_matrix,
-    link_capacity,
     mutual_informations,
 )
 from .scenario import (

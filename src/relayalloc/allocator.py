@@ -3,12 +3,15 @@
 Solving ``rate_matrix @ t = R * 1`` equalizes the mutual information at every
 relay and at the destination, which is the unique interior max-min optimum
 for that subset.  The solve is one forward substitution; the full inverse is
-only ever materialized by the selector's incremental-inverse API.
+only ever materialized by the selector's incremental-inverse API.  The
+feasibility verdict is written here once per form, for every selector:
+``judge`` for one subset and ``node_rates`` for a block of nodes.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +68,9 @@ class AllocationResult:
     ``times`` is present for any outcome where the linear system had a
     solution with finite slot durations (even an infeasible one, so callers
     can inspect which slot went nonpositive).  It is None for singular
-    matrices, for a zero slot sum, and when renormalizing overflows, which
-    exact cancellations (small-integer capacities) can cause.
+    matrices, for a zero or non-finite slot sum, and when renormalizing
+    overflows, which exact cancellations (small-integer capacities) can
+    cause.  Results come from ``judge``.
     """
 
     subset: RelaySubset
@@ -100,43 +104,74 @@ def solve_lower_triangular(rm: RateMatrix, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def allocate(rm: RateMatrix, subset: RelaySubset) -> AllocationResult:
     """Equalizing allocation, achievable rate, and feasibility for one subset.
 
-    The unnormalized solution u = rm^-1 1 is renormalized into slot durations
-    t = u / sum(u) with rate R = 1 / sum(u).  The subset is rejected when the
-    matrix is singular, when R <= 0, or when any slot duration is below
-    TIME_TOL.
+    Solves for the unnormalized slots u = rm^-1 1 and hands them to ``judge``.
+    Admissible capacities far apart in magnitude can overflow the solve;
+    the inf or NaN slots that result are judge's to reject.
     """
     try:
         u = solve_lower_triangular(rm, np.ones(rm.m + 1))
     except SingularMatrix:
+        return judge(subset, None)
+    return judge(subset, u, u.sum())
+
+
+def judge(
+    subset: RelaySubset, u: np.ndarray | tuple | None, s: float | None = None
+) -> AllocationResult:
+    """The feasibility verdict of one subset, from its unnormalized slots.
+
+    ``u`` solves ``rate_matrix @ u = 1``, or is None when the matrix is
+    singular, and ``s`` is its sum: the rate is R = 1/s and the slot
+    durations are t = u/s.  The verdict is, in order: singular; else R <= 0
+    (``s <= 0``); else a nonpositive slot unless every ``u_i / s`` exceeds
+    TIME_TOL.  No comparison with NaN holds, so a NaN slot sum falls in the
+    last bucket instead of passing, and its rate is None, like a zero sum's.
+    ``node_rates`` is the same verdict on blocks of nodes; every scalar
+    AllocationResult comes from here.
+    """
+    if u is None:
         return AllocationResult(
             subset=subset, times=None, rate=None, feasible=False,
             reject_reason=RejectReason.SINGULAR,
         )
-    s = u.sum()
-    rate = 1.0 / s if s != 0.0 else None
+    u = np.asarray(u, dtype=float)
+    rate = None if s == 0.0 or math.isnan(s) else 1.0 / s
     times = slot_times(u, s)
     if s <= 0.0:
         return AllocationResult(
             subset=subset, times=times, rate=rate, feasible=False,
             reject_reason=RejectReason.NEGATIVE_RATE,
         )
-    if times is None:
-        # at a positive rate, durations overflow only when some slot dwarfs
-        # the slot sum, which takes another slot far below zero
-        return AllocationResult(
-            subset=subset, times=None, rate=rate, feasible=False,
-            reject_reason=RejectReason.NONPOSITIVE_TIME,
-        )
-    bad = np.nonzero(times.t <= TIME_TOL)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = np.flatnonzero(~(u / s > TIME_TOL))
     if bad.size:
         return AllocationResult(
             subset=subset, times=times, rate=rate, feasible=False,
             reject_reason=RejectReason.NONPOSITIVE_TIME, reject_index=int(bad[0]),
         )
     return AllocationResult(subset=subset, times=times, rate=rate, feasible=True)
+
+
+def node_rates(
+    singular: np.ndarray, s: np.ndarray, min_u: np.ndarray, rejects: np.ndarray
+) -> np.ndarray:
+    """``judge`` on a (k, T) block of nodes: rates 1/s, -inf where rejected.
+
+    ``s`` and ``min_u`` are the sum and the minimum of each node's
+    unnormalized slots; the verdict order is judge's.  Adds the rejects of
+    each trial to ``rejects[0..2]``: singular, rate <= 0, nonpositive slot.
+    """
+    negative = ~singular & (s <= 0.0)
+    solved = ~(singular | negative)
+    feasible = solved & (min_u / s > TIME_TOL)
+    rejects[0] += singular.sum(axis=0)
+    rejects[1] += negative.sum(axis=0)
+    rejects[2] += (solved ^ feasible).sum(axis=0)
+    return np.where(feasible, 1.0 / s, -np.inf)
 
 
 def slot_times(u: np.ndarray, s: float) -> TimeAllocation | None:

@@ -159,15 +159,6 @@ def instance_document(caps: LinkCapacityMatrix) -> dict:
     }
 
 
-def topology_document(topo: Topology) -> dict:
-    """JSON-ready topology spec; positions are explicit so any layout round-trips."""
-    return {
-        "type": "custom",
-        "positions": [[float(x), float(y)] for x, y in topo.positions],
-        "p_a": topo.p_a,
-    }
-
-
 def parse_topology(spec: dict) -> Topology:
     if not isinstance(spec, dict) or "type" not in spec:
         raise ConfigError("topology spec must be an object with a 'type' field")
@@ -270,17 +261,10 @@ def load_experiment(path: str, args) -> dict:
         cfg["scheme"] = args.scheme
     if getattr(args, "out", None) is not None:
         cfg["out_prefix"] = args.out
-    if cfg["n_trials"] < 1:
-        raise ConfigError("n_trials must be >= 1")
-    if not 0.0 < cfg["epsilon"] <= 1.0:
-        raise ConfigError(f"epsilon must be in (0, 1], got {cfg['epsilon']}")
-    if not cfg["snr_db"]:
-        raise ConfigError("snr_db grid must be nonempty")
+    # sweep raises ValueError (exit 2) for a bad trial count, epsilon, grid
+    # or mode; this check stays only to word non-finite SNR as a config error
     if not all(math.isfinite(v) for v in cfg["snr_db"]):
         raise ConfigError(f"snr_db values must be finite, got {cfg['snr_db']}")
-    for m in cfg["modes"]:
-        if m not in MODES:
-            raise ConfigError(f"unknown mode {m!r}")
     return cfg
 
 

@@ -252,8 +252,8 @@ def _evaluate_blocks(
             select = batch_optimized if m == "optimized" else batch_equal_time
             try:
                 res = select(caps)
-            except NoFeasibleSolution:
-                s, i = divmod(_first_infeasible(select, caps), b - a)
+            except NoFeasibleSolution as exc:
+                s, i = divmod(exc.trial, b - a)
                 raise NoFeasibleSolution(
                     f"trial {a + i} at {snr_db[s]:g} dB has no feasible subset"
                 ) from None
@@ -263,19 +263,6 @@ def _evaluate_blocks(
                 if key != "best_id"
             }
         yield out
-
-
-def _first_infeasible(select, caps: np.ndarray) -> int:
-    """Row of the first matrix in ``caps`` on which ``select`` raises, by bisection."""
-    lo, hi = 0, len(caps)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            select(caps[lo:mid])
-            lo = mid
-        except NoFeasibleSolution:
-            hi = mid
-    return lo
 
 
 def _ordered_powers(

@@ -73,10 +73,6 @@ class LinkCapacityMatrix:
         object.__setattr__(self, "link_mask", mask)
 
     @property
-    def source(self) -> int:
-        return 0
-
-    @property
     def destination(self) -> int:
         return self.n_relays + 1
 
@@ -135,24 +131,14 @@ class RateMatrix:
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
 
-    @property
-    def diagonal(self) -> np.ndarray:
-        return np.diag(self.entries)
-
-
-def link_capacity(snr: SnrConfig, channel_power: float) -> float:
-    """Shannon capacity log2(1 + snr * |a|^2) of a single link, bits/symbol."""
-    if channel_power < 0:
-        raise ValueError(f"channel power must be nonnegative, got {channel_power}")
-    return float(np.log2(1.0 + snr.snr_scalar * channel_power))
-
 
 def build_capacity_matrix(
     channel_powers: np.ndarray,
     mask: np.ndarray | None,
     snr: SnrConfig,
 ) -> LinkCapacityMatrix:
-    """Apply `link_capacity` elementwise, zeroing masked links and the diagonal.
+    """Shannon capacities log2(1 + snr * |a|^2) of every link, in bits/symbol,
+    with masked links and the diagonal zeroed.
 
     ``mask=None`` means fully connected.
     """

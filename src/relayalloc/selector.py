@@ -42,10 +42,11 @@ from .allocator import (
     SINGULARITY_TOL,
     TIME_TOL,
     AllocationResult,
-    RejectReason,
     SingularMatrix,
     TimeAllocation,
     allocate,
+    judge,
+    node_rates,
     slot_times,
 )
 from .rate_model import LinkCapacityMatrix, RelaySubset, build_rate_matrix
@@ -55,7 +56,14 @@ RATE_TIE_TOL = 1e-9
 
 
 class NoFeasibleSolution(Exception):
-    """No subset (not even direct transmission) supports a positive rate."""
+    """No subset (not even direct transmission) supports a positive rate.
+
+    ``trial`` is the index of the first such matrix in a batched call.
+    """
+
+    def __init__(self, message: str, trial: int | None = None):
+        super().__init__(message)
+        self.trial = trial
 
 
 @dataclass(frozen=True)
@@ -103,6 +111,7 @@ def root_blocks(caps: LinkCapacityMatrix) -> InverseBlocks:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _extend_blocks(
     parent: InverseBlocks, a: np.ndarray, dest: int, new_relay: int
 ) -> InverseBlocks | None:
@@ -111,6 +120,8 @@ def _extend_blocks(
     Returns None when the decode-chain link into the new relay is absent
     (every descendant shares that link, so the whole subtree is singular).
     A missing new-relay-to-destination link only nulls ``dest_row``.
+    Entries beyond the float range become inf or NaN, as the scalar walk's
+    slots do, and ``judge`` rejects them.
     """
     sub = parent.subset
     p = len(sub)
@@ -142,12 +153,10 @@ def _extend_blocks(
         f_dest = a[tx, dest]
         fb_dest = f_dest @ parent.chain_inv
         # t21 / t11 / t22, not t21 / (t11 * t22): the product of two small
-        # admissible capacities can underflow to 0; an entry that is itself
-        # beyond the float range becomes inf, as the scalar walk's slots do
+        # admissible capacities can underflow to 0
         dest_row = np.empty(p + 2)
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = t21 / t11 / t22
-            dest_row[:p] = r * fb_new - fb_dest / t22
+        r = t21 / t11 / t22
+        dest_row[:p] = r * fb_new - fb_dest / t22
         dest_row[p] = -r
         dest_row[p + 1] = 1.0 / t22
 
@@ -256,9 +265,11 @@ def recursive_select(
     skipped.  A broken decode-chain link likewise kills the subtree; a
     missing last-relay-to-destination link only rejects the node itself.
 
-    ``trace``, if given, collects (subset, result, blocks) triples for every
-    node visited; only then are each node's ``AllocationResult`` and
-    ``InverseBlocks`` built, from the same verdicts.
+    A node is feasible when ``s > 0`` and its smallest slot over ``s``
+    exceeds TIME_TOL, which is ``judge``'s verdict written inline: a call per
+    node would cost more than the node.  ``trace``, if given, collects
+    (subset, result, blocks) triples for every node visited; only then are
+    each node's ``InverseBlocks`` built and its slots passed to ``judge``.
     """
     n = caps.n_relays
     dest = n + 1
@@ -269,7 +280,7 @@ def recursive_select(
     pruned = 0
     ops = 0
     # the best node so far: rate, subset, unnormalized slots and their sum
-    best_rate, best_sub, best_slots, best_s = 0.0, None, (), 0.0
+    best_rate, best_sub, best_slots, best_s = 0.0, None, None, None
 
     def visit(chain, h, s_fixed, min_fixed, max_fixed, slots, blocks):
         # h[i] belongs to node last + 1 + i, the last entry to the destination
@@ -292,19 +303,14 @@ def recursive_select(
             child_slots = (*slots, u)
             s_chain = _add_slot(s_fixed, u, slots)
             t22 = a[c][dest]
+            node_slots = s = None  # a missing destination link: singular
             skip = False
-            if t22 <= SINGULARITY_TOL:
-                reason, node_slots, s = RejectReason.SINGULAR, None, None
-            else:
+            if t22 > SINGULARITY_TOL:
                 u_dest = (1.0 - (h[-1] + row[dest] * u)) / t22
                 node_slots = (*child_slots, u_dest)
                 s = _add_slot(s_chain, u_dest, child_slots)
-                if s <= 0.0:
-                    reason = RejectReason.NEGATIVE_RATE
-                elif min(min_fixed, u, u_dest) / s <= TIME_TOL:
-                    reason = RejectReason.NONPOSITIVE_TIME
-                else:
-                    reason = RejectReason.NONE
+                # a NaN slot makes s NaN, which fails s > 0
+                if s > 0.0 and min(min_fixed, u, u_dest) / s > TIME_TOL:
                     rate = 1.0 / s
                     if _beats(rate, sub, best_rate, best_sub):
                         best_rate, best_sub, best_slots, best_s = rate, sub, node_slots, s
@@ -313,7 +319,7 @@ def recursive_select(
                     skip = (min_fixed if s > 0.0 else max_fixed) / s <= 0.0
             if trace is not None:
                 child_blocks = _extend_blocks(blocks, caps.caps, dest, c)
-                trace.append((sub, _node_result(sub, reason, node_slots, s), child_blocks))
+                trace.append((sub, judge(RelaySubset(sub), node_slots, s), child_blocks))
             else:
                 child_blocks = None
             if skip:
@@ -328,37 +334,15 @@ def recursive_select(
     if direct > SINGULARITY_TOL:
         u = 1.0 / direct
         best_rate, best_sub, best_slots, best_s = 1.0 / u, (), (u,), u
-        root_reason = RejectReason.NONE
-    else:
-        root_reason = RejectReason.SINGULAR
     if trace is not None:
-        trace.append(((), _node_result((), root_reason, best_slots, best_s), root))
+        trace.append(((), judge(RelaySubset(()), best_slots, best_s), root))
     visit((), [0.0] * (n + 1), 0.0, math.inf, -math.inf, (), root)
 
     if best_sub is None:
         raise NoFeasibleSolution("no relay subset nor direct transmission is feasible")
     return OptimizationOutcome(
-        best=_node_result(best_sub, RejectReason.NONE, best_slots, best_s),
+        best=judge(RelaySubset(best_sub), best_slots, best_s),
         candidates_evaluated=evaluated, candidates_pruned=pruned, op_count_reported=ops,
-    )
-
-
-def _node_result(
-    sub: tuple, reason: RejectReason, slots: tuple | None, s: float | None
-) -> AllocationResult:
-    """AllocationResult of one tree node from the walk's verdict and its slots."""
-    subset = RelaySubset(sub)
-    if reason is RejectReason.SINGULAR:
-        return AllocationResult(
-            subset=subset, times=None, rate=None, feasible=False, reject_reason=reason
-        )
-    index = None
-    if reason is RejectReason.NONPOSITIVE_TIME:
-        index = next(i for i, u in enumerate(slots) if u / s <= TIME_TOL)
-    return AllocationResult(
-        subset=subset, times=slot_times(np.array(slots), s),
-        rate=1.0 / s if s != 0.0 else None, feasible=reason is RejectReason.NONE,
-        reject_reason=reason, reject_index=index,
     )
 
 
@@ -520,24 +504,6 @@ def _add_slot(total: np.ndarray, u: np.ndarray, earlier: tuple) -> np.ndarray:
     return ((u0 + u1) + (u2 + u3)) + ((u4 + u5) + (u6 + u))
 
 
-def _node_rates(
-    singular: np.ndarray, s: np.ndarray, min_u: np.ndarray, rejects: np.ndarray
-) -> np.ndarray:
-    """Rates 1/s of a (k, T) block of nodes, -inf where rejected; counts rejects.
-
-    ``s`` and ``min_u`` are the sum and the minimum of each node's
-    unnormalized slots.  The verdicts are allocator.allocate's: singular,
-    then rate <= 0, then a slot duration at or below TIME_TOL.
-    """
-    negative = ~singular & (s <= 0.0)
-    solved = ~(singular | negative)
-    bad_time = solved & (min_u / s <= TIME_TOL)
-    rejects[0] += singular.sum(axis=0)
-    rejects[1] += negative.sum(axis=0)
-    rejects[2] += bad_time.sum(axis=0)
-    return np.where(solved & ~bad_time, 1.0 / s, -np.inf)
-
-
 def batch_optimized(caps_batch: np.ndarray) -> dict[str, np.ndarray]:
     """Optimal-subset rate and statistics for a stack of capacity matrices.
 
@@ -576,7 +542,7 @@ def batch_optimized(caps_batch: np.ndarray) -> dict[str, np.ndarray]:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         direct = a[None, 0, dest]
         u_direct = 1.0 / direct
-        best.offer(_node_rates(direct <= SINGULARITY_TOL, u_direct, u_direct, rejects), 0)
+        best.offer(node_rates(direct <= SINGULARITY_TOL, u_direct, u_direct, rejects), 0)
 
         # A stack entry is a node waiting to have its children evaluated; its
         # own h is derived from its parent's block when it is popped, so only
@@ -596,7 +562,7 @@ def batch_optimized(caps_batch: np.ndarray) -> dict[str, np.ndarray]:
             min_chain = np.minimum(min_chain, u)
             singular = singular | (a_last[:-1] <= SINGULARITY_TOL)
             u_dest = (1.0 - (h[-1] + a_last[-1] * u)) / a_rd
-            rate = _node_rates(
+            rate = node_rates(
                 singular | (a_rd <= SINGULARITY_TOL),
                 _add_slot(s_chain, u_dest, (*slots, u)),
                 np.minimum(min_chain, u_dest),
@@ -611,7 +577,7 @@ def batch_optimized(caps_batch: np.ndarray) -> dict[str, np.ndarray]:
 
     if np.any(best.id < 0):
         bad = int(np.nonzero(best.id < 0)[0][0])
-        raise NoFeasibleSolution(f"trial {bad} has no feasible subset")
+        raise NoFeasibleSolution(f"trial {bad} has no feasible subset", trial=bad)
     return {
         "rate": best.rate,
         "n_active": sizes[best.id],

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from relayalloc.cli import instance_document, load_instance, main, parse_topology, topology_document
+from relayalloc.cli import instance_document, load_instance, main, parse_topology
 from relayalloc.scenario import grid_topology
 
 
@@ -79,6 +79,31 @@ class TestOptimize:
         assert main(["optimize", "--instance", path]) == 2
         assert capsys.readouterr().out == ""
 
+    def test_overflowing_slots_are_not_feasible(self, tmp_path, capsys):
+        # admissible links far apart in magnitude overflow the slots of
+        # every subset with a relay to inf or NaN; none of them is feasible
+        caps = np.zeros((5, 5))
+        for (i, j), value in {(0, 1): 1e-299, (0, 3): 10, (1, 2): 1, (1, 4): 10,
+                              (2, 3): 1e-200, (2, 4): 10, (3, 4): 1e-200}.items():
+            caps[i, j] = value
+        doc = {"n_relays": 3, "capacities": caps.ravel().tolist()}
+        path = write_json(tmp_path / "x.json", doc)
+        assert main(["optimize", "--instance", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no relay subset nor direct transmission is feasible" in captured.err
+        # with a direct link the table lists those subsets as rejected, in
+        # strict JSON: a NaN slot sum has no rate
+        caps[0, 4] = 1.0
+        doc = {"n_relays": 3, "capacities": caps.ravel().tolist()}
+        path = write_json(tmp_path / "d.json", doc)
+        assert main(["optimize", "--instance", path, "--verbose"]) == 0
+        report = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+        assert report["subset"] == []
+        table = {tuple(row["subset"]): row for row in report["subsets"]}
+        assert table[(1, 2, 3)] == {"subset": [1, 2, 3], "feasible": False, "rate": None,
+                                    "reject_reason": "nonpositive_time"}
+
     def test_snr_beyond_float_range_exits_2(self, tmp_path, capsys):
         doc = {"topology": {"type": "linear", "n_relays": 2}, "snr_db": 4000, "seed": 4}
         path = write_json(tmp_path / "huge.json", doc)
@@ -130,7 +155,9 @@ class TestSerialization:
 
     def test_topology_round_trip(self):
         topo = grid_topology(2, p_a=3.0)
-        again = parse_topology(topology_document(topo))
+        spec = {"type": "custom", "p_a": topo.p_a,
+                "positions": [[float(x), float(y)] for x, y in topo.positions]}
+        again = parse_topology(spec)
         assert np.allclose(again.positions, topo.positions)
         assert again.p_a == topo.p_a
 

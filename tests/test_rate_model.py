@@ -10,12 +10,17 @@ from relayalloc.rate_model import (
     SnrConfig,
     build_capacity_matrix,
     build_rate_matrix,
-    link_capacity,
     mutual_informations,
     snr_from_db,
 )
 
 from conftest import symmetric_exponential_caps
+
+
+def link_capacity(snr: SnrConfig, channel_power: float) -> float:
+    """One link's capacity, read from a 2-node build_capacity_matrix."""
+    powers = np.array([[0.0, channel_power], [channel_power, 0.0]])
+    return float(build_capacity_matrix(powers, None, snr).caps[0, 1])
 
 
 class TestLinkCapacity:

@@ -256,6 +256,83 @@ class TestFloatWalk:
                 assert result.reject_reason is ref.reject_reason, sub
 
 
+# Link capacities spanning the admissible range: absent, just above
+# SINGULARITY_TOL, tiny, ordinary and huge.  Products and quotients of these
+# overflow the solves to inf and NaN slots, which must be rejected.
+EXTREME_CAPACITIES = np.array([0.0, 1e-299, 1e-200, 1.0, 10.0, 1e10])
+
+
+@pytest.fixture(scope="module")
+def extreme_instances():
+    """2000 seeded 3-relay instances with links drawn from EXTREME_CAPACITIES,
+    each with allocate's result for every subset."""
+    n = 5
+    codes = np.random.default_rng(9).integers(0, len(EXTREME_CAPACITIES), size=(2000, 10))
+    mask = ~np.eye(n, dtype=bool)
+    cases = []
+    for row in codes:
+        caps = np.zeros((n, n))
+        caps[np.triu_indices(n, 1)] = EXTREME_CAPACITIES[row]
+        lcm = LinkCapacityMatrix(3, caps, mask)
+        cases.append((lcm, {
+            sub: allocate(build_rate_matrix(lcm, RelaySubset(sub)), RelaySubset(sub))
+            for sub in subsets_by_size(3)
+        }))
+    return cases
+
+
+class TestExtremeMagnitudes:
+    """One verdict for every selector, also where the slots overflow."""
+
+    def test_selectors_agree_and_rates_are_finite(self, extreme_instances):
+        subsets = list(subsets_by_size(3))
+        n_infeasible = 0
+        for k, (caps, _) in enumerate(extreme_instances):
+            picks = []
+            for select in (recursive_select, brute_force_select):
+                try:
+                    best = select(caps).best
+                except NoFeasibleSolution:
+                    picks.append(None)
+                    continue
+                assert best.feasible and np.isfinite(best.rate), (k, select.__name__)
+                picks.append(best.subset.indices)
+            try:
+                out = batch_optimized(caps.caps[None])
+            except NoFeasibleSolution:
+                picks.append(None)
+            else:
+                assert np.isfinite(out["rate"][0]), k
+                picks.append(subsets[out["best_id"][0]])
+            assert picks[0] == picks[1] == picks[2], (k, picks)
+            n_infeasible += picks[0] is None
+        # the family exercises both outcomes
+        assert 0 < n_infeasible < len(extreme_instances)
+
+    def test_traced_verdicts_match_allocate(self, extreme_instances):
+        for k, (caps, verdicts) in enumerate(extreme_instances):
+            trace = []
+            try:
+                recursive_select(caps, trace=trace)
+            except NoFeasibleSolution:
+                pass
+            for sub, result, _blocks in trace:
+                if result is not None:  # None: a broken decode chain
+                    assert result.feasible == verdicts[sub].feasible, (k, sub)
+
+    def test_batched_reject_total_matches_allocate(self, extreme_instances):
+        # the reasons may split differently where the two computations of
+        # the slot sum overflow differently; the total may not
+        for k, (caps, verdicts) in enumerate(extreme_instances):
+            try:
+                out = batch_optimized(caps.caps[None])
+            except NoFeasibleSolution:
+                continue
+            total = sum(int(out[key][0]) for key in
+                        ("n_singular", "n_negative_rate", "n_nonpositive_time"))
+            assert total == sum(not v.feasible for v in verdicts.values()), k
+
+
 class TestExtendInverse:
     def test_first_extension_from_empty(self, rng):
         caps = symmetric_exponential_caps(rng, 3)
