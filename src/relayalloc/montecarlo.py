@@ -5,18 +5,21 @@ from its own counter-based substream, which a worker seeks to its first
 trial, and the same substreams are reused at every SNR point (common random
 numbers).
 
-A worker evaluates its trial range in equal blocks sized by BLOCK_BYTES.
-The SNR axis is folded into the batch axis, so a block of C trials is one
-call per selector on an (S*C, n, n) capacity stack, with the trial axis
-vectorized.  The stack is link-major: it is the transposed view of an
-(n, n, S*C) array, so each link's values over the block are contiguous, and
-only the links i < j that the selectors read (from an earlier to a later
-node in the transmission order) are computed.  The worker keeps only what
-the curves need: per mode and SNR point, the k = ceil(epsilon*T) smallest
-rates and the sums of the active relay counts and reject counters.  Memory
-per worker is thus bounded by the block and by k, not by T.  The parent
-merges the parts and takes the k-th smallest rate; every step is exact, so
-results are bit-identical for any worker count and block size.
+A worker evaluates its trial range in equal blocks, each as large as
+BLOCK_BYTES allows for what a block allocates: the drawn links per trial,
+and per column (a trial at one SNR point) the capacity stack and the
+selectors' walk state.  The SNR axis is folded into the batch axis, so a
+block of C trials is one call per selector on an (S*C, n, n) capacity
+stack, with the trial axis vectorized.  The stack is link-major: it is the
+transposed view of an (n, n, S*C) array, so each link's values over the
+block are contiguous, and only the links i < j that the selectors read
+(from an earlier to a later node in the transmission order) are computed.
+The worker keeps only what the curves need: per mode and SNR point, the
+k = ceil(epsilon*T) smallest rates and the sums of the active relay counts
+and reject counters.  Memory per worker is thus bounded by the block and
+by k, not by T.  The parent merges the parts and takes the k-th smallest
+rate; every step is exact, so results are bit-identical for any worker
+count and block size.
 """
 
 from __future__ import annotations
@@ -46,10 +49,25 @@ MODES = ("optimized", "equal_time")
 
 REJECT_KEYS = ("singular", "negative_rate", "nonpositive_time")
 
-# Byte budget of one block's link-major (n, n, S*C) float64 capacity stack.
-# Larger blocks buy little once numpy's per-call overhead is amortized, and
-# they raise peak memory; the selectors' working set is a few times the stack.
-BLOCK_BYTES = 2 * 2**20
+# Byte budget of one block: 6.4 MiB, what a sweep-deep block (n = 4 nodes,
+# S = 5 SNR points, 3276 trials) is charged by this model.  A block of C
+# trials on n = N + 2 nodes is charged C * (S * 16(n+1)^2 + 4n(n-1)) bytes:
+#   * per trial, 4n(n-1): the float64 powers of the n(n-1)/2 links i < j,
+#     drawn once and shared by every SNR point (the draw's (n, n) power
+#     matrices are freed before the stack is built);
+#   * per column (a trial at one SNR point), 16(n+1)^2: the (n, n) float64
+#     capacity stack, 8n^2, and the selectors' walk state.  That is the best
+#     rate, subset and floor and the reject counts, and for the nodes on the
+#     walk's path and the siblings waiting on its stack, their rows of h,
+#     slots, slot sums and minima: by tracemalloc at most 8n^2 + 150 bytes,
+#     which 8n^2 + 32n + 16 bounds.
+# The charge exceeds tracemalloc's per-column figure by 4-8% at n = 2..4 and
+# about 10% at n = 11..13; the selectors' 2^N-entry subset index (0.15 MB at
+# N = 11) is not charged.  tests/test_montecarlo.py checks one block's peak
+# against BLOCK_BYTES for N = 0..11 at S = 1 and 5.  Larger blocks spread
+# each selector call's fixed cost, 2^(N-1) node visits of a few numpy calls
+# each, over more columns.
+BLOCK_BYTES = 32 * 2**20 // 5
 
 
 class InsufficientSamples(ValueError):
@@ -115,6 +133,8 @@ def sweep(
         raise ValueError("snr grid must be nonempty")
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
+    if parallel < 1:
+        raise ValueError(f"parallel must be at least 1, got {parallel}")
     snr_db = tuple(float(v) for v in snr_grid_db)
     snr_lin = tuple(snr_from_db(v) for v in snr_db)
     rank = _outage_rank(epsilon, n_trials)
@@ -125,7 +145,7 @@ def sweep(
     params = fading_params(topology)
     block_trials = _block_trials(len(snr_db), params.lam.shape[0])
 
-    bounds = np.linspace(0, n_trials, max(parallel, 1) + 1, dtype=int).tolist()
+    bounds = np.linspace(0, n_trials, parallel + 1, dtype=int).tolist()
     jobs = [
         (params, topology, scheme, snr_db, snr_lin, base_seed, a, b - a, modes,
          block_trials, rank)
@@ -161,8 +181,10 @@ def sweep(
 
 
 def _block_trials(n_snr: int, n_nodes: int) -> int:
-    """Most trials whose (n, n, S*C) capacity stack fits in BLOCK_BYTES, at least 1."""
-    return max(1, BLOCK_BYTES // (n_snr * n_nodes * n_nodes * 8))
+    """Most trials whose block fits in BLOCK_BYTES by the model stated there, at least 1."""
+    per_column = 16 * (n_nodes + 1) ** 2
+    per_trial = 4 * n_nodes * (n_nodes - 1)
+    return max(1, BLOCK_BYTES // (n_snr * per_column + per_trial))
 
 
 def _smallest(rates: np.ndarray, k: int) -> np.ndarray:

@@ -126,7 +126,7 @@ class RateMatrix:
         e = np.asarray(self.entries, dtype=float)
         if e.shape != (self.m + 1, self.m + 1):
             raise ValueError(f"expected ({self.m + 1}, {self.m + 1}) entries, got {e.shape}")
-        if np.any(e[np.triu_indices(self.m + 1, k=1)] != 0.0):
+        if np.triu(e, 1).any():
             raise ValueError("rate matrix must be lower-triangular")
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
@@ -174,9 +174,7 @@ def build_rate_matrix(caps: LinkCapacityMatrix, subset: RelaySubset) -> RateMatr
     m = len(subset)
     tx = [0, *subset.indices]                     # transmitter of each slot
     rx = [*subset.indices, caps.destination]      # receiver of each row
-    entries = caps.caps[np.ix_(tx, rx)].T.copy()
-    entries[np.triu_indices(m + 1, k=1)] = 0.0
-    return RateMatrix(m=m, entries=entries)
+    return RateMatrix(m=m, entries=np.tril(caps.caps[np.ix_(tx, rx)].T))
 
 
 def mutual_informations(rm: RateMatrix, t: np.ndarray) -> np.ndarray:

@@ -280,6 +280,12 @@ class TestSimulate:
         assert main(["simulate", "--config", sweep_config, "--epsilon", epsilon]) == 2
         assert "epsilon must be in (0, 1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("parallel", ["0", "-3"])
+    def test_parallel_below_one_exits_2(self, sweep_config, tmp_path, parallel, capsys):
+        assert main(["simulate", "--config", sweep_config, "--parallel", parallel]) == 2
+        assert f"parallel must be at least 1, got {parallel}" in capsys.readouterr().err
+        assert not (tmp_path / "curve.json").exists()
+
 
 class TestNumbering:
     def test_grid_produces_all_five_schemes(self, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,11 @@ from relayalloc.selector import NoFeasibleSolution, batch_equal_time, batch_opti
 from conftest import batch_brute_equal_time, batch_brute_force, trial_outcomes
 
 DESC = NumberingScheme.AVERAGE_DESCENDING
+
+
+def set_block_trials(monkeypatch, trials):
+    """Make every sweep and block evaluation use blocks of ``trials`` trials."""
+    monkeypatch.setattr(montecarlo, "_block_trials", lambda n_snr, n_nodes: trials)
 
 
 class TestOutageRate:
@@ -150,6 +157,11 @@ class TestSweep:
         with pytest.raises(ValueError, match="epsilon"):
             sweep(linear_topology(1), DESC, [0], 100, epsilon, base_seed=0)
 
+    @pytest.mark.parametrize("parallel", [0, -3])
+    def test_parallel_below_one_rejected(self, parallel):
+        with pytest.raises(ValueError, match=f"parallel must be at least 1, got {parallel}"):
+            sweep(linear_topology(1), DESC, [0], 100, 0.1, base_seed=0, parallel=parallel)
+
     # 4000 dB is finite, but its linear SNR overflows a float
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 4000.0])
     def test_non_finite_snr_rejected(self, bad):
@@ -195,7 +207,7 @@ class TestSweep:
         powers = draw_channel_powers_keyed(fading_params(linear_topology(0)), 6, 500)
         dead = np.nonzero(np.log2(1.0 + snr * powers[:, 0, 1]) == 0.0)[0]
         assert dead.size and dead[0] >= 7
-        monkeypatch.setattr(montecarlo, "BLOCK_BYTES", 7 * 2 * 4 * 8)
+        set_block_trials(monkeypatch, 7)
         with pytest.raises(NoFeasibleSolution, match=rf"trial {dead[0]} at -140 dB"):
             sweep(linear_topology(0), DESC, [0, db], 500, 0.1, base_seed=6, parallel=2)
 
@@ -214,12 +226,6 @@ class TestBlocks:
     SCHEME = NumberingScheme.RANDOM  # per-trial orders from a seeked stream
     GRID = [0, 10, 20]
 
-    def _set_block_trials(self, monkeypatch, trials):
-        n_nodes = self.TOPO.positions.shape[0]
-        monkeypatch.setattr(
-            montecarlo, "BLOCK_BYTES", trials * len(self.GRID) * n_nodes**2 * 8
-        )
-
     def _json(self, n_trials, epsilon, parallel):
         curves = sweep(self.TOPO, self.SCHEME, self.GRID, n_trials, epsilon,
                        base_seed=13, parallel=parallel)
@@ -229,7 +235,7 @@ class TestBlocks:
         reference = self._json(301, 0.05, 1)  # one block under the default budget
         # 1-trial blocks, uneven 7-trial blocks, one block per worker range
         for trials in (1, 7, 301):
-            self._set_block_trials(monkeypatch, trials)
+            set_block_trials(monkeypatch, trials)
             for parallel in (1, 3):
                 assert self._json(301, 0.05, parallel) == reference, (trials, parallel)
 
@@ -237,7 +243,7 @@ class TestBlocks:
         # k = 50, but each of 8 workers holds only 12 or 13 trials
         serial = self._json(100, 0.5, 1)
         assert self._json(100, 0.5, 8) == serial
-        self._set_block_trials(monkeypatch, 3)
+        set_block_trials(monkeypatch, 3)
         assert self._json(100, 0.5, 8) == serial
 
     def test_fold_matches_per_trial_records(self, monkeypatch):
@@ -246,7 +252,7 @@ class TestBlocks:
             trial_outcomes(self.TOPO, self.SCHEME, 10.0 ** (db / 10.0), 200, 13)
             for db in self.GRID
         ]
-        self._set_block_trials(monkeypatch, 7)
+        set_block_trials(monkeypatch, 7)
         curves = sweep(self.TOPO, self.SCHEME, self.GRID, 200, 0.1, base_seed=13)
         for s, out in enumerate(records):
             opt, eq = out["optimized"], out["equal_time"]
@@ -257,7 +263,7 @@ class TestBlocks:
 
     def test_trial_outcomes_independent_of_blocks(self, monkeypatch):
         whole = trial_outcomes(self.TOPO, self.SCHEME, 10.0, 50, base_seed=4)
-        monkeypatch.setattr(montecarlo, "BLOCK_BYTES", 1)  # 1-trial blocks
+        set_block_trials(monkeypatch, 1)
         single = trial_outcomes(self.TOPO, self.SCHEME, 10.0, 50, base_seed=4)
         for mode in whole:
             for key in whole[mode]:
@@ -310,11 +316,50 @@ class TestLinkMajorStacks:
 
         monkeypatch.setattr(montecarlo, "batch_optimized", guarded(batch_optimized))
         monkeypatch.setattr(montecarlo, "batch_equal_time", guarded(batch_equal_time))
-        monkeypatch.setattr(montecarlo, "BLOCK_BYTES", 7 * 2 * 5**2 * 8)  # 7-trial blocks
+        set_block_trials(monkeypatch, 7)
         for scheme in (DESC, NumberingScheme.INSTANTANEOUS_RELAY_RELAY):
             sweep(linear_topology(3), scheme, [0, 10], 30, 0.1, base_seed=3)
         # per sweep: 5 blocks of 6 trials at 2 SNR points, 2 selectors each
         assert calls == [12] * 20
+
+
+class TestBlockBudget:
+    """What one block allocates, at the size ``_block_trials`` gives."""
+
+    @pytest.mark.parametrize("n_snr", [1, 5])
+    @pytest.mark.parametrize("n_relays", range(12))
+    def test_block_peak_within_budget(self, n_relays, n_snr):
+        # per-trial relay orders: the draws' largest index arrays
+        topo = linear_topology(n_relays)
+        snr_db = tuple(np.linspace(0.0, 20.0, n_snr).tolist())
+        snr = tuple(10.0 ** (db / 10.0) for db in snr_db)
+        trials = montecarlo._block_trials(n_snr, n_relays + 2)
+        blocks = montecarlo._evaluate_blocks(
+            fading_params(topo), topo, NumberingScheme.INSTANTANEOUS_RELAY_RELAY,
+            snr_db, snr, 5, 0, trials, montecarlo.MODES, trials,
+        )
+        tracemalloc.start()
+        try:
+            next(blocks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= montecarlo.BLOCK_BYTES, (trials, peak)
+
+    def test_grid3_sweep_is_one_block(self, monkeypatch):
+        # 500 trials at 5 SNR points on the 3x3 grid: one call per selector
+        calls = []
+
+        def counted(select):
+            def wrapper(caps):
+                calls.append((select.__name__, len(caps)))
+                return select(caps)
+            return wrapper
+
+        monkeypatch.setattr(montecarlo, "batch_optimized", counted(batch_optimized))
+        monkeypatch.setattr(montecarlo, "batch_equal_time", counted(batch_equal_time))
+        sweep(grid_topology(3), DESC, [0, 5, 10, 15, 20], 500, 0.01, base_seed=1)
+        assert calls == [("batch_optimized", 2500), ("batch_equal_time", 2500)]
 
 
 def per_trial_orders(topology, scheme, powers, seed, start):
