@@ -6,6 +6,14 @@ for that subset.  The solve is one forward substitution; the full inverse is
 only ever materialized by the selector's incremental-inverse API.  The
 feasibility verdict is written here once per form, for every selector:
 ``judge`` for one subset and ``node_rates`` for a block of nodes.
+
+Every selector computes the unnormalized slots u in one float order, left
+to right: row i of the solve accumulates ``0.0 + a[i, 0] * u[0] + ... +
+a[i, i-1] * u[i-1]`` in index order, and the slot sum is ``u[0] + u[1] +
+... + u[m]`` in index order.  The subset walks build the same sums one
+transmitter at a time, so every selector returns bit-identical rates and
+verdicts, exact cancellations included.  No sum is left to numpy's pairwise
+or BLAS order, nor to Python's ``sum``, which is compensated from 3.12 on.
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ class TimeAllocation:
     t: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
+        t = np.array(self.t, dtype=float)  # copied: the caller's array stays writeable
         if t.ndim != 1 or t.size == 0:
             raise ValueError("time allocation must be a nonempty vector")
         if not np.all(np.isfinite(t)):
@@ -82,7 +90,8 @@ class AllocationResult:
 
 
 def solve_lower_triangular(rm: RateMatrix, rhs: np.ndarray) -> np.ndarray:
-    """Forward substitution for a lower-triangular rate matrix.
+    """Forward substitution for a lower-triangular rate matrix, in the
+    module's left-to-right order.
 
     Raises SingularMatrix if any diagonal entry is (near-)zero, the
     inadmissible partial-connectivity case.
@@ -97,11 +106,13 @@ def solve_lower_triangular(rm: RateMatrix, rhs: np.ndarray) -> np.ndarray:
         raise SingularMatrix(
             f"zero diagonal at position {int(np.argmin(np.abs(diag)))}"
         )
-    x = np.empty(n)
-    for i in range(n):
-        acc = a[i, :i] @ x[:i] if i else 0.0
-        x[i] = (rhs[i] - acc) / a[i, i]
-    return x
+    x = []
+    for i, (row, b) in enumerate(zip(a.tolist(), rhs.tolist())):
+        acc = 0.0
+        for aij, xj in zip(row, x):
+            acc += aij * xj
+        x.append((b - acc) / row[i])
+    return np.array(x)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -116,7 +127,7 @@ def allocate(rm: RateMatrix, subset: RelaySubset) -> AllocationResult:
         u = solve_lower_triangular(rm, np.ones(rm.m + 1))
     except SingularMatrix:
         return judge(subset, None)
-    return judge(subset, u, u.sum())
+    return judge(subset, u, np.cumsum(u)[-1])
 
 
 def judge(

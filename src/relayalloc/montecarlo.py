@@ -59,8 +59,8 @@ REJECT_KEYS = ("singular", "negative_rate", "nonpositive_time")
 #     capacity stack, 8n^2, and the selectors' walk state.  That is the best
 #     rate, subset and floor and the reject counts, and for the nodes on the
 #     walk's path and the siblings waiting on its stack, their rows of h,
-#     slots, slot sums and minima: by tracemalloc at most 8n^2 + 150 bytes,
-#     and under 8n^2 + 32n + 16 at every n measured (2..13).
+#     slot sums and minima: by tracemalloc at most 8n^2 + 150 bytes, and
+#     under 8n^2 + 32n + 16 at every n measured (2..13).
 # The charge exceeds tracemalloc's per-column figure by 4-8% at n = 2..4 and
 # about 10% at n = 11..13; the selectors' 2^N-entry subset index (0.15 MB at
 # N = 11) is not charged.  tests/test_montecarlo.py checks one block's peak

@@ -53,8 +53,9 @@ class LinkCapacityMatrix:
     link_mask: np.ndarray
 
     def __post_init__(self):
-        caps = np.asarray(self.caps, dtype=float)
-        mask = np.asarray(self.link_mask, dtype=bool)
+        # copied: the caller's arrays stay writeable
+        caps = np.array(self.caps, dtype=float)
+        mask = np.array(self.link_mask, dtype=bool)
         n = self.n_relays + 2
         if caps.shape != (n, n) or mask.shape != (n, n):
             raise ValueError(
@@ -123,7 +124,7 @@ class RateMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
+        e = np.array(self.entries, dtype=float)  # copied: the caller's array stays writeable
         if e.shape != (self.m + 1, self.m + 1):
             raise ValueError(f"expected ({self.m + 1}, {self.m + 1}) entries, got {e.shape}")
         if np.triu(e, 1).any():

@@ -41,7 +41,7 @@ class Topology:
     layout: str = "custom"
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float)
+        pos = np.array(self.positions, dtype=float)  # copied: the caller's array stays writeable
         if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 2:
             raise ValueError(f"positions must be (n >= 2, 2), got {pos.shape}")
         if not self.p_a > 0:
@@ -65,7 +65,7 @@ class FadingParams:
     lam: np.ndarray
 
     def __post_init__(self):
-        lam = np.asarray(self.lam, dtype=float)
+        lam = np.array(self.lam, dtype=float)  # copied: the caller's array stays writeable
         n = lam.shape[0]
         if lam.ndim != 2 or lam.shape != (n, n):
             raise ValueError(f"lambda matrix must be square, got {lam.shape}")

@@ -25,9 +25,12 @@ over trials.  Each child's per-trial state comes from its parent's in O(1)
 array operations, with no rate matrix built or solved, and every subset is
 visited so that reject counts cover the whole tree.  The best-subset merge
 reads only the trials where a sibling block reaches the best rate less its
-tie tolerance, which is exact (see ``_Best``).  ``batch_optimized``
-runs the float recurrence of ``recursive_select`` operation for operation,
-so the two return bit-identical rates.
+tie tolerance, which is exact (see ``_Best``).
+
+The walks build each node's slots and slot sum one transmitter at a time,
+in the left-to-right order that ``allocator`` states and ``allocate``
+follows, so ``brute_force_select``, ``recursive_select`` and
+``batch_optimized`` return bit-identical rates and verdicts.
 """
 
 from __future__ import annotations
@@ -197,7 +200,7 @@ def extend_solution(blocks: InverseBlocks) -> tuple[TimeAllocation, float]:
     if blocks.dest_row is None:
         raise SingularMatrix(f"subset {blocks.subset} has a singular rate matrix")
     u = np.append(blocks.u_chain, blocks.dest_row.sum())
-    s = u.sum()
+    s = np.cumsum(u)[-1]
     times = slot_times(u, s)
     if times is None:
         raise ValueError("slot solution does not normalize (zero or cancelling sum)")
@@ -250,9 +253,10 @@ def recursive_select(
 
     Children of a subset append one relay beyond its largest index.  A node
     with chain (r1..rm) carries, as Python floats, the unnormalized slots
-    fixed for all its descendants (the source and r1..r_{m-1}), their sum
-    and extremes, and ``h[k]``, the sum of a[tx, k] * u_tx over those fixed
-    transmitters: the state ``batch_optimized`` keeps per trial.  Appending
+    fixed for all its descendants (the source and r1..r_{m-1}), which the
+    winner and the trace read, their sum and extremes, and ``h[k]``, the sum
+    of a[tx, k] * u_tx over those fixed transmitters; ``batch_optimized``
+    keeps the sum, the minimum and ``h`` per trial.  Appending
     relay c fixes the slot of r_m at (1 - h[c]) / a[r_m, c] and the
     destination row gives the child's last slot, so a child costs O(1) plus
     an O(N) update of ``h``, and no matrix or result object is built per
@@ -301,14 +305,14 @@ def recursive_select(
             ops += op
             u = (1.0 - h[i]) / t11
             child_slots = (*slots, u)
-            s_chain = _add_slot(s_fixed, u, slots)
+            s_chain = s_fixed + u
             t22 = a[c][dest]
             node_slots = s = None  # a missing destination link: singular
             skip = False
             if t22 > SINGULARITY_TOL:
                 u_dest = (1.0 - (h[-1] + row[dest] * u)) / t22
                 node_slots = (*child_slots, u_dest)
-                s = _add_slot(s_chain, u_dest, child_slots)
+                s = s_chain + u_dest
                 # a NaN slot makes s NaN, which fails s > 0
                 if s > 0.0 and min(min_fixed, u, u_dest) / s > TIME_TOL:
                     rate = 1.0 / s
@@ -490,20 +494,6 @@ class _Best:
             self.rate[cols], self.id[cols], self.floor[cols] = best, best_id, floor
 
 
-def _add_slot(total: np.ndarray, u: np.ndarray, earlier: tuple) -> np.ndarray:
-    """Running slot sum with ``u`` appended, in numpy's summation order.
-
-    ``np.sum`` adds fewer than 8 terms in sequence and the first 8 of up to
-    15 terms as a pairwise tree, so appending the 8th slot rebuilds the sum
-    from the ``earlier`` slots.  Sums then match allocate's bit for bit, and
-    so do verdicts on exact cancellations (integer-valued capacities).
-    """
-    if len(earlier) != 7:
-        return total + u
-    u0, u1, u2, u3, u4, u5, u6 = earlier
-    return ((u0 + u1) + (u2 + u3)) + ((u4 + u5) + (u6 + u))
-
-
 def batch_optimized(caps_batch: np.ndarray) -> dict[str, np.ndarray]:
     """Optimal-subset rate and statistics for a stack of capacity matrices.
 
@@ -546,34 +536,31 @@ def batch_optimized(caps_batch: np.ndarray) -> dict[str, np.ndarray]:
 
         # A stack entry is a node waiting to have its children evaluated; its
         # own h is derived from its parent's block when it is popped, so only
-        # the blocks along the current path stay alive.  ``slots`` holds the
-        # node's fixed slots, which _add_slot needs.
-        root = ((), np.zeros((n - 1, n_trials)), 0.0, 0.0, 0.0, np.inf, False, ())
+        # the blocks along the current path stay alive.
+        root = ((), np.zeros((n - 1, n_trials)), 0.0, 0.0, 0.0, np.inf, False)
         stack = [root] if n_relays else []
         while stack:
-            chain, h_parent, a_parent, u, s_chain, min_chain, singular, slots = stack.pop()
+            chain, h_parent, a_parent, u, s_chain, min_chain, singular = stack.pop()
             h = h_parent + a_parent * u
             last = chain[-1] if chain else 0
             lo = last + 1
             a_last = a[last, lo:]  # links from the last transmitter to later nodes
             a_rd = a[lo:dest, dest]  # each child's destination link
             u = (1.0 - h[:-1]) / a_last[:-1]
-            s_chain = _add_slot(s_chain, u, slots)
+            s_chain = s_chain + u
             min_chain = np.minimum(min_chain, u)
             singular = singular | (a_last[:-1] <= SINGULARITY_TOL)
             u_dest = (1.0 - (h[-1] + a_last[-1] * u)) / a_rd
             rate = node_rates(
                 singular | (a_rd <= SINGULARITY_TOL),
-                _add_slot(s_chain, u_dest, (*slots, u)),
+                s_chain + u_dest,
                 np.minimum(min_chain, u_dest),
                 rejects,
             )
             best.offer(rate, ids[(*chain, lo)])
             for j in range(n_relays - lo):  # children of relay N are leaves
-                stack.append((
-                    (*chain, lo + j), h[j + 1:], a_last[j + 1:], u[j],
-                    s_chain[j], min_chain[j], singular[j], (*slots, u[j]),
-                ))
+                stack.append(((*chain, lo + j), h[j + 1:], a_last[j + 1:], u[j],
+                              s_chain[j], min_chain[j], singular[j]))
 
     if np.any(best.id < 0):
         bad = int(np.nonzero(best.id < 0)[0][0])

@@ -90,7 +90,10 @@ def trial_outcomes(topology, scheme, snr, n_trials, base_seed, modes=montecarlo.
 #
 # Fresh rate matrix and forward substitution for every subset, with the
 # trial axis vectorized.  The library's batched selectors walk the subset
-# tree instead; these are the reference they are compared against.
+# tree instead; these are the reference they are compared against.  The
+# solve and the slot sum add in allocator's left-to-right order, and the
+# equal-time oracle adds each receiver's links in transmitter order, so the
+# oracles' rates equal the walks' bit for bit.
 
 
 def batch_brute_force(caps_batch):
@@ -117,9 +120,11 @@ def batch_brute_force(caps_batch):
             singular = (diag <= SINGULARITY_TOL).any(axis=1)
             u = np.empty((n_trials, m + 1))
             for i in range(m + 1):
-                acc = np.einsum("tj,tj->t", rm[:, i, :i], u[:, :i]) if i else 0.0
+                acc = 0.0
+                for j in range(i):
+                    acc = acc + rm[:, i, j] * u[:, j]
                 u[:, i] = (1.0 - acc) / diag[:, i]
-            s = u.sum(axis=1)
+            s = np.cumsum(u, axis=1)[:, -1]
             negative = ~singular & (s <= 0.0)
             t = u / s[:, None]
             bad_time = ~singular & ~negative & (t.min(axis=1) <= TIME_TOL)
@@ -170,7 +175,7 @@ def batch_brute_equal_time(caps_batch):
         rx = np.array((*sub, dest))
         rm = caps_batch[:, tx[:, None], rx[None, :]].transpose(0, 2, 1)
         rm = rm * np.tri(m + 1)
-        rate = rm.sum(axis=2).min(axis=1) / (m + 1)
+        rate = np.cumsum(rm, axis=2)[:, :, -1].min(axis=1) / (m + 1)
         tol = RATE_TIE_TOL * np.maximum(
             1.0,
             np.maximum(
@@ -228,7 +233,7 @@ def allocation_from_blocks(blocks: InverseBlocks) -> AllocationResult:
             reject_reason=RejectReason.SINGULAR,
         )
     u = np.append(blocks.u_chain, blocks.dest_row.sum())
-    s = u.sum()
+    s = np.cumsum(u)[-1]
     if s <= 0.0:
         return AllocationResult(
             subset=subset, times=slot_times(u, s), rate=1.0 / s if s != 0.0 else None,

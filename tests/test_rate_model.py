@@ -102,6 +102,16 @@ class TestLinkCapacityMatrix:
         with pytest.raises(ValueError, match="finite"):
             LinkCapacityMatrix(n_relays=1, caps=caps, link_mask=~np.eye(3, dtype=bool))
 
+    def test_callers_arrays_stay_writeable(self):
+        caps = np.array([[0.0, 2.0, 1.0], [2.0, 0.0, 3.0], [1.0, 3.0, 0.0]])
+        mask = ~np.eye(3, dtype=bool)
+        lcm = LinkCapacityMatrix(n_relays=1, caps=caps, link_mask=mask)
+        assert caps.flags.writeable and mask.flags.writeable
+        assert not lcm.caps.flags.writeable and not lcm.link_mask.flags.writeable
+        caps[0, 1] = 5.0
+        mask[0, 1] = False
+        assert lcm.caps[0, 1] == 2.0 and lcm.link_mask[0, 1]
+
 
 class TestRelaySubset:
     def test_must_be_ascending(self):
@@ -182,6 +192,15 @@ class TestBuildRateMatrix:
     def test_rate_matrix_validates_triangularity(self):
         with pytest.raises(ValueError):
             RateMatrix(m=1, entries=[[1.0, 0.5], [1.0, 1.0]])
+
+    def test_callers_array_stays_writeable(self):
+        entries = np.array([[1.0, 0.0], [2.0, 3.0]])
+        # a view of the caller's array is not frozen either
+        for given in (entries, entries[:, :]):
+            rm = RateMatrix(m=1, entries=given)
+            assert given.flags.writeable and not rm.entries.flags.writeable
+        entries[1, 0] = 5.0
+        assert rm.entries[1, 0] == 2.0
 
 
 class TestMutualInformations:

@@ -66,6 +66,13 @@ class TestTopologies:
     def test_random_nonsquare_pool(self):
         assert random_topology(5, 1).n_relays == 5
 
+    def test_callers_positions_stay_writeable(self):
+        pos = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]])
+        topo = Topology(positions=pos)
+        assert pos.flags.writeable and not topo.positions.flags.writeable
+        pos[1, 1] = 0.25
+        assert topo.positions[1, 1] == 0.0
+
 
 class TestFadingParams:
     def test_unit_distance(self):
@@ -92,6 +99,13 @@ class TestFadingParams:
         )
         off = ~np.eye(4, dtype=bool)
         assert doubled.lam[off] == pytest.approx(base.lam[off] * 2**2.5)
+
+    def test_callers_lambda_stays_writeable(self):
+        lam = np.array([[0.0, 2.0], [2.0, 0.0]])
+        params = FadingParams(lam=lam)
+        assert lam.flags.writeable and not params.lam.flags.writeable
+        lam[0, 1] = 3.0
+        assert params.lam[0, 1] == 2.0
 
 
 class TestDrawChannelPowers:
