@@ -289,16 +289,23 @@ def instantaneous_orders(links: np.ndarray, scheme: NumberingScheme) -> np.ndarr
         return np.argsort(-links[:, 0, 1 : n_relays + 1], axis=1, kind="stable") + 1
     if scheme is NumberingScheme.INSTANTANEOUS_RELAY_RELAY:
         order = np.empty((n_trials, n_relays), dtype=np.intp)
+        if not n_relays:
+            return order
         taken = np.zeros((n_trials, n_relays), dtype=bool)
-        cur = np.zeros(n_trials, dtype=np.intp)  # source
         rows = np.arange(n_trials)
-        for step in range(n_relays):
-            scores = links[rows, cur, 1 : n_relays + 1].copy()
+        # the first step reads the source's links, where nothing is taken yet
+        nxt = np.argmax(links[:, 0, 1 : n_relays + 1], axis=1)
+        order[:, 0] = nxt
+        for step in range(1, n_relays - 1):
+            taken[rows, nxt] = True
+            scores = links[rows, nxt + 1, 1 : n_relays + 1]  # a gather, so a copy
             scores[taken] = -np.inf
             nxt = np.argmax(scores, axis=1)
-            order[:, step] = nxt + 1
-            taken[rows, nxt] = True
-            cur = nxt + 1
+            order[:, step] = nxt
+        # the last step places the one relay not yet taken
+        taken[rows, nxt] = True
+        order[:, -1] = np.argmin(taken, axis=1)
+        order += 1
         return order
     raise ValueError(f"unknown numbering scheme {scheme!r}")
 

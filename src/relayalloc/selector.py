@@ -48,6 +48,7 @@ from .allocator import (
     SingularMatrix,
     TimeAllocation,
     allocate,
+    copy_where,
     judge,
     node_rates,
     slot_times,
@@ -443,6 +444,12 @@ class _Best:
     exact: a block's candidate is at most its maximum, and a rate below the
     floor is neither higher than the best by more than the tolerance nor
     tied with it, so the trials skipped would have kept their best anyway.
+
+    The merge writes the taken trials with ``copy_where``, not masked
+    copies.  On sweep-deep's 16025-column blocks 50-90% of the trials are
+    taken in most merges; at half taken a ``np.copyto(..., where=take)``,
+    which branches on every element, took 99 us against 24 us for the
+    branch-free select of the same bits.
     """
 
     def __init__(self, n_trials: int):
@@ -450,6 +457,7 @@ class _Best:
         self.id = np.full(n_trials, -1, dtype=np.int64)
         self.floor = np.full(n_trials, -np.inf)
         self._trials = np.arange(n_trials)
+        self._empty = True
 
     def offer(self, rate: np.ndarray, sid0: int) -> None:
         """Merge a (k, T) block of sibling rates into the best, in place.
@@ -461,6 +469,17 @@ class _Best:
         the walk's visiting order does not decide ties.
         """
         top = rate[0] if len(rate) == 1 else np.fmax.reduce(rate, axis=0)
+        if self._empty:
+            # against no best the rule takes exactly the finite candidates:
+            # r > -inf + tol fails for -inf and NaN, and for +inf, whose
+            # tolerance makes the bound NaN
+            self._empty = False
+            r, sid = self._candidate(rate, top, sid0, slice(None))
+            take = np.isfinite(r)
+            copy_where(self.rate, r, take)
+            copy_where(self.id, sid, take)
+            np.subtract(self.rate, _tie_tol(self.rate), out=self.floor)
+            return
         hit = top >= self.floor
         n_hit = np.count_nonzero(hit)
         if not n_hit:
@@ -470,28 +489,36 @@ class _Best:
         dense = 4 * n_hit >= len(hit)
         cols = slice(None) if dense else np.flatnonzero(hit)
         best, best_id, floor = self.rate[cols], self.id[cols], self.floor[cols]
-        if len(rate) == 1:
-            r, sid = top[cols], sid0
-        else:
-            rate, top = rate[:, cols], top[cols]
-            tied = rate >= top - _tie_tol(top)
-            # np.argmax(tied, axis=0) costs one call per trial; the largest
-            # rank of a tied row runs row by row.  A trial with no tied row
-            # (its maximum is inf or NaN) has rank 0 and gets row 0, as from
-            # argmax.  A block has at most N < 256 rows, so ranks fit uint8.
-            k = len(tied)
-            rank = np.max(tied * np.arange(k, 0, -1, dtype=np.uint8)[:, None], axis=0)
-            j = (k - rank.astype(np.intp)) % k
-            r, sid = np.take(rate, j * len(j) + self._trials[:len(j)]), sid0 + j
-        tol = _tie_tol(np.maximum(r, best))
-        # r >= floor is the tie test r >= best - tol: where r <= best, tol
-        # is best's own tolerance, and where r > best both tests hold
-        take = (r > best + tol) | ((r >= floor) & (sid < best_id))
-        np.copyto(best, r, where=take)
-        np.copyto(best_id, sid, where=take)
+        r, sid = self._candidate(rate, top, sid0, cols)
+        # where r > best, _tie_tol(r) is the tolerance of the larger rate;
+        # elsewhere r > best + tol fails for any tol >= 0.  r >= floor is
+        # the tie test r >= best - tol: where r <= best, tol is best's own
+        # tolerance, and where r > best both tests hold
+        take = (r > best + _tie_tol(r)) | ((r >= floor) & (sid < best_id))
+        copy_where(best, r, take)
+        copy_where(best_id, sid, take)
         np.subtract(best, _tie_tol(best), out=floor)
         if not dense:
             self.rate[cols], self.id[cols], self.floor[cols] = best, best_id, floor
+
+    def _candidate(self, rate: np.ndarray, top: np.ndarray, sid0: int, cols):
+        """Candidate rate and subset index of the trials ``cols`` of a (k, T)
+        block whose column maxima are ``top``."""
+        if len(rate) == 1:
+            return top[cols], sid0
+        rate, top = rate[:, cols], top[cols]
+        tied = rate >= top - _tie_tol(top)
+        # np.argmax(tied, axis=0) costs one call per trial; the largest
+        # rank of a tied row runs row by row.  Row j has rank k - j, so the
+        # first tied row has the largest.  A trial with no tied row (its
+        # maximum is inf or NaN) has rank 0 and gets row 0, as from argmax.
+        # A block has at most N < 256 rows, so ranks fit uint8.
+        k = len(tied)
+        rank = np.max(tied * np.arange(k, 0, -1, dtype=np.uint8)[:, None], axis=0)
+        j = ((k - rank) * (rank > 0)).astype(np.intp)
+        flat = j * len(j)
+        flat += self._trials[:len(j)]
+        return np.take(rate, flat), sid0 + j
 
 
 def batch_optimized(caps_batch: np.ndarray) -> dict[str, np.ndarray]:
@@ -527,12 +554,13 @@ def batch_optimized(caps_batch: np.ndarray) -> dict[str, np.ndarray]:
     dest = n - 1
     ids, sizes = _subset_ids(n_relays)
     best = _Best(n_trials)
-    rejects = np.zeros((3, n_trials), dtype=np.int64)
+    # per trial: singular, rate <= 0 and feasible nodes (see node_rates)
+    counts = np.zeros((3, n_trials), dtype=np.int64)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         direct = a[None, 0, dest]
         u_direct = 1.0 / direct
-        best.offer(node_rates(direct <= SINGULARITY_TOL, u_direct, u_direct, rejects), 0)
+        best.offer(node_rates(direct <= SINGULARITY_TOL, u_direct, u_direct, counts), 0)
 
         # A stack entry is a node waiting to have its children evaluated; its
         # own h is derived from its parent's block when it is popped, so only
@@ -555,7 +583,7 @@ def batch_optimized(caps_batch: np.ndarray) -> dict[str, np.ndarray]:
                 singular | (a_rd <= SINGULARITY_TOL),
                 s_chain + u_dest,
                 np.minimum(min_chain, u_dest),
-                rejects,
+                counts,
             )
             best.offer(rate, ids[(*chain, lo)])
             for j in range(n_relays - lo):  # children of relay N are leaves
@@ -569,9 +597,10 @@ def batch_optimized(caps_batch: np.ndarray) -> dict[str, np.ndarray]:
         "rate": best.rate,
         "n_active": sizes[best.id],
         "best_id": best.id,
-        "n_singular": rejects[0],
-        "n_negative_rate": rejects[1],
-        "n_nonpositive_time": rejects[2],
+        "n_singular": counts[0],
+        "n_negative_rate": counts[1],
+        # every one of the 2^N subsets was judged once
+        "n_nonpositive_time": (1 << n_relays) - counts[0] - counts[1] - counts[2],
     }
 
 

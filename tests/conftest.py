@@ -86,6 +86,34 @@ def trial_outcomes(topology, scheme, snr, n_trials, base_seed, modes=montecarlo.
     }
 
 
+# -- relay-relay ordering oracle --------------------------------------------------
+
+
+def greedy_relay_relay_orders(links):
+    """(T, N) relay-relay orders of a (T, n, n) stack, one greedy step at a time.
+
+    The plain greedy loop, the reference for ``scenario.instantaneous_orders``
+    (which takes the first step straight from the source's links and places
+    the last relay by elimination): every step gathers the current node's
+    links, masks the relays already taken with -inf and takes the argmax, so
+    ties go to the smaller label.
+    """
+    n_trials, n, _ = links.shape
+    n_relays = n - 2
+    order = np.empty((n_trials, n_relays), dtype=np.intp)
+    taken = np.zeros((n_trials, n_relays), dtype=bool)
+    cur = np.zeros(n_trials, dtype=np.intp)  # source
+    rows = np.arange(n_trials)
+    for step in range(n_relays):
+        scores = links[rows, cur, 1 : n_relays + 1].copy()
+        scores[taken] = -np.inf
+        nxt = np.argmax(scores, axis=1)
+        order[:, step] = nxt + 1
+        taken[rows, nxt] = True
+        cur = nxt + 1
+    return order
+
+
 # -- batched brute-force oracles ----------------------------------------------
 #
 # Fresh rate matrix and forward substitution for every subset, with the

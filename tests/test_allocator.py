@@ -9,6 +9,7 @@ from relayalloc.allocator import (
     SingularMatrix,
     TimeAllocation,
     allocate,
+    copy_where,
     solve_lower_triangular,
     verify_equalization,
 )
@@ -245,3 +246,43 @@ class TestAllocationProperties:
                     pool_best = max(rates.values())
                     strict_best = max(v for k, v in rates.items() if k != sub)
                     assert pool_best == strict_best
+
+
+class TestCopyWhere:
+    """copy_where is np.where(mask, src, dst) written into dst, bit for bit."""
+
+    SPECIAL = {
+        np.float64: [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -1.5, 1.7e308],
+        np.int64: [0, -1, 1, np.iinfo(np.int64).min, np.iinfo(np.int64).max],
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    @pytest.mark.parametrize("density", [0.0, 0.5, 1.0])
+    def test_equals_where_bit_for_bit(self, rng, dtype, density):
+        special = np.array(self.SPECIAL[dtype], dtype=dtype)
+        n = 1000
+        if dtype is np.float64:
+            dst, src = rng.normal(size=n), rng.normal(size=n)
+        else:
+            dst, src = rng.integers(-(2**62), 2**62, size=(2, n))
+        # every special value against every other, and against ordinary ones
+        pairs = np.array(list(itertools.product(special, repeat=2)), dtype=dtype)
+        dst[: len(pairs)], src[: len(pairs)] = pairs.T
+        m = len(special)
+        dst[-2 * m : -m], src[-m:] = special, special
+        mask = rng.random(n) < density
+        for x in (src, src[7]):  # an array, and a scalar broadcast over dst
+            want = np.where(mask, x, dst)
+            got = dst.copy()
+            copy_where(got, x, mask)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_writes_through_a_view_and_leaves_src_alone(self):
+        buf = np.full((2, 4), -np.inf)
+        src = np.array([1.0, np.nan, -0.0, 2.0])
+        copy_where(buf[1], src, np.array([True, True, True, False]))
+        assert np.array_equal(buf[0], np.full(4, -np.inf))
+        assert np.array_equal(buf[1].view(np.int64),
+                              np.array([1.0, np.nan, -0.0, -np.inf]).view(np.int64))
+        assert np.array_equal(src, [1.0, np.nan, -0.0, 2.0], equal_nan=True)

@@ -11,6 +11,7 @@ from relayalloc.scenario import (
     draw_channel_powers_keyed,
     fading_params,
     grid_topology,
+    instantaneous_orders,
     linear_topology,
     pair_uniforms,
     permute_relays,
@@ -20,7 +21,7 @@ from relayalloc.scenario import (
 )
 from relayalloc.selector import brute_force_select
 
-from conftest import caps_from_links
+from conftest import caps_from_links, greedy_relay_relay_orders
 
 
 class TestTopologies:
@@ -221,6 +222,19 @@ class TestRenumber:
         )
         order = renumber(caps, NumberingScheme.INSTANTANEOUS_RELAY_RELAY)
         assert order == (2, 1, 3, 4)
+
+    @pytest.mark.parametrize("n_relays", range(1, 10))
+    def test_relay_relay_orders_match_greedy_loop(self, rng, n_relays):
+        # continuous links, then integers 0..2, where most steps tie
+        n = n_relays + 2
+        stacks = (
+            rng.random((300, n, n)),
+            rng.integers(0, 3, size=(300, n, n)).astype(float),
+            rng.random((n, n, 300)).transpose(2, 0, 1),  # link-major, as the sweep's
+        )
+        for links in stacks:
+            got = instantaneous_orders(links, NumberingScheme.INSTANTANEOUS_RELAY_RELAY)
+            assert np.array_equal(got, greedy_relay_relay_orders(links))
 
     def test_average_descending_identity_on_line(self):
         assert renumber(linear_topology(4), NumberingScheme.AVERAGE_DESCENDING) == (1, 2, 3, 4)

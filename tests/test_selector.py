@@ -833,9 +833,10 @@ def test_scalar_and_batched_selectors_agree(caps):
 
 # Cell codes of an offered block, read against the best before the offer:
 # a multiple of the tie tolerance away from it (0.0 is an exact tie), far
-# above it, far below it, or a rejected subset.
+# above it, +inf (a feasible rate from a denormal slot sum), far below it,
+# or a rejected subset.
 NEAR = (-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5)
-REACHING = (*NEAR, "above")
+REACHING = (*NEAR, "above", "+inf")
 SHORT = ("below", "-inf", "nan")
 
 
@@ -879,6 +880,8 @@ def block_rates(codes, dead, best, start):
                 rate[i, t] = 2.0 * b + 1.0
             elif code == "below":
                 rate[i, t] = b / 4.0 - 1.0 if np.isfinite(best[t]) else b / 4.0
+            elif code == "+inf":
+                rate[i, t] = np.inf
             elif code == "-inf":
                 rate[i, t] = -np.inf
             elif code == "nan":
@@ -897,11 +900,16 @@ def test_floor_merge_equals_full_width_merge(case):
     best = _Best(n_trials)
     want_rate = np.full(n_trials, -np.inf)
     want_id = np.full(n_trials, -1, dtype=np.int64)
-    for codes, dead, sid0 in blocks:
-        rate = block_rates(codes, dead, want_rate, start)
-        full_width_offer(want_rate, want_id, rate, sid0)
-        best.offer(rate, sid0)
-        assert np.array_equal(best.rate, want_rate)
-        assert np.array_equal(best.id, want_id)
-        # the tie test reads the floor, so it must be exactly this bound
-        assert np.array_equal(best.floor, best.rate - _tie_tol(best.rate))
+    # +inf rates make inf - inf in the tolerances, as in batch_optimized,
+    # which merges under the same errstate
+    with np.errstate(invalid="ignore"):
+        for codes, dead, sid0 in blocks:
+            rate = block_rates(codes, dead, want_rate, start)
+            full_width_offer(want_rate, want_id, rate, sid0)
+            best.offer(rate, sid0)
+            assert np.array_equal(best.rate, want_rate)
+            assert np.array_equal(best.id, want_id)
+            # the tie test reads the floor, so it must be exactly this bound;
+            # a best of +inf, taken as a tie, has the floor inf - inf = NaN
+            floor = best.rate - _tie_tol(best.rate)
+            assert np.array_equal(best.floor, floor, equal_nan=True)
