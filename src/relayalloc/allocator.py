@@ -78,7 +78,8 @@ class AllocationResult:
     can inspect which slot went nonpositive).  It is None for singular
     matrices, for a zero or non-finite slot sum, and when renormalizing
     overflows, which exact cancellations (small-integer capacities) can
-    cause.  Results come from ``judge``.
+    cause.  Results come from ``judge``, except ``equal_time_select``'s,
+    whose uniform slots are feasible by definition.
     """
 
     subset: RelaySubset
@@ -141,8 +142,8 @@ def judge(
     (``s <= 0``); else a nonpositive slot unless every ``u_i / s`` exceeds
     TIME_TOL.  No comparison with NaN holds, so a NaN slot sum falls in the
     last bucket instead of passing, and its rate is None, like a zero sum's.
-    ``node_rates`` is the same verdict on blocks of nodes; every scalar
-    AllocationResult comes from here.
+    ``node_rates`` is the same verdict on blocks of nodes.  Every scalar
+    AllocationResult but ``equal_time_select``'s comes from here.
     """
     if u is None:
         return AllocationResult(

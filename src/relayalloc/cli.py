@@ -21,6 +21,8 @@ from .rate_model import (
     snr_from_db,
 )
 from .scenario import (
+    AVERAGE_LAYOUTS,
+    AVERAGE_SCHEMES,
     NumberingScheme,
     Topology,
     draw_channel_powers_keyed,
@@ -343,10 +345,7 @@ def cmd_numbering(args) -> int:
     prefix = cfg["out_prefix"]
     all_curves: dict[str, dict] = {}
     for scheme in NumberingScheme:
-        if (
-            scheme in (NumberingScheme.AVERAGE_DESCENDING, NumberingScheme.AVERAGE_LINEAR)
-            and topo.layout not in ("linear", "grid")
-        ):
+        if scheme in AVERAGE_SCHEMES and topo.layout not in AVERAGE_LAYOUTS:
             print(
                 f"warning: skipping {scheme.value} numbering on {topo.layout} topology",
                 file=sys.stderr,

@@ -39,9 +39,7 @@ from .scenario import (
     Topology,
     draw_channel_powers_keyed,
     fading_params,
-    instantaneous_orders,
-    renumber,
-    trial_permutations,
+    trial_orders,
 )
 from .selector import NoFeasibleSolution, batch_equal_time, batch_optimized
 
@@ -122,7 +120,8 @@ def sweep(
     modes: tuple[str, ...] = MODES,
     parallel: int = 1,
 ) -> dict[str, OutageCurve]:
-    """Outage curves over an SNR grid (given in dB), one per requested mode.
+    """Outage curves over an SNR grid (given in dB), one per requested mode;
+    a mode named twice is evaluated once.
 
     The same per-trial channel draws are used at every grid point, and work
     is split over ``parallel`` processes by contiguous trial ranges.  Each
@@ -139,10 +138,12 @@ def sweep(
     snr_db = tuple(float(v) for v in snr_grid_db)
     snr_lin = tuple(snr_from_db(v) for v in snr_db)
     rank = _outage_rank(epsilon, n_trials)
+    if not modes:
+        raise ValueError("modes must be nonempty")
     for m in modes:
         if m not in MODES:
             raise ValueError(f"unknown mode {m!r}")
-    modes = tuple(modes)
+    modes = tuple(dict.fromkeys(modes))
     params = fading_params(topology)
     block_trials = _block_trials(len(snr_db), params.lam.shape[0])
 
@@ -301,7 +302,7 @@ def _ordered_powers(
     ``np.triu_indices`` order."""
     n = params.lam.shape[0]
     powers = draw_channel_powers_keyed(params, base_seed, count, start)
-    orders = _trial_orders(powers, topology, scheme, base_seed, start)
+    orders = trial_orders(powers, topology, scheme, base_seed, start)
     idx = np.column_stack([
         np.zeros(len(orders), dtype=np.intp), orders, np.full(len(orders), n - 1),
     ])
@@ -309,28 +310,6 @@ def _ordered_powers(
     # (pairs, 1) for a shared order, broadcast over the trials
     tx, rx = idx[:, iu].T, idx[:, ju].T
     return powers.transpose(1, 2, 0)[tx, rx, np.arange(count)]
-
-
-def _trial_orders(
-    powers: np.ndarray,
-    topology: Topology,
-    scheme: NumberingScheme,
-    base_seed: int,
-    start: int,
-) -> np.ndarray:
-    """Transmission orders, 1-based relay labels: (T, N), one per trial, or
-    (1, N) when every trial shares one order (average schemes, no relays).
-    Instantaneous orders come from the powers and hold for the whole grid.
-    """
-    n_trials, n, _ = powers.shape
-    n_relays = n - 2
-    if n_relays == 0:
-        return np.empty((1, 0), dtype=np.intp)
-    if scheme in (NumberingScheme.AVERAGE_DESCENDING, NumberingScheme.AVERAGE_LINEAR):
-        return np.array([renumber(topology, scheme)], dtype=np.intp)
-    if scheme is NumberingScheme.RANDOM:
-        return trial_permutations(base_seed, n_relays, n_trials, start)
-    return instantaneous_orders(powers, scheme)
 
 
 # -- output formats -----------------------------------------------------------

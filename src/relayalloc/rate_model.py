@@ -56,6 +56,8 @@ class LinkCapacityMatrix:
         # copied: the caller's arrays stay writeable
         caps = np.array(self.caps, dtype=float)
         mask = np.array(self.link_mask, dtype=bool)
+        if self.n_relays < 0:
+            raise ValueError(f"n_relays must be nonnegative, got {self.n_relays}")
         n = self.n_relays + 2
         if caps.shape != (n, n) or mask.shape != (n, n):
             raise ValueError(

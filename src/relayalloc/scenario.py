@@ -32,6 +32,11 @@ class NumberingScheme(enum.Enum):
     RANDOM = "random"
 
 
+# Schemes that give every trial one order, read from a linear or grid layout.
+AVERAGE_SCHEMES = (NumberingScheme.AVERAGE_DESCENDING, NumberingScheme.AVERAGE_LINEAR)
+AVERAGE_LAYOUTS = ("linear", "grid")
+
+
 @dataclass(frozen=True)
 class Topology:
     """Node coordinates (source first, destination last) and path-loss exponent."""
@@ -242,34 +247,52 @@ def trial_permutations(
 # -- numbering ---------------------------------------------------------------
 
 
-def renumber(
-    caps_or_topology: LinkCapacityMatrix | Topology,
+def trial_orders(
+    powers: np.ndarray,
+    topology: Topology,
     scheme: NumberingScheme,
-    rng: Generator | None = None,
+    base_seed: int,
+    start: int = 0,
+) -> np.ndarray:
+    """Transmission orders, 1-based relay labels, of trials [start, start+T)
+    with (T, n, n) channel ``powers``: (T, N), or (1, N) when every trial
+    shares one order (average schemes, no relays).  Instantaneous orders
+    come from the powers, so they hold at every SNR; random ones are the
+    trials' keyed ``trial_permutations``.
+    """
+    n_trials, n, _ = powers.shape
+    n_relays = n - 2
+    if n_relays == 0:
+        return np.empty((1, 0), dtype=np.intp)
+    if scheme in AVERAGE_SCHEMES:
+        return np.array([renumber(topology, scheme)], dtype=np.intp)
+    if scheme is NumberingScheme.RANDOM:
+        return trial_permutations(base_seed, n_relays, n_trials, start)
+    return instantaneous_orders(powers, scheme)
+
+
+def renumber(
+    caps_or_topology: LinkCapacityMatrix | Topology, scheme: NumberingScheme
 ) -> tuple[int, ...]:
     """Transmission order for the relays (a permutation of 1..N).
 
     Position k of the result names the relay that transmits (k+1)-th.
     Average schemes need a linear or grid Topology; instantaneous schemes
-    need a LinkCapacityMatrix; the random scheme needs ``rng``.
+    need a LinkCapacityMatrix.  Random orders exist only per trial, from
+    ``trial_permutations``.
     """
-    if scheme in (NumberingScheme.AVERAGE_DESCENDING, NumberingScheme.AVERAGE_LINEAR):
+    if scheme in AVERAGE_SCHEMES:
         if not isinstance(caps_or_topology, Topology):
             raise ValueError(f"{scheme.value} numbering requires a Topology")
         topo = caps_or_topology
-        if topo.layout not in ("linear", "grid"):
+        if topo.layout not in AVERAGE_LAYOUTS:
             raise ValueError(
                 f"{scheme.value} numbering requires a linear or grid layout, "
                 f"got {topo.layout!r}"
             )
         return _average_order(topo, serpentine=scheme is NumberingScheme.AVERAGE_LINEAR)
-
     if scheme is NumberingScheme.RANDOM:
-        if rng is None:
-            raise ValueError("random numbering requires a seeded generator")
-        n = caps_or_topology.n_relays
-        return tuple(int(v) + 1 for v in rng.permutation(n))
-
+        raise ValueError("random orders are drawn per trial: use trial_permutations")
     if not isinstance(caps_or_topology, LinkCapacityMatrix):
         raise ValueError(f"{scheme.value} numbering requires a LinkCapacityMatrix")
     return tuple(int(r) for r in instantaneous_orders(caps_or_topology.caps[None], scheme)[0])

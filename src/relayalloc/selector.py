@@ -208,16 +208,15 @@ def extend_solution(blocks: InverseBlocks) -> tuple[TimeAllocation, float]:
     return times, 1.0 / s
 
 
-def _beats(rate_new: float, sub_new: tuple, rate_old: float, sub_old: tuple | None) -> bool:
-    """Tie-tolerant comparison: higher rate wins; ties prefer fewer relays, then lex order."""
-    if sub_old is None:
+def _beats(rate: float, sub: tuple, best_rate: float, best_sub: tuple) -> bool:
+    """``_Best.offer``'s take rule on scalars: ``rate`` wins if higher than
+    the best by more than its own tie tolerance, or if it reaches the best's
+    floor (the best rate less its tolerance) and ``sub`` comes earlier in
+    ``subsets_by_size`` order.  Searches start from the best (-inf, ())."""
+    if rate > best_rate + RATE_TIE_TOL * max(rate, 1.0):
         return True
-    tol = RATE_TIE_TOL * max(1.0, abs(rate_new), abs(rate_old))
-    if rate_new > rate_old + tol:
-        return True
-    if rate_new < rate_old - tol:
-        return False
-    return (len(sub_new), sub_new) < (len(sub_old), sub_old)
+    floor = best_rate - RATE_TIE_TOL * max(best_rate, 1.0)
+    return rate >= floor and (len(sub), sub) < (len(best_sub), best_sub)
 
 
 def subsets_by_size(n_relays: int):
@@ -228,7 +227,7 @@ def subsets_by_size(n_relays: int):
 
 def brute_force_select(caps: LinkCapacityMatrix) -> OptimizationOutcome:
     """Exhaustive oracle: fresh rate matrix and solve for every subset."""
-    best: AllocationResult | None = None
+    best_rate, best_sub, best = -math.inf, (), None
     ops = 0
     count = 0
     for sub in subsets_by_size(caps.n_relays):
@@ -236,10 +235,8 @@ def brute_force_select(caps: LinkCapacityMatrix) -> OptimizationOutcome:
         if sub:
             ops += op_count(len(sub))
         result = allocate(build_rate_matrix(caps, RelaySubset(sub)), RelaySubset(sub))
-        if result.feasible and _beats(
-            result.rate, sub, best.rate if best else 0.0, best.subset.indices if best else None
-        ):
-            best = result
+        if result.feasible and _beats(result.rate, sub, best_rate, best_sub):
+            best_rate, best_sub, best = result.rate, sub, result
     if best is None:
         raise NoFeasibleSolution("no relay subset nor direct transmission is feasible")
     return OptimizationOutcome(
@@ -285,7 +282,7 @@ def recursive_select(
     pruned = 0
     ops = 0
     # the best node so far: rate, subset, unnormalized slots and their sum
-    best_rate, best_sub, best_slots, best_s = 0.0, None, None, None
+    best_rate, best_sub, best_slots, best_s = -math.inf, (), None, None
 
     def visit(chain, h, s_fixed, min_fixed, max_fixed, slots, blocks):
         # h[i] belongs to node last + 1 + i, the last entry to the destination
@@ -343,7 +340,7 @@ def recursive_select(
         trace.append(((), judge(RelaySubset(()), best_slots, best_s), root))
     visit((), [0.0] * (n + 1), 0.0, math.inf, -math.inf, (), root)
 
-    if best_sub is None:
+    if best_slots is None:
         raise NoFeasibleSolution("no relay subset nor direct transmission is feasible")
     return OptimizationOutcome(
         best=judge(RelaySubset(best_sub), best_slots, best_s),
@@ -430,20 +427,21 @@ def _subset_ids(n_relays: int) -> tuple[dict[tuple, int], np.ndarray]:
 
 
 def _tie_tol(r: np.ndarray) -> np.ndarray:
-    # the _beats tolerance for the largest of the compared rates; rates are
-    # nonnegative or -inf (no candidate), which counts as magnitude 0
+    # a rate's own tie tolerance, as in _beats; rates are nonnegative or
+    # -inf (no candidate), which counts as magnitude 0
     return RATE_TIE_TOL * np.maximum(r, 1.0)
 
 
 class _Best:
     """Per-trial best subset so far, under the tie rule of ``_beats``.
 
-    Every offered subset is judged, but the merge reads only the trials
-    whose block maximum reaches ``floor``, the best rate less its tie
-    tolerance (``rate - _tie_tol(rate)``, kept for every trial).  This is
-    exact: a block's candidate is at most its maximum, and a rate below the
-    floor is neither higher than the best by more than the tolerance nor
-    tied with it, so the trials skipped would have kept their best anyway.
+    It starts from the empty subset's (T,) rates: a finite one is its
+    trial's best, index 0, and the rest start at -inf, index -1, which only
+    a finite rate beats.  The merge reads only the trials whose block
+    maximum reaches ``floor``, the best rate less its tie tolerance.  This
+    is exact: a block's candidate is at most its maximum, and a rate below
+    the floor is neither higher than the best by more than the tolerance
+    nor tied with it, so the trials skipped would have kept their best.
 
     The merge writes the taken trials with ``copy_where``, not masked
     copies.  On sweep-deep's 16025-column blocks 50-90% of the trials are
@@ -452,34 +450,24 @@ class _Best:
     branch-free select of the same bits.
     """
 
-    def __init__(self, n_trials: int):
-        self.rate = np.full(n_trials, -np.inf)
-        self.id = np.full(n_trials, -1, dtype=np.int64)
-        self.floor = np.full(n_trials, -np.inf)
-        self._trials = np.arange(n_trials)
-        self._empty = True
+    def __init__(self, rate: np.ndarray):
+        finite = np.isfinite(rate)
+        self.rate = np.where(finite, rate, -np.inf)
+        self.id = finite.astype(np.int64) - 1
+        self.floor = self.rate - _tie_tol(self.rate)
+        self._trials = np.arange(len(rate))
 
     def offer(self, rate: np.ndarray, sid0: int) -> None:
         """Merge a (k, T) block of sibling rates into the best, in place.
 
         Row j is the subset with index ``sid0 + j``; -inf marks a rejected
         subset.  The block's candidate is its first rate tied with the block
-        maximum.  It replaces the best when higher by more than the tie
-        tolerance, or when tied and earlier in ``subsets_by_size`` order, so
-        the walk's visiting order does not decide ties.
+        maximum.  It replaces the best when higher by more than its own tie
+        tolerance, or when it reaches the best's floor and comes earlier in
+        ``subsets_by_size`` order, so the walk's visiting order does not
+        decide ties.
         """
         top = rate[0] if len(rate) == 1 else np.fmax.reduce(rate, axis=0)
-        if self._empty:
-            # against no best the rule takes exactly the finite candidates:
-            # r > -inf + tol fails for -inf and NaN, and for +inf, whose
-            # tolerance makes the bound NaN
-            self._empty = False
-            r, sid = self._candidate(rate, top, sid0, slice(None))
-            take = np.isfinite(r)
-            copy_where(self.rate, r, take)
-            copy_where(self.id, sid, take)
-            np.subtract(self.rate, _tie_tol(self.rate), out=self.floor)
-            return
         hit = top >= self.floor
         n_hit = np.count_nonzero(hit)
         if not n_hit:
@@ -553,14 +541,13 @@ def batch_optimized(caps_batch: np.ndarray) -> dict[str, np.ndarray]:
     n_relays = n - 2
     dest = n - 1
     ids, sizes = _subset_ids(n_relays)
-    best = _Best(n_trials)
     # per trial: singular, rate <= 0 and feasible nodes (see node_rates)
     counts = np.zeros((3, n_trials), dtype=np.int64)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         direct = a[None, 0, dest]
         u_direct = 1.0 / direct
-        best.offer(node_rates(direct <= SINGULARITY_TOL, u_direct, u_direct, counts), 0)
+        best = _Best(node_rates(direct <= SINGULARITY_TOL, u_direct, u_direct, counts)[0])
 
         # A stack entry is a node waiting to have its children evaluated; its
         # own h is derived from its parent's block when it is popped, so only
@@ -620,9 +607,7 @@ def batch_equal_time(caps_batch: np.ndarray) -> dict[str, np.ndarray]:
     n_relays = n - 2
     dest = n - 1
     ids, sizes = _subset_ids(n_relays)
-    best = _Best(n_trials)
-
-    best.offer(a[None, 0, dest], 0)
+    best = _Best(a[0, dest])
     stack = [((), a[0, 1:], 0.0, np.inf)] if n_relays else []
     while stack:
         chain, e_parent, a_row, min_chain = stack.pop()

@@ -302,17 +302,13 @@ def recursive_select_blocks(
     evaluated = 0
     pruned = 0
     ops = 0
-    best: AllocationResult | None = None
+    best_rate, best_sub, best = -math.inf, (), None
 
     def consider(result: AllocationResult) -> None:
-        nonlocal best
-        if result.feasible and _beats(
-            result.rate,
-            result.subset.indices,
-            best.rate if best else 0.0,
-            best.subset.indices if best else None,
-        ):
-            best = result
+        nonlocal best_rate, best_sub, best
+        sub = result.subset.indices
+        if result.feasible and _beats(result.rate, sub, best_rate, best_sub):
+            best_rate, best_sub, best = result.rate, sub, result
 
     def visit(blocks: InverseBlocks) -> None:
         nonlocal evaluated, pruned, ops

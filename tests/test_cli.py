@@ -71,6 +71,11 @@ class TestOptimize:
         assert main(["optimize", "--instance", path]) == 2
         path = write_json(tmp_path / "short.json", {"n_relays": 2, "capacities": [1, 2, 3]})
         assert main(["optimize", "--instance", path]) == 2
+        # the (n_relays + 2)^2 capacities match, but a pool cannot be negative
+        for doc in ({"n_relays": -1, "capacities": [0]}, {"n_relays": -2, "capacities": []}):
+            path = write_json(tmp_path / "neg.json", doc)
+            assert main(["optimize", "--instance", path]) == 2
+            assert "n_relays must be nonnegative" in capsys.readouterr().err
         assert main(["optimize", "--instance", str(tmp_path / "nope.json")]) == 2
 
     def test_nonfinite_capacity_exits_2(self, tmp_path, capsys):
@@ -231,7 +236,11 @@ class TestSimulate:
             {"topology": {"type": "linear", "n_relays": 1}, "modes": ["bogus"]},
         )
         assert main(["simulate", "--config", path]) == 2
-
+        path = write_json(
+            tmp_path / "c4.json", {"topology": {"type": "linear", "n_relays": 1}, "modes": []}
+        )
+        assert main(["simulate", "--config", path]) == 2
+        assert "modes must be nonempty" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value", [
         ("snr_db", 10), ("snr_db", "0, 10"), ("n_trials", [300]), ("n_trials", 1e400),

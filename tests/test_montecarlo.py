@@ -114,6 +114,21 @@ class TestRunTrials:
         with pytest.raises(ValueError, match="unknown mode 'bogus'"):
             sweep(linear_topology(1), DESC, [0], 100, 0.1, 0, modes=("optimized", "bogus"))
 
+    def test_repeated_mode_is_evaluated_once(self, monkeypatch):
+        # 300 trials at 2 SNR points are one 600-column block
+        calls = []
+
+        def counted(caps):
+            calls.append(len(caps))
+            return batch_optimized(caps)
+
+        monkeypatch.setattr(montecarlo, "batch_optimized", counted)
+        twice = sweep(linear_topology(2), DESC, [0, 10], 300, 0.05, 7,
+                      modes=("optimized", "optimized"))
+        assert calls == [600]
+        once = sweep(linear_topology(2), DESC, [0, 10], 300, 0.05, 7, modes=("optimized",))
+        assert twice == once
+
 
 class TestSweep:
     def test_optimized_dominates_equal_time_pointwise(self):

@@ -102,6 +102,15 @@ class TestLinkCapacityMatrix:
         with pytest.raises(ValueError, match="finite"):
             LinkCapacityMatrix(n_relays=1, caps=caps, link_mask=~np.eye(3, dtype=bool))
 
+    @pytest.mark.parametrize("n_relays", [-1, -2])
+    def test_negative_pool_rejected(self, n_relays):
+        # the (n_relays + 2)^2 arrays match, so only the count can refuse them
+        n = n_relays + 2
+        with pytest.raises(ValueError, match="n_relays must be nonnegative"):
+            LinkCapacityMatrix(
+                n_relays=n_relays, caps=np.zeros((n, n)), link_mask=np.zeros((n, n), dtype=bool)
+            )
+
     def test_callers_arrays_stay_writeable(self):
         caps = np.array([[0.0, 2.0, 1.0], [2.0, 0.0, 3.0], [1.0, 3.0, 0.0]])
         mask = ~np.eye(3, dtype=bool)

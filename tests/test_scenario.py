@@ -17,6 +17,7 @@ from relayalloc.scenario import (
     permute_relays,
     random_topology,
     renumber,
+    trial_orders,
     trial_permutations,
 )
 from relayalloc.selector import brute_force_select
@@ -256,23 +257,23 @@ class TestRenumber:
         with pytest.raises(ValueError):
             renumber(topo, NumberingScheme.AVERAGE_DESCENDING)
 
-    def test_random_is_seeded_permutation(self):
+    def test_random_has_only_per_trial_orders(self):
+        # random orders are keyed per trial (trial_permutations), never drawn
+        # for one matrix
         topo = grid_topology(2)
-        a = renumber(topo, NumberingScheme.RANDOM, np.random.default_rng(4))
-        b = renumber(topo, NumberingScheme.RANDOM, np.random.default_rng(4))
-        assert a == b
-        assert sorted(a) == [1, 2, 3, 4]
-        with pytest.raises(ValueError):
-            renumber(topo, NumberingScheme.RANDOM)
+        caps = build_capacity_matrix(
+            draw_channel_powers_keyed(fading_params(topo), 3, 1)[0], None, SnrConfig(10.0)
+        )
+        for src in (topo, caps):
+            with pytest.raises(ValueError, match="trial_permutations"):
+                renumber(src, NumberingScheme.RANDOM)
 
     def test_every_scheme_returns_permutation(self):
         topo = grid_topology(2)
         params = fading_params(topo)
-        powers = draw_channel_powers_keyed(params, 3, 1)[0]
-        caps = build_capacity_matrix(powers, None, SnrConfig(10.0))
+        powers = draw_channel_powers_keyed(params, 3, 1)
         for scheme in NumberingScheme:
-            src = topo if scheme.value.startswith("average") else caps
-            order = renumber(src, scheme, rng=np.random.default_rng(0))
+            order = tuple(trial_orders(powers, topo, scheme, 0)[0])
             assert sorted(order) == [1, 2, 3, 4]
 
     def test_heuristics_never_beat_exhaustive_numbering(self):
@@ -280,7 +281,6 @@ class TestRenumber:
         topo = grid_topology(2)
         params = fading_params(topo)
         for powers in draw_channel_powers_keyed(params, 3, 5):
-            caps = build_capacity_matrix(powers, None, SnrConfig(10.0))
             best_any = max(
                 brute_force_select(
                     build_capacity_matrix(
@@ -290,8 +290,7 @@ class TestRenumber:
                 for perm in itertools.permutations(range(1, 5))
             )
             for scheme in NumberingScheme:
-                src = topo if scheme.value.startswith("average") else caps
-                order = renumber(src, scheme, rng=np.random.default_rng(1))
+                order = tuple(trial_orders(powers[None], topo, scheme, 1)[0])
                 rate = brute_force_select(
                     build_capacity_matrix(permute_relays(powers, order), None, SnrConfig(10.0))
                 ).best.rate

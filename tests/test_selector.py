@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from relayalloc.scenario import (
 from relayalloc.selector import (
     RATE_TIE_TOL,
     NoFeasibleSolution,
+    _beats,
     _Best,
     _tie_tol,
     batch_equal_time,
@@ -838,19 +840,30 @@ def test_scalar_and_batched_selectors_agree(caps):
 NEAR = (-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5)
 REACHING = (*NEAR, "above", "+inf")
 SHORT = ("below", "-inf", "nan")
+# Cell codes of the empty subset's row: a finite rate (the trial's start
+# rate) or a non-finite one.
+ROOT = ("start", "-inf", "nan", "+inf")
 
 
 @st.composite
 def offer_sequences(draw):
-    """Trial count, per-trial start rates and blocks to offer to a _Best.
+    """Trial count, per-trial start rates, the empty subset's row and blocks
+    to offer to a _Best.
 
-    A block has 1 to 5 rows and is one of: no trial may reach the floor,
-    fewer than a quarter may, or every trial may.  Some rows are wholly
-    rejected (-inf) or NaN.
+    The empty subset's row is all -inf or mixes finite, -inf, NaN and +inf
+    rates.  A block has 1 to 5 rows and is one of: no trial may reach the
+    floor, fewer than a quarter may, or every trial may.  Some rows are
+    wholly rejected (-inf) or NaN.
     """
     n_trials = draw(st.integers(8, 24))
     start = draw(st.lists(st.sampled_from((0.25, 1.0, 3.0, 1e3)),
                           min_size=n_trials, max_size=n_trials))
+    if draw(st.booleans()):
+        root = np.full(n_trials, -np.inf)
+    else:
+        codes = draw(st.lists(st.sampled_from(ROOT), min_size=n_trials, max_size=n_trials))
+        values = {"-inf": -np.inf, "nan": np.nan, "+inf": np.inf}
+        root = np.array([values.get(c, s) for c, s in zip(codes, start)])
     blocks = []
     for _ in range(draw(st.integers(1, 10))):
         k = draw(st.sampled_from((1, 1, 2, 3, 5)))
@@ -866,7 +879,7 @@ def offer_sequences(draw):
         ]
         dead = draw(st.sampled_from((None, -np.inf, np.nan)))
         blocks.append((codes, dead, draw(st.integers(0, 40))))
-    return n_trials, np.array(start), blocks
+    return n_trials, np.array(start), root, blocks
 
 
 def block_rates(codes, dead, best, start):
@@ -896,20 +909,62 @@ def block_rates(codes, dead, best, start):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(offer_sequences())
 def test_floor_merge_equals_full_width_merge(case):
-    n_trials, start, blocks = case
-    best = _Best(n_trials)
-    want_rate = np.full(n_trials, -np.inf)
-    want_id = np.full(n_trials, -1, dtype=np.int64)
+    n_trials, start, root, blocks = case
     # +inf rates make inf - inf in the tolerances, as in batch_optimized,
     # which merges under the same errstate
     with np.errstate(invalid="ignore"):
-        for codes, dead, sid0 in blocks:
-            rate = block_rates(codes, dead, want_rate, start)
-            full_width_offer(want_rate, want_id, rate, sid0)
-            best.offer(rate, sid0)
+        best = _Best(root)
+        # the full-width merge starts from no candidate and takes the empty
+        # subset's row as its first block
+        want_rate = np.full(n_trials, -np.inf)
+        want_id = np.full(n_trials, -1, dtype=np.int64)
+        full_width_offer(want_rate, want_id, root[None], 0)
+
+        def check():
             assert np.array_equal(best.rate, want_rate)
             assert np.array_equal(best.id, want_id)
             # the tie test reads the floor, so it must be exactly this bound;
             # a best of +inf, taken as a tie, has the floor inf - inf = NaN
             floor = best.rate - _tie_tol(best.rate)
             assert np.array_equal(best.floor, floor, equal_nan=True)
+
+        check()
+        for codes, dead, sid0 in blocks:
+            rate = block_rates(codes, dead, want_rate, start)
+            full_width_offer(want_rate, want_id, rate, sid0)
+            best.offer(rate, sid0)
+            check()
+
+
+# One-trial offers for the scalar rule: every code but the rejected ones,
+# which the scalar searches never offer.
+SCALAR_CODES = (*REACHING, "below")
+
+
+def assert_beats_matches_full_width(start, offers):
+    """Apply ``_beats`` to (code, subset index) offers in sequence from the
+    start (-inf, ()) and compare each step with ``full_width_offer`` on a
+    one-trial, one-row block, which starts from (-inf, -1)."""
+    subsets = list(subsets_by_size(5))
+    best_rate, best_sub = -np.inf, ()
+    want_rate = np.full(1, -np.inf)
+    want_id = np.full(1, -1, dtype=np.int64)
+    for code, sid in offers:
+        rate = block_rates([[code]], None, want_rate, np.array([start]))
+        full_width_offer(want_rate, want_id, rate, sid)
+        r = float(rate[0, 0])
+        if _beats(r, subsets[sid], best_rate, best_sub):
+            best_rate, best_sub = r, subsets[sid]
+        assert best_rate == want_rate[0], (offers, code, sid)
+        assert (subsets.index(best_sub) if best_rate > -np.inf else -1) == want_id[0]
+
+
+def test_beats_is_the_merge_rule():
+    # every three codes from the -inf start, each subset earlier, later or
+    # the same as the one before
+    with np.errstate(invalid="ignore"):
+        for start in (0.25, 1e3):
+            for codes in itertools.product(SCALAR_CODES, repeat=3):
+                for sids in ((9, 4, 0), (0, 4, 9), (4, 4, 4), (4, 9, 0)):
+                    assert_beats_matches_full_width(start, list(zip(codes, sids)))
+
