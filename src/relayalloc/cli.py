@@ -126,6 +126,11 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _numbers(value) -> np.ndarray:
+    """A JSON number or (nested) list of numbers, as a float array."""
+    return np.asarray(value, dtype=float)
+
+
 def _text(value) -> str:
     """A JSON string, taken as is."""
     if not isinstance(value, str):
@@ -178,7 +183,8 @@ def parse_topology(spec: dict) -> Topology:
                 _field(spec, "seed", _integer, "an integer"), p_a=p_a, scale=scale,
             )
         if kind == "custom":
-            return Topology(positions=np.asarray(spec["positions"], dtype=float), p_a=p_a)
+            pos = _field(spec, "positions", _numbers, "a list of [x, y] pairs")
+            return Topology(positions=pos, p_a=p_a)
     except KeyError as exc:
         raise ConfigError(f"topology spec missing field {exc}") from None
     raise ConfigError(f"unknown topology type {kind!r}")
@@ -195,7 +201,7 @@ def load_instance(path: str) -> LinkCapacityMatrix:
         if "n_relays" not in doc:
             raise ConfigError(f"{path}: 'n_relays' required with 'capacities'")
         n = _field(doc, "n_relays", _integer, "an integer") + 2
-        caps = np.asarray(doc["capacities"], dtype=float)
+        caps = _field(doc, "capacities", _numbers, "a list of numbers")
         if caps.size != n * n:
             raise ConfigError(
                 f"{path}: expected {n * n} capacities for {doc['n_relays']} relays, "

@@ -49,6 +49,10 @@ class Topology:
         pos = np.array(self.positions, dtype=float)  # copied: the caller's array stays writeable
         if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 2:
             raise ValueError(f"positions must be (n >= 2, 2), got {pos.shape}")
+        if not np.isfinite(pos).all():
+            bad = np.flatnonzero(~np.isfinite(pos).all(axis=1))
+            where = ", ".join(f"node {i} at {tuple(pos[i].tolist())}" for i in bad)
+            raise ValueError(f"positions must be finite: {where}")
         if not self.p_a > 0:
             raise ValueError(f"path-loss exponent must be positive, got {self.p_a}")
         pos.setflags(write=False)
@@ -166,7 +170,19 @@ def fading_params(topology: Topology) -> FadingParams:
     if np.any(dist[off] == 0.0):
         i, j = np.argwhere((dist == 0.0) & off)[0]
         raise ValueError(f"nodes {i} and {j} are coincident")
-    lam = dist**topology.p_a
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        lam = dist**topology.p_a
+        np.fill_diagonal(lam, 1.0)
+        # lambda and the mean power 1/lambda must be finite; lambda >= 0, so
+        # a finite 1/lambda also makes it positive
+        ok = np.isfinite(lam) & np.isfinite(1.0 / lam)
+    if not ok.all():
+        i, j = np.argwhere(~ok)[0]
+        raise ValueError(
+            f"nodes {i} and {j}: lambda = d^p_a = {dist[i, j]:g}^{topology.p_a:g} is "
+            f"{lam[i, j]:g}, but lambda and the mean power 1/lambda must be positive "
+            f"and finite; lower p_a or move the nodes"
+        )
     np.fill_diagonal(lam, np.inf)
     return FadingParams(lam=lam)
 

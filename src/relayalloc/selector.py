@@ -266,85 +266,117 @@ def recursive_select(
     nonpositive, every descendant inherits that slot, so the subtree is
     skipped.  A broken decode-chain link likewise kills the subtree; a
     missing last-relay-to-destination link only rejects the node itself.
+    Every subset is either visited or inside a skipped subtree, so the
+    number evaluated is 2^N less the number pruned.
 
     A node is feasible when ``s > 0`` and its smallest slot over ``s``
     exceeds TIME_TOL, which is ``judge``'s verdict written inline: a call per
-    node would cost more than the node.  ``trace``, if given, collects
-    (subset, result, blocks) triples for every node visited; only then are
-    each node's ``InverseBlocks`` built and its slots passed to ``judge``.
+    node would cost more than the node.  A node is judged, and offered to
+    ``_beats``, only when its rate reaches the best's floor, the best rate
+    less its tie tolerance, as ``_Best`` filters its merge: a rate below the
+    floor can neither win nor tie, so the filter is exact.  A node's subset
+    and slots become tuples only when it recurses, takes the best or is
+    traced, and its smallest slot is taken by comparisons in ``min``'s
+    order, so NaN and signed zeros fall as they would.  ``trace``,
+    if given, collects (subset, result, blocks) triples for every node
+    visited; only then are each node's ``InverseBlocks`` built and its slots
+    passed to ``judge``.
     """
     n = caps.n_relays
     dest = n + 1
     a = caps.caps.tolist()
+    # per node c: its destination link and the size of the subtree below it
+    a_dest = [row[dest] for row in a]
+    below = [(1 << (n - c)) - 1 for c in range(n + 1)]
     # ops_at[m]: the reported cost of one step from an m-relay node to a child
     ops_at = [op_count(q) for q in range(1, n + 2)]
-    evaluated = 1
     pruned = 0
     ops = 0
-    # the best node so far: rate, subset, unnormalized slots and their sum
+    # the best node so far: rate, subset, unnormalized slots and their sum,
+    # and its floor, as _beats computes it
     best_rate, best_sub, best_slots, best_s = -math.inf, (), None, None
+    best_floor = -math.inf
 
-    def visit(chain, h, s_fixed, min_fixed, max_fixed, slots, blocks):
+    def visit(chain, last, h, s_fixed, min_fixed, max_fixed, slots, blocks):
+        # last is the chain's last node (0, the source, for the empty chain);
         # h[i] belongs to node last + 1 + i, the last entry to the destination
-        nonlocal evaluated, pruned, ops, best_rate, best_sub, best_slots, best_s
-        last = chain[-1] if chain else 0
+        nonlocal pruned, ops, best_rate, best_sub, best_slots, best_s, best_floor
         row = a[last]
-        op = ops_at[len(chain)]
-        for i, c in enumerate(range(last + 1, dest)):
-            evaluated += 1
-            sub = (*chain, c)
-            t11 = row[c]
+        h_dest = h[-1]
+        a_last_dest = row[dest]
+        broken = 0
+        child_blocks = None  # built only for a trace
+        for c, h_c, t11 in zip(range(last + 1, dest), h, row[last + 1:dest]):
             if t11 <= SINGULARITY_TOL:
                 # chain link into relay c is absent: every descendant is singular
-                pruned += (1 << (n - c)) - 1
+                broken += 1
+                pruned += below[c]
                 if trace is not None:
-                    trace.append((sub, None, None))
+                    trace.append(((*chain, c), None, None))
                 continue
-            ops += op
-            u = (1.0 - h[i]) / t11
-            child_slots = (*slots, u)
+            u = (1.0 - h_c) / t11
             s_chain = s_fixed + u
-            t22 = a[c][dest]
-            node_slots = s = None  # a missing destination link: singular
-            skip = False
+            t22 = a_dest[c]
             if t22 > SINGULARITY_TOL:
-                u_dest = (1.0 - (h[-1] + row[dest] * u)) / t22
-                node_slots = (*child_slots, u_dest)
+                u_dest = (1.0 - (h_dest + a_last_dest * u)) / t22
                 s = s_chain + u_dest
-                # a NaN slot makes s NaN, which fails s > 0
-                if s > 0.0 and min(min_fixed, u, u_dest) / s > TIME_TOL:
+                if s > 0.0:
+                    # below the floor no verdict is needed; the smallest slot
+                    # is min(min_fixed, u, u_dest), compared in that order
                     rate = 1.0 / s
-                    if _beats(rate, sub, best_rate, best_sub):
-                        best_rate, best_sub, best_slots, best_s = rate, sub, node_slots, s
-                # the slots fixed by the parent belong to every descendant
-                if s != 0.0:
-                    skip = (min_fixed if s > 0.0 else max_fixed) / s <= 0.0
-            if trace is not None:
-                child_blocks = _extend_blocks(blocks, caps.caps, dest, c)
-                trace.append((sub, judge(RelaySubset(sub), node_slots, s), child_blocks))
+                    if rate >= best_floor:
+                        low = min_fixed
+                        if u < low:
+                            low = u
+                        if u_dest < low:
+                            low = u_dest
+                        if low / s > TIME_TOL:
+                            sub = (*chain, c)
+                            if _beats(rate, sub, best_rate, best_sub):
+                                best_rate, best_sub, best_s = rate, sub, s
+                                best_slots = (*slots, u, u_dest)
+                                best_floor = best_rate - RATE_TIE_TOL * max(best_rate, 1.0)
+                    # the slots fixed by the parent belong to every descendant
+                    skip = min_fixed / s <= 0.0
+                else:
+                    # a NaN slot makes s NaN, which fails s > 0 and this test
+                    skip = s != 0.0 and max_fixed / s <= 0.0
             else:
-                child_blocks = None
+                skip = False
+            if trace is not None:
+                sub = (*chain, c)
+                child_blocks = _extend_blocks(blocks, caps.caps, dest, c)
+                if t22 > SINGULARITY_TOL:
+                    result = judge(RelaySubset(sub), (*slots, u, u_dest), s)
+                else:  # a missing destination link: singular
+                    result = judge(RelaySubset(sub), None, None)
+                trace.append((sub, result, child_blocks))
             if skip:
-                pruned += (1 << (n - c)) - 1
+                pruned += below[c]
             elif c < n:
-                h_child = [hk + ak * u for hk, ak in zip(h[i + 1:], row[c + 1:])]
-                visit(sub, h_child, s_chain, min(min_fixed, u), max(max_fixed, u),
-                      child_slots, child_blocks)
+                h_child = [hk + ak * u for hk, ak in zip(h[c - last:], row[c + 1:])]
+                visit((*chain, c), c, h_child, s_chain,
+                      u if u < min_fixed else min_fixed,
+                      u if u > max_fixed else max_fixed,
+                      (*slots, u), child_blocks)
+        ops += ops_at[len(chain)] * (n - last - broken)
 
     direct = a[0][dest]
     root = root_blocks(caps) if trace is not None else None
     if direct > SINGULARITY_TOL:
         u = 1.0 / direct
         best_rate, best_sub, best_slots, best_s = 1.0 / u, (), (u,), u
+        best_floor = best_rate - RATE_TIE_TOL * max(best_rate, 1.0)
     if trace is not None:
         trace.append(((), judge(RelaySubset(()), best_slots, best_s), root))
-    visit((), [0.0] * (n + 1), 0.0, math.inf, -math.inf, (), root)
+    visit((), 0, [0.0] * (n + 1), 0.0, math.inf, -math.inf, (), root)
 
     if best_slots is None:
         raise NoFeasibleSolution("no relay subset nor direct transmission is feasible")
     return OptimizationOutcome(
         best=judge(RelaySubset(best_sub), best_slots, best_s),
-        candidates_evaluated=evaluated, candidates_pruned=pruned, op_count_reported=ops,
+        candidates_evaluated=(1 << n) - pruned, candidates_pruned=pruned,
+        op_count_reported=ops,
     )
 
 

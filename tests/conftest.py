@@ -10,6 +10,7 @@ from relayalloc.allocator import (
     AllocationResult,
     RejectReason,
     TimeAllocation,
+    judge,
     slot_times,
 )
 from relayalloc.rate_model import LinkCapacityMatrix, RelaySubset
@@ -350,4 +351,87 @@ def recursive_select_blocks(
     return OptimizationOutcome(
         best=best, candidates_evaluated=evaluated, candidates_pruned=pruned,
         op_count_reported=ops,
+    )
+
+
+# -- per-node recursive search oracle ---------------------------------------------
+
+
+def recursive_select_per_node(
+    caps: LinkCapacityMatrix, trace: list | None = None
+) -> OptimizationOutcome:
+    """The float walk of ``selector.recursive_select`` in its plain form.
+
+    Every visited node builds its subset and slot tuples, takes its smallest
+    and largest slots with the builtin ``min`` and ``max``, offers every
+    feasible rate to ``_beats`` and counts itself and its operations one at
+    a time.  The library walk does each of these only where it can change
+    the outcome; its outcomes, counters and traces must equal these exactly.
+    """
+    n = caps.n_relays
+    dest = n + 1
+    a = caps.caps.tolist()
+    ops_at = [op_count(q) for q in range(1, n + 2)]
+    evaluated = 1
+    pruned = 0
+    ops = 0
+    best_rate, best_sub, best_slots, best_s = -math.inf, (), None, None
+
+    def visit(chain, h, s_fixed, min_fixed, max_fixed, slots, blocks):
+        nonlocal evaluated, pruned, ops, best_rate, best_sub, best_slots, best_s
+        last = chain[-1] if chain else 0
+        row = a[last]
+        op = ops_at[len(chain)]
+        for i, c in enumerate(range(last + 1, dest)):
+            evaluated += 1
+            sub = (*chain, c)
+            t11 = row[c]
+            if t11 <= SINGULARITY_TOL:
+                pruned += (1 << (n - c)) - 1
+                if trace is not None:
+                    trace.append((sub, None, None))
+                continue
+            ops += op
+            u = (1.0 - h[i]) / t11
+            child_slots = (*slots, u)
+            s_chain = s_fixed + u
+            t22 = a[c][dest]
+            node_slots = s = None
+            skip = False
+            if t22 > SINGULARITY_TOL:
+                u_dest = (1.0 - (h[-1] + row[dest] * u)) / t22
+                node_slots = (*child_slots, u_dest)
+                s = s_chain + u_dest
+                if s > 0.0 and min(min_fixed, u, u_dest) / s > TIME_TOL:
+                    rate = 1.0 / s
+                    if _beats(rate, sub, best_rate, best_sub):
+                        best_rate, best_sub, best_slots, best_s = rate, sub, node_slots, s
+                if s != 0.0:
+                    skip = (min_fixed if s > 0.0 else max_fixed) / s <= 0.0
+            if trace is not None:
+                child_blocks = _extend_blocks(blocks, caps.caps, dest, c)
+                trace.append((sub, judge(RelaySubset(sub), node_slots, s), child_blocks))
+            else:
+                child_blocks = None
+            if skip:
+                pruned += (1 << (n - c)) - 1
+            elif c < n:
+                h_child = [hk + ak * u for hk, ak in zip(h[i + 1:], row[c + 1:])]
+                visit(sub, h_child, s_chain, min(min_fixed, u), max(max_fixed, u),
+                      child_slots, child_blocks)
+
+    direct = a[0][dest]
+    root = root_blocks(caps) if trace is not None else None
+    if direct > SINGULARITY_TOL:
+        u = 1.0 / direct
+        best_rate, best_sub, best_slots, best_s = 1.0 / u, (), (u,), u
+    if trace is not None:
+        trace.append(((), judge(RelaySubset(()), best_slots, best_s), root))
+    visit((), [0.0] * (n + 1), 0.0, math.inf, -math.inf, (), root)
+
+    if best_slots is None:
+        raise NoFeasibleSolution("no relay subset nor direct transmission is feasible")
+    return OptimizationOutcome(
+        best=judge(RelaySubset(best_sub), best_slots, best_s),
+        candidates_evaluated=evaluated, candidates_pruned=pruned, op_count_reported=ops,
     )

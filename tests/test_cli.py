@@ -77,6 +77,40 @@ class TestOptimize:
             assert main(["optimize", "--instance", path]) == 2
             assert "n_relays must be nonnegative" in capsys.readouterr().err
         assert main(["optimize", "--instance", str(tmp_path / "nope.json")]) == 2
+        # values of the wrong JSON type name their field instead of a TypeError
+        capsys.readouterr()
+        path = write_json(tmp_path / "obj.json", {"n_relays": 1, "capacities": {"a": 1}})
+        assert main(["optimize", "--instance", path]) == 2
+        assert "'capacities' must be a list of numbers" in capsys.readouterr().err
+        for positions in ({"a": 1}, [[0, 0], [0.5, 0.1], [1, {}]]):
+            doc = {"topology": {"type": "custom", "positions": positions},
+                   "snr_db": 10, "seed": 1}
+            path = write_json(tmp_path / "pos.json", doc)
+            assert main(["optimize", "--instance", path]) == 2
+            assert "'positions' must be a list of [x, y] pairs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_nonfinite_position_exits_2(self, tmp_path, capsys, bad):
+        doc = {"topology": {"type": "custom", "positions": [[0, 0], [0.5, bad], [1, 0]]},
+               "snr_db": 10, "seed": 1}
+        path = write_json(tmp_path / "p.json", doc)
+        assert main(["optimize", "--instance", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "positions must be finite: node 1 at (0.5, " in captured.err
+
+    @pytest.mark.parametrize("topology, pair", [
+        ({"type": "linear", "n_relays": 2, "p_a": 700}, "nodes 0 and 1"),
+        ({"type": "custom", "p_a": 200, "positions": [[0, 0], [0.5, 0.1], [1000, 0]]},
+         "nodes 0 and 2"),
+    ])
+    def test_path_loss_beyond_float_range_exits_2(self, tmp_path, capsys, topology, pair):
+        # lambda = d^p_a underflows to 0 or overflows to inf; neither is a
+        # symmetry error nor an infeasible instance
+        path = write_json(tmp_path / "pa.json", {"topology": topology, "snr_db": 10, "seed": 1})
+        assert main(["optimize", "--instance", path]) == 2
+        err = capsys.readouterr().err
+        assert f"{pair}: lambda = d^p_a" in err and "lower p_a" in err
 
     def test_nonfinite_capacity_exits_2(self, tmp_path, capsys):
         path = write_json(tmp_path / "nan.json",
@@ -241,6 +275,11 @@ class TestSimulate:
         )
         assert main(["simulate", "--config", path]) == 2
         assert "modes must be nonempty" in capsys.readouterr().err
+        for positions in ({"a": 1}, [[0, 0], [0.5, 0.1], [1, {}]]):
+            path = write_json(tmp_path / "c5.json",
+                              {"topology": {"type": "custom", "positions": positions}})
+            assert main(["simulate", "--config", path]) == 2
+            assert "'positions' must be a list of [x, y] pairs" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value", [
         ("snr_db", 10), ("snr_db", "0, 10"), ("n_trials", [300]), ("n_trials", 1e400),

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +69,18 @@ class TestTopologies:
     def test_random_nonsquare_pool(self):
         assert random_topology(5, 1).n_relays == 5
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_positions_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"positions must be finite: node 1 at \(0\.5, "):
+            Topology(positions=np.array([[0.0, 0.0], [0.5, bad], [1.0, 0.0]]))
+
+    @pytest.mark.parametrize("scale", [np.nan, np.inf])
+    def test_nonfinite_scale_rejected(self, scale):
+        with pytest.raises(ValueError, match="positions must be finite: node 1 at"):
+            grid_topology(2, scale=scale)
+        with pytest.raises(ValueError, match="positions must be finite: node 1 at"):
+            random_topology(4, 0, scale=scale)
+
     def test_callers_positions_stay_writeable(self):
         pos = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]])
         topo = Topology(positions=pos)
@@ -93,6 +106,21 @@ class TestFadingParams:
         topo = Topology(positions=np.array([[0.0, 0.0], [0.5, 0.5], [0.5, 0.5], [1.0, 0.0]]))
         with pytest.raises(ValueError):
             fading_params(topo)
+
+    @pytest.mark.parametrize("topo, pair, value", [
+        # (1/3)^700 underflows to 0
+        (linear_topology(2, p_a=700.0), "nodes 0 and 1", "0.333333^700 is 0,"),
+        # (1/3)^650 is a denormal whose mean power 1/lambda overflows
+        (linear_topology(2, p_a=650.0), "nodes 0 and 1", "0.333333^650 is 7.4"),
+        # 1000^200 overflows to inf, a mean power of 0
+        (Topology(positions=np.array([[0.0, 0.0], [0.5, 0.1], [1000.0, 0.0]]), p_a=200.0),
+         "nodes 0 and 2", "1000^200 is inf,"),
+    ])
+    def test_lambda_outside_float_range_rejected(self, topo, pair, value):
+        want = re.escape(f"{pair}: lambda = d^p_a = {value}")
+        with pytest.raises(ValueError, match=want) as err:
+            fading_params(topo)
+        assert "lower p_a" in str(err.value)
 
     def test_distance_scaling(self):
         base = fading_params(linear_topology(2))

@@ -46,6 +46,7 @@ from conftest import (
     exponential_caps_batch,
     full_width_offer,
     recursive_select_blocks,
+    recursive_select_per_node,
     symmetric_exponential_caps,
 )
 
@@ -332,6 +333,73 @@ def extreme_instances():
             for sub in subsets_by_size(3)
         }))
     return cases
+
+
+class TestExactWalk:
+    """recursive_select against the per-node walk it was derived from: the
+    same outcome, slot bytes, counters and trace on every instance."""
+
+    @pytest.mark.parametrize("family", ["fading", "exponential", "masked", "integer"])
+    def test_equals_per_node_oracle(self, rng, family):
+        cases = fading_pools() if family == "fading" else scalar_cases(rng, family)
+        for k, caps in enumerate(cases):
+            where = (family, caps.n_relays, k)
+            want = walk_outcome(recursive_select_per_node, caps)
+            assert walk_outcome(recursive_select, caps) == want, where
+            if k % 4 == 0:
+                want_trace, got_trace = [], []
+                assert walk_outcome(recursive_select_per_node, caps, want_trace) == want
+                assert walk_outcome(recursive_select, caps, got_trace) == want, where
+                assert trace_key(got_trace) == trace_key(want_trace), where
+
+    def test_extreme_magnitudes_equal_per_node_oracle(self, extreme_instances):
+        for k, (caps, _) in enumerate(extreme_instances[:400]):
+            want_trace, got_trace = [], []
+            want = walk_outcome(recursive_select_per_node, caps, want_trace)
+            assert walk_outcome(recursive_select, caps, got_trace) == want, k
+            assert trace_key(got_trace) == trace_key(want_trace), k
+
+
+def result_key(result):
+    """Every field of an AllocationResult, its slot durations as bytes."""
+    if result is None:
+        return None
+    times = None if result.times is None else result.times.t.tobytes()
+    return (result.subset.indices, times, result.rate, result.feasible,
+            result.reject_reason, result.reject_index)
+
+
+def trace_key(trace):
+    """A trace's subsets, results and inverse blocks, arrays as bytes."""
+    def blocks_key(b):
+        if b is None:
+            return None
+        dest_row = None if b.dest_row is None else b.dest_row.tobytes()
+        return (b.subset, b.chain_inv.tobytes(), dest_row, b.u_chain.tobytes())
+
+    return [(sub, result_key(res), blocks_key(b)) for sub, res, b in trace]
+
+
+def walk_outcome(select, caps, trace=None):
+    """The winner's fields and the three counters, or the NoFeasibleSolution."""
+    try:
+        out = select(caps, trace)
+    except NoFeasibleSolution as exc:
+        return ("no feasible subset", str(exc))
+    return (result_key(out.best), out.candidates_evaluated, out.candidates_pruned,
+            out.op_count_reported)
+
+
+def fading_pools():
+    """Fading instances on pools of 0..9 relays at 0, 10 and 20 dB: the line
+    for N = 0, four random layouts for each N >= 1."""
+    layouts = [linear_topology(0)] + [
+        random_topology(n_relays, seed) for n_relays in range(1, 10) for seed in range(4)
+    ]
+    for seed, topo in enumerate(layouts):
+        powers = draw_channel_powers_keyed(fading_params(topo), seed, 1)[0]
+        for db in (0.0, 10.0, 20.0):
+            yield build_capacity_matrix(powers, None, SnrConfig(10.0 ** (db / 10.0)))
 
 
 class TestExtremeMagnitudes:
@@ -968,3 +1036,44 @@ def test_beats_is_the_merge_rule():
                 for sids in ((9, 4, 0), (0, 4, 9), (4, 4, 4), (4, 9, 0)):
                     assert_beats_matches_full_width(start, list(zip(codes, sids)))
 
+
+
+# Rates around which the floor test is exercised: the infinities, zero, the
+# smallest denormal and normal, ordinary rates and the largest float.
+FLOOR_RATES = (-np.inf, np.inf, 0.0, 5e-324, 1e-310, float(np.finfo(float).tiny), 1e-9, 0.5,
+               1.0, 3.0, 1e3, 1e300, float(np.finfo(float).max))
+
+
+@st.composite
+def beats_offers(draw):
+    """(rate, subset, best rate, best subset): a best from FLOOR_RATES or any
+    float (-inf with the empty subset, as a search starts), and a rate a
+    multiple of the tie tolerance from it, one ulp either side of its floor,
+    or unrelated to it."""
+    anything = st.floats(allow_nan=False)
+    subsets = list(subsets_by_size(4))
+    if draw(st.booleans()):
+        best, best_sub = -np.inf, ()
+    else:
+        best = draw(st.one_of(st.sampled_from(FLOOR_RATES), anything))
+        best_sub = draw(st.sampled_from(subsets))
+    floor = best - RATE_TIE_TOL * max(best, 1.0)
+    how = draw(st.sampled_from(("tolerance", "floor", "free")))
+    if how == "tolerance":
+        k = draw(st.sampled_from((-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5)))
+        rate = best + k * RATE_TIE_TOL * max(best, 1.0)
+    elif how == "floor":
+        rate = float(np.nextafter(floor, draw(st.sampled_from((-np.inf, np.inf)))))
+    else:
+        rate = draw(st.one_of(st.sampled_from(FLOOR_RATES), anything))
+    return rate, draw(st.sampled_from(subsets)), best, best_sub
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(beats_offers())
+def test_beats_implies_the_floor(offer):
+    # recursive_select offers a rate to _beats only when it reaches this
+    # floor, so every rate that _beats takes must reach it
+    rate, sub, best, best_sub = offer
+    if _beats(rate, sub, best, best_sub):
+        assert rate >= best - RATE_TIE_TOL * max(best, 1.0)
