@@ -1037,7 +1037,6 @@ def test_beats_is_the_merge_rule():
                     assert_beats_matches_full_width(start, list(zip(codes, sids)))
 
 
-
 # Rates around which the floor test is exercised: the infinities, zero, the
 # smallest denormal and normal, ordinary rates and the largest float.
 FLOOR_RATES = (-np.inf, np.inf, 0.0, 5e-324, 1e-310, float(np.finfo(float).tiny), 1e-9, 0.5,
