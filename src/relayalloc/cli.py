@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -106,44 +105,66 @@ _MISSING = object()
 def _field(doc: dict, key: str, convert, kind: str, default=_MISSING):
     """``convert(doc[key])``, or of ``default`` when given and the key is absent.
 
-    A value that does not convert raises a ConfigError naming the field and
-    ``kind``, what it should be; a missing field without a default raises
-    KeyError.
+    A missing field without a default, or a value that does not convert,
+    raises a ConfigError naming the field and ``kind``, what it should be.
     """
-    value = doc[key] if default is _MISSING else doc.get(key, default)
+    if key not in doc and default is _MISSING:
+        raise ConfigError(f"missing field {key!r}, which must be {kind}")
+    value = doc.get(key, default)
     try:
         return convert(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key!r} must be {kind}, got {value!r}") from None
 
 
-def _integer(value) -> int:
-    """A JSON integer; an integral float such as 1e4 counts, a bool does not."""
+def _known(doc: dict, keys, where: str) -> None:
+    """ConfigError naming the first field of ``doc`` that is not in ``keys``."""
+    for key in doc:
+        if key not in keys:
+            raise ConfigError(f"{where}: unknown field {key!r} (valid: {', '.join(keys)})")
+
+
+def _number(value) -> float:
+    """A JSON number, as a float; a bool or a string is not one."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{value!r} is not a number")
-    if value != int(value):
-        raise ValueError(f"{value!r} is not integral")
+    return float(value)
+
+
+def _integer(value) -> int:
+    """A JSON integer; an integral float such as 1e4 counts, a bool does not.
+
+    An int is taken exactly, so integers beyond the float range stay valid.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        if not _number(value).is_integer():
+            raise ValueError(f"{value!r} is not integral")
     return int(value)
 
 
-def _numbers(value) -> np.ndarray:
-    """A JSON number or (nested) list of numbers, as a float array."""
-    return np.asarray(value, dtype=float)
+def _is(cls):
+    """Converter of a JSON value that must already be a ``cls``, taken as is."""
+
+    def convert(value):
+        if not isinstance(value, cls):
+            raise TypeError(f"{value!r} is not a {cls.__name__}")
+        return value
+
+    return convert
 
 
-def _text(value) -> str:
-    """A JSON string, taken as is."""
-    if not isinstance(value, str):
-        raise TypeError(f"{value!r} is not a string")
-    return value
+# a bool is an int in Python, but an int is not a bool
+_boolean, _text, _object = _is(bool), _is(str), _is(dict)
 
 
-def _list_of(convert):
-    """Converter of a JSON list whose items each go through ``convert``."""
+def _list_of(convert, length: int | None = None):
+    """Converter of a JSON list, of ``length`` items if given, each through ``convert``."""
 
     def convert_list(value) -> list:
         if not isinstance(value, list):
             raise TypeError(f"{value!r} is not a list")
+        if length is not None and len(value) != length:
+            raise ValueError(f"{value!r} does not have {length} items")
         return [convert(v) for v in value]
 
     return convert_list
@@ -166,69 +187,66 @@ def instance_document(caps: LinkCapacityMatrix) -> dict:
     }
 
 
+# the fields each topology type reads besides "type" and "p_a"
+_TOPOLOGY_FIELDS = {
+    "linear": ("n_relays",),
+    "grid": ("side", "scale"),
+    "random": ("n_relays", "seed", "scale"),
+    "custom": ("positions",),
+}
+
+
 def parse_topology(spec: dict) -> Topology:
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ConfigError("topology spec must be an object with a 'type' field")
-    kind = spec["type"]
-    p_a = _field(spec, "p_a", float, "a number", 2.5)
-    scale = _field(spec, "scale", float, "a number", 1.0)
-    try:
-        if kind == "linear":
-            return linear_topology(_field(spec, "n_relays", _integer, "an integer"), p_a=p_a)
-        if kind == "grid":
-            return grid_topology(_field(spec, "side", _integer, "an integer"), p_a=p_a, scale=scale)
-        if kind == "random":
-            return random_topology(
-                _field(spec, "n_relays", _integer, "an integer"),
-                _field(spec, "seed", _integer, "an integer"), p_a=p_a, scale=scale,
-            )
-        if kind == "custom":
-            pos = _field(spec, "positions", _numbers, "a list of [x, y] pairs")
-            return Topology(positions=pos, p_a=p_a)
-    except KeyError as exc:
-        raise ConfigError(f"topology spec missing field {exc}") from None
-    raise ConfigError(f"unknown topology type {kind!r}")
+    kind = _field(spec, "type", _text, "a string")
+    if kind not in _TOPOLOGY_FIELDS:
+        raise ConfigError(f"unknown topology type {kind!r}")
+    _known(spec, ("type", "p_a", *_TOPOLOGY_FIELDS[kind]), f"{kind} topology")
+    p_a = _field(spec, "p_a", _number, "a number", 2.5)
+    if kind == "linear":
+        return linear_topology(_field(spec, "n_relays", _integer, "an integer"), p_a=p_a)
+    if kind == "custom":
+        pos = _field(spec, "positions", _list_of(_list_of(_number, 2)),
+                     "a list of [x, y] pairs")
+        return Topology(positions=pos, p_a=p_a)
+    scale = _field(spec, "scale", _number, "a number", 1.0)
+    if kind == "grid":
+        return grid_topology(_field(spec, "side", _integer, "an integer"), p_a=p_a, scale=scale)
+    return random_topology(
+        _field(spec, "n_relays", _integer, "an integer"),
+        _field(spec, "seed", _integer, "an integer"), p_a=p_a, scale=scale,
+    )
 
 
 def load_instance(path: str) -> LinkCapacityMatrix:
     doc = _load_json(path)
-    has_caps = "capacities" in doc
-    has_topo = "topology" in doc
-    if has_caps == has_topo:
+    if ("capacities" in doc) == ("topology" in doc):
         raise ConfigError(f"{path}: exactly one of 'capacities' or 'topology' required")
 
-    if has_caps:
-        if "n_relays" not in doc:
-            raise ConfigError(f"{path}: 'n_relays' required with 'capacities'")
-        n = _field(doc, "n_relays", _integer, "an integer") + 2
-        caps = _field(doc, "capacities", _numbers, "a list of numbers")
-        if caps.size != n * n:
-            raise ConfigError(
-                f"{path}: expected {n * n} capacities for {doc['n_relays']} relays, "
-                f"got {caps.size}"
-            )
-        caps = caps.reshape(n, n)
-        if "mask" in doc:
-            mask = np.asarray(doc["mask"], dtype=bool)
-            if mask.size != n * n:
-                raise ConfigError(f"{path}: mask shape does not match capacities")
-            mask = mask.reshape(n, n)
-        else:
-            mask = np.ones((n, n), dtype=bool)
-        # the diagonal is unused and absent links carry no capacity
-        np.fill_diagonal(mask, False)
-        caps = np.where(mask, caps, 0.0)
-        if np.any(caps < 0):
-            raise ConfigError(f"{path}: capacities must be nonnegative")
-        return LinkCapacityMatrix(n_relays=n - 2, caps=caps, link_mask=mask)
+    if "topology" in doc:
+        _known(doc, ("topology", "snr_db", "seed"), path)
+        topo = parse_topology(_field(doc, "topology", _object, "an object"))
+        snr = SnrConfig(snr_from_db(_field(doc, "snr_db", _number, "a number")))
+        seed = _field(doc, "seed", _integer, "an integer")
+        powers = draw_channel_powers_keyed(fading_params(topo), seed, 1)[0]
+        return build_capacity_matrix(powers, None, snr)
 
-    topo = parse_topology(doc["topology"])
-    if "snr_db" not in doc or "seed" not in doc:
-        raise ConfigError(f"{path}: generated instances need 'snr_db' and 'seed'")
-    snr = SnrConfig(snr_from_db(_field(doc, "snr_db", float, "a number")))
-    seed = _field(doc, "seed", _integer, "an integer")
-    powers = draw_channel_powers_keyed(fading_params(topo), seed, 1)[0]
-    return build_capacity_matrix(powers, None, snr)
+    _known(doc, ("n_relays", "capacities", "mask"), path)
+    n_relays = _field(doc, "n_relays", _integer, "an integer")
+    n = n_relays + 2
+    # both lengths are checked before any (n, n) array exists
+    caps = _field(doc, "capacities", _list_of(_number), "a list of numbers")
+    if len(caps) != n * n:
+        raise ConfigError(
+            f"{path}: expected {n * n} capacities for {n_relays} relays, got {len(caps)}"
+        )
+    mask = _field(doc, "mask", _list_of(_boolean), "a list of booleans", [True] * (n * n))
+    if len(mask) != n * n:
+        raise ConfigError(f"{path}: mask shape does not match capacities")
+    mask = np.reshape(mask, (n, n))
+    # the diagonal is unused and absent links carry no capacity
+    np.fill_diagonal(mask, False)
+    caps = np.where(mask, np.reshape(caps, (n, n)), 0.0)
+    return LinkCapacityMatrix(n_relays=n_relays, caps=caps, link_mask=mask)
 
 
 def parse_scheme(name: str) -> NumberingScheme:
@@ -241,38 +259,27 @@ def parse_scheme(name: str) -> NumberingScheme:
 
 def load_experiment(path: str, args) -> dict:
     doc = _load_json(path)
-    if "topology" not in doc:
-        raise ConfigError(f"{path}: 'topology' is required")
     cfg = {
-        "topology": doc["topology"],
-        "scheme": doc.get("scheme", "average_descending"),
-        "snr_db": _field(doc, "snr_db", _list_of(float), "a list of numbers",
+        "topology": _field(doc, "topology", _object, "an object"),
+        "scheme": _field(doc, "scheme", _text, "a string", "average_descending"),
+        "snr_db": _field(doc, "snr_db", _list_of(_number), "a list of numbers",
                          [0, 5, 10, 15, 20]),
         "n_trials": _field(doc, "n_trials", _integer, "an integer", 10000),
-        "epsilon": _field(doc, "epsilon", float, "a number", 0.01),
+        "epsilon": _field(doc, "epsilon", _number, "a number", 0.01),
         "base_seed": _field(doc, "base_seed", _integer, "an integer", 0),
-        "modes": _field(doc, "modes", _list_of(str), "a list of modes", list(MODES)),
+        "modes": _field(doc, "modes", _list_of(_text), "a list of modes", list(MODES)),
         "out_prefix": _field(doc, "out_prefix", _text, "a string", "sweep"),
         "parallel": _field(doc, "parallel", _integer, "an integer", 1),
     }
-    if getattr(args, "trials", None) is not None:
-        cfg["n_trials"] = args.trials
-    if getattr(args, "epsilon", None) is not None:
-        cfg["epsilon"] = args.epsilon
-    if getattr(args, "seed", None) is not None:
-        cfg["base_seed"] = args.seed
-    if getattr(args, "parallel", None) is not None:
-        cfg["parallel"] = args.parallel
+    _known(doc, cfg, path)
+    for field, flag in (("n_trials", "trials"), ("epsilon", "epsilon"), ("base_seed", "seed"),
+                        ("parallel", "parallel"), ("scheme", "scheme"), ("out_prefix", "out")):
+        if getattr(args, flag, None) is not None:
+            cfg[field] = getattr(args, flag)
     if getattr(args, "mode", None) is not None:
         cfg["modes"] = list(MODES) if args.mode == "both" else [args.mode]
-    if getattr(args, "scheme", None) is not None:
-        cfg["scheme"] = args.scheme
-    if getattr(args, "out", None) is not None:
-        cfg["out_prefix"] = args.out
-    # sweep raises ValueError (exit 2) for a bad trial count, epsilon, grid
-    # or mode; this check stays only to word non-finite SNR as a config error
-    if not all(math.isfinite(v) for v in cfg["snr_db"]):
-        raise ConfigError(f"snr_db values must be finite, got {cfg['snr_db']}")
+    # sweep raises ValueError (exit 2) for a bad trial count, epsilon, SNR,
+    # parallelism or mode
     return cfg
 
 
@@ -327,20 +334,9 @@ def cmd_optimize(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = load_experiment(args.config, args)
     topo = parse_topology(cfg["topology"])
-    scheme = parse_scheme(cfg["scheme"])
-    curves = sweep(
-        topo,
-        scheme,
-        cfg["snr_db"],
-        cfg["n_trials"],
-        cfg["epsilon"],
-        cfg["base_seed"],
-        modes=tuple(cfg["modes"]),
-        parallel=cfg["parallel"],
-    )
     prefix = cfg["out_prefix"]
-    _write(prefix + ".csv", curves_to_csv(curves, cfg))
-    _write(prefix + ".json", curves_to_json(curves, cfg))
+    record = _sweep_scheme(topo, parse_scheme(cfg["scheme"]), cfg, prefix + ".csv")
+    _write(prefix + ".json", record)
     print(f"wrote {prefix}.csv and {prefix}.json")
     return 0
 
@@ -357,22 +353,20 @@ def cmd_numbering(args) -> int:
                 file=sys.stderr,
             )
             continue
-        curves = sweep(
-            topo,
-            scheme,
-            cfg["snr_db"],
-            cfg["n_trials"],
-            cfg["epsilon"],
-            cfg["base_seed"],
-            modes=tuple(cfg["modes"]),
-            parallel=cfg["parallel"],
-        )
-        scheme_cfg = dict(cfg, scheme=scheme.value)
-        _write(f"{prefix}_{scheme.value}.csv", curves_to_csv(curves, scheme_cfg))
-        all_curves[scheme.value] = json.loads(curves_to_json(curves, scheme_cfg))
+        record = _sweep_scheme(topo, scheme, cfg, f"{prefix}_{scheme.value}.csv")
+        all_curves[scheme.value] = json.loads(record)
     _write(prefix + ".json", json.dumps(all_curves, indent=2, sort_keys=True) + "\n")
     print(f"wrote per-scheme CSVs and {prefix}.json")
     return 0
+
+
+def _sweep_scheme(topo: Topology, scheme: NumberingScheme, cfg: dict, csv_path: str) -> str:
+    """Sweep ``cfg`` under ``scheme``, write its CSV and return its JSON record."""
+    echo = dict(cfg, scheme=scheme.value)
+    curves = sweep(topo, scheme, cfg["snr_db"], cfg["n_trials"], cfg["epsilon"],
+                   cfg["base_seed"], modes=tuple(cfg["modes"]), parallel=cfg["parallel"])
+    _write(csv_path, curves_to_csv(curves, echo))
+    return curves_to_json(curves, echo)
 
 
 def cmd_complexity(args) -> int:

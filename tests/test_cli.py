@@ -82,12 +82,49 @@ class TestOptimize:
         path = write_json(tmp_path / "obj.json", {"n_relays": 1, "capacities": {"a": 1}})
         assert main(["optimize", "--instance", path]) == 2
         assert "'capacities' must be a list of numbers" in capsys.readouterr().err
-        for positions in ({"a": 1}, [[0, 0], [0.5, 0.1], [1, {}]]):
+        for positions in ({"a": 1}, [[0, 0], [0.5, 0.1], [1, {}]], [[0, 0], [1]],
+                          [["0", "0"], ["0.5", "0.1"], ["1", "0"]]):
             doc = {"topology": {"type": "custom", "positions": positions},
                    "snr_db": 10, "seed": 1}
             path = write_json(tmp_path / "pos.json", doc)
             assert main(["optimize", "--instance", path]) == 2
             assert "'positions' must be a list of [x, y] pairs" in capsys.readouterr().err
+        # numbers are JSON numbers, the mask is booleans and capacities are
+        # one flat list; a huge n_relays is refused before any array is built
+        caps = [0, 2, 1, 2, 0, 2, 1, 2, 0]
+        for doc, message in (
+            ({"n_relays": 1, "capacities": [str(v) for v in caps]},
+             "'capacities' must be a list of numbers"),
+            ({"n_relays": 1, "capacities": [caps[0:3], caps[3:6], caps[6:9]]},
+             "'capacities' must be a list of numbers"),
+            ({"n_relays": 1, "capacities": caps, "mask": ["false"] * 9},
+             "'mask' must be a list of booleans"),
+            ({"n_relays": 1, "capacities": caps, "mask": [{}] * 9},
+             "'mask' must be a list of booleans"),
+            ({"n_relays": 1, "capacities": caps, "mask": [1] * 9},
+             "'mask' must be a list of booleans"),
+            ({"capacities": caps}, "missing field 'n_relays'"),
+            ({"topology": {"type": "linear", "n_relays": 1}, "snr_db": 10},
+             "missing field 'seed'"),
+            ({"topology": {"n_relays": 1}, "snr_db": 10, "seed": 1}, "missing field 'type'"),
+            ({"n_relays": 1000000, "capacities": [0]},
+             "expected 1000004000004 capacities for 1000000 relays, got 1"),
+            # a field the object does not read is refused, not ignored
+            ({"topology": {"type": "linear", "n_relays": 2, "pa": 6}, "snr_db": 10, "seed": 4},
+             "unknown field 'pa'"),
+            ({"topology": {"type": "linear", "n_relays": 2, "scale": 2}, "snr_db": 10,
+              "seed": 4}, "unknown field 'scale'"),
+            ({"topology": {"type": "custom", "positions": [[0, 0], [1, 0]], "side": 2},
+              "snr_db": 10, "seed": 4}, "unknown field 'side'"),
+            ({"topology": {"type": "grid", "side": 2}, "snr_db": 10, "seed": 4, "mask": []},
+             "unknown field 'mask'"),
+            ({"n_relays": 0, "capacities": [0, 3, 3, 0], "seed": 4}, "unknown field 'seed'"),
+        ):
+            path = write_json(tmp_path / "typed.json", doc)
+            assert main(["optimize", "--instance", path]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert message in captured.err
 
     @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
     def test_nonfinite_position_exits_2(self, tmp_path, capsys, bad):
@@ -153,11 +190,12 @@ class TestOptimize:
 
     @pytest.mark.parametrize("field, value", [
         ("snr_db", [10]), ("seed", [4]), ("seed", "four"), ("seed", "4"), ("seed", 4.5),
-        ("seed", True), ("n_relays", [2]), ("n_relays", 2.5),
+        ("seed", True), ("n_relays", [2]), ("n_relays", 2.5), ("snr_db", "10"),
+        ("p_a", "3"), ("p_a", True),
     ])
     def test_wrongly_typed_generated_instance_exits_2(self, tmp_path, field, value, capsys):
         doc = {"topology": {"type": "linear", "n_relays": 2}, "snr_db": 10, "seed": 4}
-        if field == "n_relays":
+        if field in ("n_relays", "p_a"):
             doc["topology"][field] = value
         else:
             doc[field] = value
@@ -250,11 +288,16 @@ class TestSimulate:
 
     def test_flag_overrides_echoed(self, sweep_config, tmp_path, capsys):
         assert main(["simulate", "--config", sweep_config, "--trials", "200",
-                     "--seed", "9", "--mode", "optimized"]) == 0
-        doc = json.loads((tmp_path / "curve.json").read_text())
+                     "--seed", "9", "--mode", "optimized", "--scheme", "random",
+                     "--out", str(tmp_path / "flagged")]) == 0
+        assert not (tmp_path / "curve.json").exists()
+        assert (tmp_path / "flagged.csv").exists()
+        doc = json.loads((tmp_path / "flagged.json").read_text())
         assert doc["config"]["n_trials"] == 200
         assert doc["config"]["base_seed"] == 9
         assert doc["config"]["modes"] == ["optimized"]
+        assert doc["config"]["scheme"] == "random"
+        assert doc["config"]["out_prefix"] == str(tmp_path / "flagged")
         assert set(doc["curves"]) == {"optimized"}
 
     def test_invalid_config_exits_2(self, tmp_path, capsys):
@@ -280,12 +323,17 @@ class TestSimulate:
                               {"topology": {"type": "custom", "positions": positions}})
             assert main(["simulate", "--config", path]) == 2
             assert "'positions' must be a list of [x, y] pairs" in capsys.readouterr().err
+        path = write_json(tmp_path / "c6.json", {"topology": {"type": "linear", "n_relays": 1},
+                                                 "n_trial": 5})
+        assert main(["simulate", "--config", path]) == 2
+        assert "unknown field 'n_trial'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value", [
         ("snr_db", 10), ("snr_db", "0, 10"), ("n_trials", [300]), ("n_trials", 1e400),
         ("epsilon", [0.05]), ("base_seed", [7]), ("parallel", [1]), ("modes", 5),
         ("n_trials", 200.9), ("n_trials", True), ("n_trials", "300"), ("base_seed", 7.5),
-        ("parallel", 1.5), ("out_prefix", 5),
+        ("parallel", 1.5), ("out_prefix", 5), ("epsilon", "0.05"), ("snr_db", ["0"]),
+        ("snr_db", [True]), ("scheme", 5),
     ])
     def test_wrongly_typed_field_exits_2(self, sweep_config, field, value, capsys):
         with open(sweep_config, encoding="utf-8") as fh:
@@ -310,7 +358,7 @@ class TestSimulate:
         path = write_json(tmp_path / "inf.json", {"topology": {"type": "linear", "n_relays": 1},
                                                   "snr_db": [0, float("inf")]})
         assert main(["simulate", "--config", path]) == 2
-        assert "snr_db values must be finite" in capsys.readouterr().err
+        assert "snr_db inf has no finite linear SNR" in capsys.readouterr().err
 
     def test_snr_beyond_float_range_exits_2(self, tmp_path, capsys):
         path = write_json(tmp_path / "huge.json", {"topology": {"type": "linear", "n_relays": 1},
@@ -374,6 +422,19 @@ class TestNumbering:
         assert "skipping average_linear" in err
         doc = json.loads((tmp_path / "rnd.json").read_text())
         assert len(doc) == 3
+
+    def test_each_scheme_matches_simulate(self, sweep_config, tmp_path, capsys):
+        # numbering and simulate share one sweep-and-write path per scheme
+        prefix = str(tmp_path / "p")
+        assert main(["numbering", "--config", sweep_config, "--out", prefix]) == 0
+        records = json.loads((tmp_path / "p.json").read_text())
+        assert len(records) == 5
+        for scheme, record in records.items():
+            assert main(["simulate", "--config", sweep_config, "--scheme", scheme,
+                         "--out", prefix]) == 0
+            assert (tmp_path / "p.csv").read_bytes() == \
+                (tmp_path / f"p_{scheme}.csv").read_bytes()
+            assert json.loads((tmp_path / "p.json").read_text()) == record
 
     def test_too_few_trials_for_epsilon_exits_2(self, tmp_path, capsys):
         cfg = write_json(
