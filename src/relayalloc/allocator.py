@@ -14,6 +14,9 @@ a[i, i-1] * u[i-1]`` in index order, and the slot sum is ``u[0] + u[1] +
 transmitter at a time, so every selector returns bit-identical rates and
 verdicts, exact cancellations included.  No sum is left to numpy's pairwise
 or BLAS order, nor to Python's ``sum``, which is compensated from 3.12 on.
+The one exception is the renormalizing sum of the slot durations t = u/s,
+which is numpy's ``t.sum()``; it runs after the verdict's inputs are fixed
+and only shapes the reported durations.
 """
 
 from __future__ import annotations
@@ -55,13 +58,16 @@ class TimeAllocation:
         t = np.array(self.t, dtype=float)  # copied: the caller's array stays writeable
         if t.ndim != 1 or t.size == 0:
             raise ValueError("time allocation must be a nonempty vector")
-        if not np.all(np.isfinite(t)):
+        if not all(map(math.isfinite, t.tolist())):
             raise ValueError(f"slot durations must be finite, got {t}")
         # scale-aware gate: for feasible vectors (all positive) the scale is 1
         # and this is an absolute 1e-12 check; rejected solutions may carry
-        # huge cancelling entries whose float sum cannot do better than this
-        if abs(t.sum() - 1.0) > 1e-12 * max(1.0, np.abs(t).sum()):
-            raise ValueError(f"slot durations must sum to 1, got {t.sum()!r}")
+        # huge cancelling entries whose float sum cannot do better than this.
+        # The scale is at least 1, so a sum within 1e-12 of 1 needs no scale.
+        total = t.sum()
+        err = abs(total - 1.0)
+        if err > 1e-12 and err > 1e-12 * max(1.0, np.abs(t).sum()):
+            raise ValueError(f"slot durations must sum to 1, got {total!r}")
         t.setflags(write=False)
         object.__setattr__(self, "t", t)
 
@@ -144,27 +150,30 @@ def judge(
     last bucket instead of passing, and its rate is None, like a zero sum's.
     ``node_rates`` is the same verdict on blocks of nodes.  Every scalar
     AllocationResult but ``equal_time_select``'s comes from here.
+
+    The verdict runs on Python floats: a subset has at most N + 1 slots, too
+    few for numpy calls to pay for themselves.
     """
     if u is None:
         return AllocationResult(
             subset=subset, times=None, rate=None, feasible=False,
             reject_reason=RejectReason.SINGULAR,
         )
-    u = np.asarray(u, dtype=float)
-    rate = None if s == 0.0 or math.isnan(s) else 1.0 / s
-    times = slot_times(u, s)
+    s = float(s)
+    q = _ratios(_floats(u), s)
+    rate = None if s == 0.0 or s != s else 1.0 / s
+    times = _renormalized(q)
     if s <= 0.0:
         return AllocationResult(
             subset=subset, times=times, rate=rate, feasible=False,
             reject_reason=RejectReason.NEGATIVE_RATE,
         )
-    with np.errstate(over="ignore", invalid="ignore"):
-        bad = np.flatnonzero(~(u / s > TIME_TOL))
-    if bad.size:
-        return AllocationResult(
-            subset=subset, times=times, rate=rate, feasible=False,
-            reject_reason=RejectReason.NONPOSITIVE_TIME, reject_index=int(bad[0]),
-        )
+    for i, x in enumerate(q):
+        if not x > TIME_TOL:
+            return AllocationResult(
+                subset=subset, times=times, rate=rate, feasible=False,
+                reject_reason=RejectReason.NONPOSITIVE_TIME, reject_index=i,
+            )
     return AllocationResult(subset=subset, times=times, rate=rate, feasible=True)
 
 
@@ -225,10 +234,54 @@ def slot_times(u: np.ndarray, s: float) -> TimeAllocation | None:
     when the durations are not finite (``s`` is zero, or the solution
     cancels so exactly that renormalizing overflows).
     """
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        t = u / s
-        t = t / t.sum()
-    return TimeAllocation(t) if np.all(np.isfinite(t)) else None
+    return _renormalized(_ratios(_floats(u), float(s)))
+
+
+def _floats(u) -> list[float]:
+    """The entries of a slot vector, as Python floats."""
+    if isinstance(u, np.ndarray):
+        return u.astype(float, copy=False).tolist()
+    return [float(x) for x in u]
+
+
+def _ratios(u: list[float], s: float) -> list[float]:
+    """``u_i / s`` as numpy divides.  A zero ``s``, on which Python raises,
+    gives NaN throughout in place of numpy's inf or NaN: no slot duration is
+    finite either way."""
+    if s == 0.0:
+        return [math.nan] * len(u)
+    return [x / s for x in u]
+
+
+# Below this, a sum of slot magnitudes bounds every partial sum in any order
+# away from overflow: half the largest float.
+_SUM_SAFE = 2.0**1023
+
+
+def _renormalized(q: list[float]) -> TimeAllocation | None:
+    """``TimeAllocation(t / t.sum())`` for ``t = q``, or None unless every
+    duration is finite.
+
+    The sum is numpy's ``t.sum()``, in its pairwise order, so durations are
+    bit-identical to those of a numpy renormalization.  Finiteness is tested
+    first: a sum over inf or NaN would warn.  Slots whose magnitudes sum
+    beyond half the float range can overflow the sum, and only for them is
+    numpy's overflow warning silenced; an overflowing sum gives zeros, which
+    TimeAllocation refuses.
+    """
+    t = np.array(q)
+    if sum(map(abs, q)) < _SUM_SAFE:
+        total = float(t.sum())
+    elif not all(map(math.isfinite, q)):
+        return None
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(t.sum())
+    if total == 0.0 or total != total:
+        # no duration is finite; an empty vector is refused as such
+        return TimeAllocation(t) if not q else None
+    t = [x / total for x in q]
+    return TimeAllocation(t) if all(map(math.isfinite, t)) else None
 
 
 def verify_equalization(rm: RateMatrix, result: AllocationResult) -> float:

@@ -107,14 +107,26 @@ def _field(doc: dict, key: str, convert, kind: str, default=_MISSING):
 
     A missing field without a default, or a value that does not convert,
     raises a ConfigError naming the field and ``kind``, what it should be.
+    Of a list, it names the first bad entry and its index, not the list.
     """
     if key not in doc and default is _MISSING:
         raise ConfigError(f"missing field {key!r}, which must be {kind}")
     value = doc.get(key, default)
     try:
         return convert(value)
+    except _BadEntry as exc:
+        raise ConfigError(f"{key!r} must be {kind}, got {exc.entry!r} at index {exc.index}"
+                          ) from None
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key!r} must be {kind}, got {value!r}") from None
+
+
+class _BadEntry(ValueError):
+    """A list entry that does not convert, with its index."""
+
+    def __init__(self, index: int, entry):
+        super().__init__(f"entry {index} is {entry!r}")
+        self.index, self.entry = index, entry
 
 
 def _known(doc: dict, keys, where: str) -> None:
@@ -165,7 +177,13 @@ def _list_of(convert, length: int | None = None):
             raise TypeError(f"{value!r} is not a list")
         if length is not None and len(value) != length:
             raise ValueError(f"{value!r} does not have {length} items")
-        return [convert(v) for v in value]
+        items = []
+        for i, v in enumerate(value):
+            try:
+                items.append(convert(v))
+            except (TypeError, ValueError, OverflowError):
+                raise _BadEntry(i, v) from None
+        return items
 
     return convert_list
 
@@ -232,6 +250,8 @@ def load_instance(path: str) -> LinkCapacityMatrix:
 
     _known(doc, ("n_relays", "capacities", "mask"), path)
     n_relays = _field(doc, "n_relays", _integer, "an integer")
+    if n_relays < 0:
+        raise ConfigError(f"{path}: n_relays must be nonnegative, got {n_relays}")
     n = n_relays + 2
     # both lengths are checked before any (n, n) array exists
     caps = _field(doc, "capacities", _list_of(_number), "a list of numbers")

@@ -8,6 +8,7 @@ converts the dB values that the sweep and the CLI take.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -64,11 +65,13 @@ class LinkCapacityMatrix:
                 f"expected ({n}, {n}) arrays for {self.n_relays} relays, "
                 f"got caps {caps.shape}, mask {mask.shape}"
             )
-        if not np.all(np.isfinite(caps)):
-            raise ValueError("capacities must be finite")
-        if np.any(caps < 0):
+        # NaN fails both tests; the checks below only name what failed
+        if not (np.minimum.reduce(caps, axis=None) >= 0.0
+                and np.maximum.reduce(caps, axis=None) < math.inf):
+            if not np.all(np.isfinite(caps)):
+                raise ValueError("capacities must be finite")
             raise ValueError("capacities must be nonnegative")
-        if np.any(caps[~mask] != 0.0):
+        if np.count_nonzero(caps[~mask]):
             raise ValueError("masked-out links must have capacity exactly 0")
         caps.setflags(write=False)
         mask.setflags(write=False)
@@ -152,17 +155,27 @@ def build_capacity_matrix(
     if n < 2:
         raise ValueError("need at least source and destination nodes")
     if mask is None:
-        mask = np.ones((n, n), dtype=bool)
+        mask = _off_diagonal(n)
     else:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != powers.shape:
             raise ValueError(f"mask shape {mask.shape} != powers shape {powers.shape}")
-    if np.any(powers < 0):
+        mask = mask & _off_diagonal(n)
+    # fmin skips NaN, which, like any value under the mask, is not refused here
+    if np.fmin.reduce(powers, axis=None) < 0:
         raise ValueError("channel powers must be nonnegative")
-    mask = mask.copy()
-    np.fill_diagonal(mask, False)
-    caps = np.where(mask, np.log2(1.0 + snr.snr_scalar * powers), 0.0)
+    caps = powers * snr.snr_scalar
+    caps += 1.0
+    caps = np.where(mask, np.log2(caps, out=caps), 0.0)
     return LinkCapacityMatrix(n_relays=n - 2, caps=caps, link_mask=mask)
+
+
+@functools.lru_cache(maxsize=16)
+def _off_diagonal(n: int) -> np.ndarray:
+    """Read-only (n, n) mask of every link but the unused diagonal."""
+    mask = ~np.eye(n, dtype=bool)
+    mask.setflags(write=False)
+    return mask
 
 
 def build_rate_matrix(caps: LinkCapacityMatrix, subset: RelaySubset) -> RateMatrix:

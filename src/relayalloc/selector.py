@@ -275,12 +275,13 @@ def recursive_select(
     ``_beats``, only when its rate reaches the best's floor, the best rate
     less its tie tolerance, as ``_Best`` filters its merge: a rate below the
     floor can neither win nor tie, so the filter is exact.  A node's subset
-    and slots become tuples only when it recurses, takes the best or is
-    traced, and its smallest slot is taken by comparisons in ``min``'s
-    order, so NaN and signed zeros fall as they would.  ``trace``,
-    if given, collects (subset, result, blocks) triples for every node
-    visited; only then are each node's ``InverseBlocks`` built and its slots
-    passed to ``judge``.
+    and slots become tuples only when the walk descends into it, it takes
+    the best or it is traced, and its smallest slot is taken by comparisons
+    in ``min``'s order, so NaN and signed zeros fall as they would.  The walk
+    keeps the path from the root on an explicit stack in this one frame, so
+    a node costs no call.  ``trace``, if given, collects (subset, result,
+    blocks) triples for every node visited; only then are each node's
+    ``InverseBlocks`` built and its slots passed to ``judge``.
     """
     n = caps.n_relays
     dest = n + 1
@@ -297,19 +298,36 @@ def recursive_select(
     best_rate, best_sub, best_slots, best_s = -math.inf, (), None, None
     best_floor = -math.inf
 
-    def visit(chain, last, h, s_fixed, min_fixed, max_fixed, slots, blocks):
-        # last is the chain's last node (0, the source, for the empty chain);
-        # h[i] belongs to node last + 1 + i, the last entry to the destination
-        nonlocal pruned, ops, best_rate, best_sub, best_slots, best_s, best_floor
-        row = a[last]
-        h_dest = h[-1]
-        a_last_dest = row[dest]
-        broken = 0
-        child_blocks = None  # built only for a trace
-        for c, h_c, t11 in zip(range(last + 1, dest), h, row[last + 1:dest]):
+    direct = a[0][dest]
+    blocks = root_blocks(caps) if trace is not None else None
+    if direct > SINGULARITY_TOL:
+        u = 1.0 / direct
+        best_rate, best_sub, best_slots, best_s = 1.0 / u, (), (u,), u
+        best_floor = best_rate - RATE_TIE_TOL * max(best_rate, 1.0)
+    if trace is not None:
+        trace.append(((), judge(RelaySubset(()), best_slots, best_s), blocks))
+
+    # The node whose children are being evaluated, starting at the root.
+    # last is its chain's last node (0, the source, for the empty chain);
+    # h[i] belongs to node last + 1 + i, the last entry to the destination.
+    # Each node on the path above it waits on ``stack`` with its state and
+    # the iterator over its children, and resumes at its next child once the
+    # current subtree is done: the order of a recursive walk, in one frame.
+    chain, last, h, slots = (), 0, [0.0] * (n + 1), ()
+    s_fixed, min_fixed, max_fixed = 0.0, math.inf, -math.inf
+    row = a[0]
+    h_dest, a_last_dest = h[-1], row[dest]
+    # every child is charged op, and a broken chain link takes it back
+    op = ops_at[0]
+    ops += op * n
+    children = zip(range(1, dest), h, row[1:dest])
+    child_blocks = None  # built only for a trace
+    stack = []
+    while True:
+        for c, h_c, t11 in children:
             if t11 <= SINGULARITY_TOL:
                 # chain link into relay c is absent: every descendant is singular
-                broken += 1
+                ops -= op
                 pruned += below[c]
                 if trace is not None:
                     trace.append(((*chain, c), None, None))
@@ -354,22 +372,27 @@ def recursive_select(
             if skip:
                 pruned += below[c]
             elif c < n:
-                h_child = [hk + ak * u for hk, ak in zip(h[c - last:], row[c + 1:])]
-                visit((*chain, c), c, h_child, s_chain,
-                      u if u < min_fixed else min_fixed,
-                      u if u > max_fixed else max_fixed,
-                      (*slots, u), child_blocks)
-        ops += ops_at[len(chain)] * (n - last - broken)
-
-    direct = a[0][dest]
-    root = root_blocks(caps) if trace is not None else None
-    if direct > SINGULARITY_TOL:
-        u = 1.0 / direct
-        best_rate, best_sub, best_slots, best_s = 1.0 / u, (), (u,), u
-        best_floor = best_rate - RATE_TIE_TOL * max(best_rate, 1.0)
-    if trace is not None:
-        trace.append(((), judge(RelaySubset(()), best_slots, best_s), root))
-    visit((), 0, [0.0] * (n + 1), 0.0, math.inf, -math.inf, (), root)
+                # descend into c; this node resumes at its next child
+                stack.append((children, chain, last, row, h, h_dest, a_last_dest, op,
+                              s_fixed, min_fixed, max_fixed, slots, blocks))
+                h = [hk + ak * u for hk, ak in zip(h[c - last:], row[c + 1:])]
+                chain, last, row = (*chain, c), c, a[c]
+                h_dest, a_last_dest = h[-1], row[dest]
+                op = ops_at[len(chain)]
+                ops += op * (n - c)
+                s_fixed = s_chain
+                if u < min_fixed:
+                    min_fixed = u
+                if u > max_fixed:
+                    max_fixed = u
+                slots, blocks = (*slots, u), child_blocks
+                children = zip(range(c + 1, dest), h, row[c + 1:dest])
+                break
+        else:
+            if not stack:
+                break
+            (children, chain, last, row, h, h_dest, a_last_dest, op,
+             s_fixed, min_fixed, max_fixed, slots, blocks) = stack.pop()
 
     if best_slots is None:
         raise NoFeasibleSolution("no relay subset nor direct transmission is feasible")

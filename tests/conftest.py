@@ -87,6 +87,47 @@ def trial_outcomes(topology, scheme, snr, n_trials, base_seed, modes=montecarlo.
     }
 
 
+# -- numpy verdict reference ------------------------------------------------------
+#
+# ``allocator.judge`` and ``allocator.slot_times`` as they were written on
+# numpy arrays, before the verdict moved to Python floats.  The walk-versus-
+# oracle tests cannot see a change in judge, since the oracles call it too;
+# the Python-float versions must agree with these exactly.
+
+
+def reference_judge(subset, u, s=None):
+    """The numpy form of ``allocator.judge``."""
+    if u is None:
+        return AllocationResult(
+            subset=subset, times=None, rate=None, feasible=False,
+            reject_reason=RejectReason.SINGULAR,
+        )
+    u = np.asarray(u, dtype=float)
+    rate = None if s == 0.0 or math.isnan(s) else 1.0 / s
+    times = reference_slot_times(u, s)
+    if s <= 0.0:
+        return AllocationResult(
+            subset=subset, times=times, rate=rate, feasible=False,
+            reject_reason=RejectReason.NEGATIVE_RATE,
+        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = np.flatnonzero(~(u / s > TIME_TOL))
+    if bad.size:
+        return AllocationResult(
+            subset=subset, times=times, rate=rate, feasible=False,
+            reject_reason=RejectReason.NONPOSITIVE_TIME, reject_index=int(bad[0]),
+        )
+    return AllocationResult(subset=subset, times=times, rate=rate, feasible=True)
+
+
+def reference_slot_times(u, s):
+    """The numpy form of ``allocator.slot_times``."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t = u / s
+        t = t / t.sum()
+    return TimeAllocation(t) if np.all(np.isfinite(t)) else None
+
+
 # -- relay-relay ordering oracle --------------------------------------------------
 
 

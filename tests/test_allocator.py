@@ -1,15 +1,21 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from relayalloc.allocator import (
+    TIME_TOL,
     AllocationResult,
     RejectReason,
     SingularMatrix,
     TimeAllocation,
     allocate,
     copy_where,
+    judge,
+    slot_times,
     solve_lower_triangular,
     verify_equalization,
 )
@@ -22,7 +28,7 @@ from relayalloc.rate_model import (
 )
 from relayalloc.selector import brute_force_select, recursive_select, subsets_by_size
 
-from conftest import symmetric_exponential_caps
+from conftest import reference_judge, reference_slot_times, symmetric_exponential_caps
 
 
 def rm(entries):
@@ -286,3 +292,93 @@ class TestCopyWhere:
         assert np.array_equal(buf[1].view(np.int64),
                               np.array([1.0, np.nan, -0.0, -np.inf]).view(np.int64))
         assert np.array_equal(src, [1.0, np.nan, -0.0, 2.0], equal_nan=True)
+
+
+# -- the Python-float verdict against the numpy one ----------------------------
+
+SPECIAL_SLOTS = [0.0, -0.0, 1.0, -1.0, 0.5, 3.0, math.nan, math.inf, -math.inf, 1e300, -1e300,
+                 1e-300, -1e-300, 1.7e308, -1.7e308, 5e-324, TIME_TOL, -TIME_TOL]
+
+
+@st.composite
+def slot_vectors(draw):
+    """(u, s): unnormalized slots and a slot sum, ordinary and extreme.
+
+    Entries mix special values, 1e+-300 magnitudes and ordinary floats, or
+    are all positive, as a feasible solution's are; some vectors also carry
+    the negations of some of their entries, so that they cancel exactly.
+    ``s`` is the slots' own left-to-right sum, or positive, negative, zero,
+    NaN or inf.
+    """
+    entry = st.one_of(
+        st.sampled_from(SPECIAL_SLOTS),
+        st.floats(-10.0, 10.0),
+        st.builds(lambda m, e: m * 10.0**e, st.floats(-10.0, 10.0), st.integers(-300, 300)),
+        st.floats(),
+    )
+    if draw(st.booleans()):
+        # a solution of a feasible kind, to reach the feasible verdict
+        entry = st.floats(1e-3, 1e3)
+    u = draw(st.lists(entry, min_size=0, max_size=11))
+    if u and draw(st.booleans()):
+        k = draw(st.integers(1, len(u)))
+        u = draw(st.permutations(u + [-x for x in u[:k]]))[:12]
+    own_sum = list(itertools.accumulate(u))[-1] if u else 0.0
+    if draw(st.booleans()):
+        return u, own_sum
+    s = draw(st.one_of(
+        st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1.0, -1.0,
+                         1e-300, -1e-300, 1e300, 5e-324, -5e-324]),
+        st.floats(),
+    ))
+    return u, s
+
+
+def outcome(f, *args):
+    """What ``f(*args)`` returns, or the type and message of what it raises."""
+    try:
+        return "ok", f(*args)
+    except Exception as exc:  # noqa: BLE001 - the reference may raise anything
+        return type(exc), str(exc)
+
+
+def assert_same_times(got, want):
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert np.array_equal(got.t, want.t)
+        assert np.array_equal(np.signbit(got.t), np.signbit(want.t))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(slot_vectors())
+@example(([TIME_TOL, 1.0], 1.0))  # a slot of exactly TIME_TOL is not feasible
+@example(([1.0, -0.0], 1.0))  # the durations keep the zero's sign
+# magnitudes beyond the float range, whose renormalizing sum stays finite,
+# or overflows to inf and leaves zeros, which are refused
+@example(([1e308, -1e308, 1.0], 1.0))
+@example(([1e298, 1e298, -1e298, -1e298, 1e-10], 1e-10))
+def test_judge_and_slot_times_equal_numpy_reference(case):
+    u, s = case
+    sub = RelaySubset(tuple(range(1, len(u))))
+    for got, want in (
+        (outcome(judge, sub, tuple(u), s), outcome(reference_judge, sub, tuple(u), s)),
+        (outcome(judge, sub, np.array(u), s), outcome(reference_judge, sub, np.array(u), s)),
+    ):
+        assert got[0] == want[0], (got, want)
+        if got[0] != "ok":
+            assert got[1] == want[1]
+            continue
+        res, ref = got[1], want[1]
+        assert res.subset == ref.subset
+        assert res.rate == ref.rate
+        assert res.feasible == ref.feasible
+        assert res.reject_reason is ref.reject_reason
+        assert res.reject_index == ref.reject_index
+        assert_same_times(res.times, ref.times)
+    got = outcome(slot_times, np.array(u), s)
+    want = outcome(reference_slot_times, np.array(u), s)
+    assert got[0] == want[0], (got, want)
+    if got[0] == "ok":
+        assert_same_times(got[1], want[1])
+    else:
+        assert got[1] == want[1]

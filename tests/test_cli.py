@@ -72,7 +72,9 @@ class TestOptimize:
         path = write_json(tmp_path / "short.json", {"n_relays": 2, "capacities": [1, 2, 3]})
         assert main(["optimize", "--instance", path]) == 2
         # the (n_relays + 2)^2 capacities match, but a pool cannot be negative
-        for doc in ({"n_relays": -1, "capacities": [0]}, {"n_relays": -2, "capacities": []}):
+        for doc in ({"n_relays": -1, "capacities": [0]}, {"n_relays": -2, "capacities": []},
+                    {"n_relays": -3, "capacities": [0]},
+                    {"n_relays": -4, "capacities": [0] * 4}):
             path = write_json(tmp_path / "neg.json", doc)
             assert main(["optimize", "--instance", path]) == 2
             assert "n_relays must be nonnegative" in capsys.readouterr().err
@@ -125,6 +127,22 @@ class TestOptimize:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert message in captured.err
+
+    def test_bad_list_entry_is_named_not_the_list(self, tmp_path, capsys):
+        # one string among a 9-relay instance's 121 capacities
+        caps = [0.0 if i % 12 == 0 else 1.0 + i / 8 for i in range(121)]
+        caps[57] = "8.125"
+        path = write_json(tmp_path / "nine.json", {"n_relays": 9, "capacities": caps})
+        assert main(["optimize", "--instance", path]) == 2
+        err = capsys.readouterr().err
+        assert "'capacities' must be a list of numbers, got '8.125' at index 57" in err
+        assert len(err) < 120
+        # a nested list names the outer entry
+        doc = {"topology": {"type": "custom", "positions": [[0, 0], [0.5, 0.1], [1, {}]]},
+               "snr_db": 10, "seed": 1}
+        path = write_json(tmp_path / "pos.json", doc)
+        assert main(["optimize", "--instance", path]) == 2
+        assert "got [1, {}] at index 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
     def test_nonfinite_position_exits_2(self, tmp_path, capsys, bad):

@@ -94,13 +94,71 @@ class TestBuildCapacityMatrix:
         with pytest.raises(ValueError):
             build_capacity_matrix(np.ones((3, 2)), None, SnrConfig(1.0))
 
+    @pytest.mark.parametrize("other", [1.0, np.nan])
+    def test_negative_power_rejected_beside_nan(self, other):
+        # a NaN elsewhere does not hide the negative power
+        powers = np.ones((4, 4))
+        powers[0, 3], powers[2, 1] = other, -0.5
+        with pytest.raises(ValueError, match="^channel powers must be nonnegative$"):
+            build_capacity_matrix(powers, None, SnrConfig(1.0))
+
+    def test_nan_power_on_a_link_is_not_finite(self):
+        powers = np.ones((4, 4))
+        powers[1, 3] = np.nan
+        with pytest.raises(ValueError, match="^capacities must be finite$"):
+            build_capacity_matrix(powers, None, SnrConfig(1.0))
+
+    def test_nan_power_on_diagonal_or_masked_link_stores_zero(self):
+        powers = np.ones((4, 4))
+        powers[2, 2] = powers[1, 3] = np.nan
+        mask = np.ones((4, 4), dtype=bool)
+        mask[1, 3] = False
+        caps = build_capacity_matrix(powers, mask, SnrConfig(1.0))
+        assert caps.caps[2, 2] == 0.0 and caps.caps[1, 3] == 0.0
+        assert caps.caps[3, 1] == 1.0
+        # the mask passed in is kept, less its diagonal
+        assert np.array_equal(caps.link_mask, mask & ~np.eye(4, dtype=bool))
+
 
 class TestLinkCapacityMatrix:
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_capacity_rejected(self, bad):
         caps = np.array([[0.0, 2.0, 1.0], [2.0, 0.0, bad], [1.0, bad, 0.0]])
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="^capacities must be finite$"):
             LinkCapacityMatrix(n_relays=1, caps=caps, link_mask=~np.eye(3, dtype=bool))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_capacity_named_before_a_negative_one(self, bad):
+        caps = np.array([[0.0, -2.0, 1.0], [2.0, 0.0, bad], [1.0, 3.0, 0.0]])
+        with pytest.raises(ValueError, match="^capacities must be finite$"):
+            LinkCapacityMatrix(n_relays=1, caps=caps, link_mask=~np.eye(3, dtype=bool))
+
+    @pytest.mark.parametrize("bad", [-1.0, -5e-324])
+    def test_negative_capacity_rejected(self, bad):
+        caps = np.array([[0.0, 2.0, 1.0], [2.0, 0.0, 3.0], [1.0, bad, 0.0]])
+        with pytest.raises(ValueError, match="^capacities must be nonnegative$"):
+            LinkCapacityMatrix(n_relays=1, caps=caps, link_mask=~np.eye(3, dtype=bool))
+
+    def test_masked_capacity_must_be_zero(self):
+        caps = np.array([[0.0, 2.0, 1.0], [2.0, 0.0, 3.0], [1.0, 3.0, 0.0]])
+        mask = ~np.eye(3, dtype=bool)
+        mask[1, 2] = False
+        with pytest.raises(ValueError, match="^masked-out links must have capacity exactly 0$"):
+            LinkCapacityMatrix(n_relays=1, caps=caps, link_mask=mask)
+        # a nonzero diagonal counts as a masked link; -0.0 is zero
+        caps[1, 2], caps[0, 0] = -0.0, 0.5
+        with pytest.raises(ValueError, match="^masked-out links must have capacity exactly 0$"):
+            LinkCapacityMatrix(n_relays=1, caps=caps, link_mask=mask)
+        caps[0, 0] = 0.0
+        assert LinkCapacityMatrix(n_relays=1, caps=caps, link_mask=mask).caps[1, 2] == 0.0
+
+    @pytest.mark.parametrize("caps_shape, mask_shape", [
+        ((3, 3), (4, 4)), ((4, 4), (3, 3)), ((3, 4), (3, 4)), ((9,), (9,)), ((2, 2), (2, 2)),
+    ])
+    def test_wrong_shapes_rejected(self, caps_shape, mask_shape):
+        with pytest.raises(ValueError, match=r"^expected \(3, 3\) arrays for 1 relays"):
+            LinkCapacityMatrix(n_relays=1, caps=np.zeros(caps_shape),
+                               link_mask=np.zeros(mask_shape, dtype=bool))
 
     @pytest.mark.parametrize("n_relays", [-1, -2])
     def test_negative_pool_rejected(self, n_relays):
