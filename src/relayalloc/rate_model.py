@@ -161,7 +161,8 @@ def build_capacity_matrix(
         if mask.shape != powers.shape:
             raise ValueError(f"mask shape {mask.shape} != powers shape {powers.shape}")
         mask = mask & _off_diagonal(n)
-    # fmin skips NaN, which, like any value under the mask, is not refused here
+    # fmin skips NaN: a NaN power is refused only on an unmasked link, whose
+    # capacity it makes non-finite
     if np.fmin.reduce(powers, axis=None) < 0:
         raise ValueError("channel powers must be nonnegative")
     caps = powers * snr.snr_scalar
