@@ -10,8 +10,9 @@ Three selectors over the 2^N subsets of the relay pool:
   node k receives from them.  A child's two new slots follow in O(1) and its
   ``h`` in O(N).  This is the partitioned-inverse update of the paper
   (``extend_inverse``, O(p^2) per child) applied to the all-ones vector, so
-  the inverse blocks are only built when a trace asks for them.  Subtrees
-  are skipped once an inherited slot duration goes nonpositive.
+  the inverse blocks are only built when a trace asks for them.  A subtree
+  is skipped as soon as its root passes a nonpositive slot duration on to
+  its descendants.
 * ``equal_time_select``: optimal subset choice under uniform slot durations
   (the non-optimized cooperation baseline), a one-matrix call of
   ``batch_equal_time``.
@@ -262,12 +263,18 @@ def recursive_select(
     vector: ``h[c]`` equals ``f_c @ chain_inv @ 1``, which ``_extend_blocks``
     forms in O(p^2), so the reported operation count stays the paper's.
 
-    When any of the first p-1 slot durations of a p-relay subset is
-    nonpositive, every descendant inherits that slot, so the subtree is
-    skipped.  A broken decode-chain link likewise kills the subtree; a
-    missing last-relay-to-destination link only rejects the node itself.
-    Every subset is either visited or inside a skipped subtree, so the
-    number evaluated is 2^N less the number pruned.
+    A subset (r1..rp) passes its first p slots, the source's and
+    r1..r_{p-1}'s, on to every descendant; only rp's slot is its own.  When
+    any of those p slots over ``s`` is nonpositive, the subtree below is
+    skipped.  With ``s > 0`` every descendant inherits a nonpositive slot.
+    With ``s < 0`` either it does, or rp's slot is negative because the
+    inherited slots alone give the destination more than a unit; either way
+    no descendant's slots can all be positive.  The node itself is then
+    infeasible too, so the untraced walk skips its verdict.  A broken
+    decode-chain link likewise kills the subtree; a missing
+    last-relay-to-destination link only rejects the node itself.  Every
+    subset is either visited or inside a skipped subtree, so the number
+    evaluated is 2^N less the number pruned.
 
     A node is feasible when ``s > 0`` and its smallest slot over ``s``
     exceeds TIME_TOL, which is ``judge``'s verdict written inline: a call per
@@ -339,13 +346,17 @@ def recursive_select(
                 u_dest = (1.0 - (h_dest + a_last_dest * u)) / t22
                 s = s_chain + u_dest
                 if s > 0.0:
-                    # below the floor no verdict is needed; the smallest slot
-                    # is min(min_fixed, u, u_dest), compared in that order
+                    # the slots fixed by the parent and u belong to every
+                    # descendant; the smallest slot is min(min_fixed, u,
+                    # u_dest), compared in that order
+                    low = min_fixed
+                    if u < low:
+                        low = u
+                    skip = low / s <= 0.0
+                    # a node that passes on a nonpositive slot is infeasible
+                    # itself, and below the floor no verdict is needed
                     rate = 1.0 / s
-                    if rate >= best_floor:
-                        low = min_fixed
-                        if u < low:
-                            low = u
+                    if not skip and rate >= best_floor:
                         if u_dest < low:
                             low = u_dest
                         if low / s > TIME_TOL:
@@ -354,11 +365,12 @@ def recursive_select(
                                 best_rate, best_sub, best_s = rate, sub, s
                                 best_slots = (*slots, u, u_dest)
                                 best_floor = best_rate - RATE_TIE_TOL * max(best_rate, 1.0)
-                    # the slots fixed by the parent belong to every descendant
-                    skip = min_fixed / s <= 0.0
                 else:
                     # a NaN slot makes s NaN, which fails s > 0 and this test
-                    skip = s != 0.0 and max_fixed / s <= 0.0
+                    high = max_fixed
+                    if u > high:
+                        high = u
+                    skip = s != 0.0 and high / s <= 0.0
             else:
                 skip = False
             if trace is not None:

@@ -330,10 +330,11 @@ def recursive_select_blocks(
 
     Children of a subset append one relay beyond its largest index; each
     child reuses the parent's cached inverse blocks.  When any of the first
-    p-1 slot durations of a p-relay subset is nonpositive, every descendant
-    inherits that slot, so the subtree is skipped.  A broken decode-chain
-    link likewise kills the subtree; a missing last-relay-to-destination
-    link only rejects the node itself.
+    p renormalized slot durations of a p-relay subset is nonpositive, every
+    descendant inherits that slot, or the subset's rate is negative, so the
+    subtree is skipped.  A broken decode-chain link likewise kills the
+    subtree; a missing last-relay-to-destination link only rejects the node
+    itself.
 
     ``trace``, if given, collects (subset, result, blocks) triples for every
     node visited.
@@ -370,11 +371,7 @@ def recursive_select_blocks(
                 trace.append((child.subset, result, child))
             consider(result)
             p = len(child.subset)
-            if (
-                result.times is not None
-                and p >= 2
-                and np.any(result.times.t[: p - 1] <= 0.0)
-            ):
+            if result.times is not None and np.any(result.times.t[:p] <= 0.0):
                 pruned += (1 << (n - j)) - 1
                 continue
             visit(child)
@@ -406,7 +403,9 @@ def recursive_select_per_node(
     Every visited node builds its subset and slot tuples, takes its smallest
     and largest slots with the builtin ``min`` and ``max``, offers every
     feasible rate to ``_beats`` and counts itself and its operations one at
-    a time.  The library walk does each of these only where it can change
+    a time.  Its subtree is skipped when the smallest (``s > 0``) or the
+    largest (``s < 0``) of the slots its descendants inherit, the parent's
+    fixed slots and the chain slot ``u``, is nonpositive over ``s``.  The library walk does each of these only where it can change
     the outcome; its outcomes, counters and traces must equal these exactly.
     """
     n = caps.n_relays
@@ -448,7 +447,8 @@ def recursive_select_per_node(
                     if _beats(rate, sub, best_rate, best_sub):
                         best_rate, best_sub, best_slots, best_s = rate, sub, node_slots, s
                 if s != 0.0:
-                    skip = (min_fixed if s > 0.0 else max_fixed) / s <= 0.0
+                    inherited = min(min_fixed, u) if s > 0.0 else max(max_fixed, u)
+                    skip = inherited / s <= 0.0
             if trace is not None:
                 child_blocks = _extend_blocks(blocks, caps.caps, dest, c)
                 trace.append((sub, judge(RelaySubset(sub), node_slots, s), child_blocks))

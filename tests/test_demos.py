@@ -13,7 +13,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DEMOS = ["incremental_inverse", "numbering_comparison", "outage_sweep", "single_instance"]
+DEMOS = [
+    "incremental_inverse", "iterations", "numbering_comparison", "outage_sweep", "single_instance",
+]
 
 
 @pytest.mark.parametrize("demo", DEMOS)

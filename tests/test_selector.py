@@ -150,13 +150,15 @@ class TestRecursiveSelect:
 
     def test_prune_skips_subtree(self):
         # strong direct link and weak relay chain: {1,2} comes out with
-        # t0 < 0, so {1,2,3} must never be evaluated
+        # t0 < 0, so {1,2,3} must never be evaluated.  The source's link to
+        # relay 1 is strong enough that {1} has a positive slot sum, so the
+        # walk reaches {1,2} before it prunes
         caps = caps_from_links(
             3,
             {
-                (0, 1): 1.0, (0, 2): 10.0, (0, 3): 1.0, (0, 4): 5.0,
+                (0, 1): 5.0, (0, 2): 10.0, (0, 3): 1.0, (0, 4): 5.0,
                 (1, 2): 1.0, (1, 3): 1.0, (2, 3): 1.0,
-                (1, 4): 0.1, (2, 4): 0.1, (3, 4): 1.0,
+                (1, 4): 0.1, (2, 4): 1.0, (3, 4): 1.0,
             },
         )
         sub12 = RelaySubset((1, 2))
@@ -184,6 +186,90 @@ class TestRecursiveSelect:
                     continue
                 res = allocate(build_rate_matrix(caps, RelaySubset(sub)), RelaySubset(sub))
                 assert not res.feasible, f"pruned subset {sub} was feasible"
+
+    def test_chain_slot_prunes_the_childs_subtree(self):
+        # {1,2} fixes relay 1's slot at (1 - a02 / a01) / a12 = -9 while its
+        # slot sum stays positive.  Every descendant inherits that slot, so
+        # {1,2,3} is skipped without being evaluated; {1} passes on only the
+        # source's slot, 1 / a01 > 0, and is descended into
+        caps = caps_from_links(
+            3,
+            {
+                (0, 1): 1.0, (0, 2): 10.0, (0, 3): 1.0, (0, 4): 5.0,
+                (1, 2): 1.0, (1, 3): 1.0, (2, 3): 1.0,
+                (1, 4): 5.0, (2, 4): 0.1, (3, 4): 1.0,
+            },
+        )
+        sub12 = RelaySubset((1, 2))
+        res12 = allocate(build_rate_matrix(caps, sub12), sub12)
+        assert res12.rate > 0
+        assert res12.times.t[0] > 0 > res12.times.t[1]
+        sub123 = RelaySubset((1, 2, 3))
+        assert not allocate(build_rate_matrix(caps, sub123), sub123).feasible
+
+        trace = []
+        out = recursive_select(caps, trace=trace)
+        assert [t[0] for t in trace] == [(), (1,), (1, 2), (1, 3), (2,), (2, 3), (3,)]
+        assert out.candidates_pruned == 1
+        assert out.candidates_evaluated == 7
+        assert out.best.subset.indices == brute_force_select(caps).best.subset.indices
+
+    @pytest.mark.parametrize("family", ["fading", "masked", "integer"])
+    def test_skipped_subsets_are_infeasible(self, rng, family):
+        # criterion 5 covers exponential pools of 6 relays; these families
+        # add masked links, exact integer cancellations and fading layouts
+        if family == "fading":
+            cases = [caps for caps in fading_pools() if caps.n_relays <= 7]
+        else:
+            cases = scalar_cases(rng, family, max_relays=7)
+        n_skipped = 0
+        for k, caps in enumerate(cases):
+            trace = []
+            try:
+                recursive_select(caps, trace=trace)
+            except NoFeasibleSolution:
+                pass
+            for sub in skipped_subsets(caps, trace):
+                res = allocate(build_rate_matrix(caps, RelaySubset(sub)), RelaySubset(sub))
+                assert not res.feasible, (family, k, sub)
+                n_skipped += 1
+        assert n_skipped > 0
+
+    def test_skipped_extreme_subsets_are_infeasible(self, extreme_instances):
+        n_skipped = 0
+        for k, (caps, verdicts) in enumerate(extreme_instances):
+            trace = []
+            try:
+                recursive_select(caps, trace=trace)
+            except NoFeasibleSolution:
+                pass
+            for sub in skipped_subsets(caps, trace):
+                assert not verdicts[sub].feasible, (k, sub)
+                n_skipped += 1
+        assert n_skipped > 0
+
+    @pytest.mark.parametrize("family", ["fading", "exponential", "masked"])
+    def test_no_descendant_of_a_nonpositive_slot_is_traced(self, rng, family):
+        # completeness of the prune: a node whose first p renormalized
+        # durations include one <= 0 passes it on, so no descendant is walked
+        cases = fading_pools() if family == "fading" else scalar_cases(rng, family)
+        n_cut = 0
+        for k, caps in enumerate(cases):
+            trace = []
+            try:
+                recursive_select(caps, trace=trace)
+            except NoFeasibleSolution:
+                pass
+            visited = [t[0] for t in trace]
+            for sub, result, _blocks in trace:
+                p = len(sub)
+                if result is None or result.times is None:
+                    continue
+                if np.any(result.times.t[:p] <= 0.0):
+                    n_cut += 1
+                    below = [v for v in visited if len(v) > p and v[:p] == sub]
+                    assert not below, (family, k, sub, below)
+        assert n_cut > 0
 
     def test_no_feasible_solution(self):
         with pytest.raises(NoFeasibleSolution):
@@ -816,6 +902,12 @@ def oracle_cases(rng, n_relays, n_draws):
         integer_no_direct[:, 0, dest] = 0.0
         cases.update(no_direct=no_direct, integer_no_direct=integer_no_direct)
     return cases
+
+
+def skipped_subsets(caps, trace):
+    """The subsets of the pool that a traced walk did not evaluate."""
+    visited = {t[0] for t in trace}
+    return [sub for sub in subsets_by_size(caps.n_relays) if sub not in visited]
 
 
 def counters(outcome):
