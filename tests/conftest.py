@@ -405,8 +405,9 @@ def recursive_select_per_node(
     feasible rate to ``_beats`` and counts itself and its operations one at
     a time.  Its subtree is skipped when the smallest (``s > 0``) or the
     largest (``s < 0``) of the slots its descendants inherit, the parent's
-    fixed slots and the chain slot ``u``, is nonpositive over ``s``.  The library walk does each of these only where it can change
-    the outcome; its outcomes, counters and traces must equal these exactly.
+    fixed slots and the chain slot ``u``, is nonpositive over ``s``.  The
+    library walk does each of these only where it can change the outcome;
+    its outcomes, counters and traces must equal these exactly.
     """
     n = caps.n_relays
     dest = n + 1
