@@ -180,10 +180,7 @@ class TestRecursiveSelect:
             caps = symmetric_exponential_caps(rng, 6)
             trace = []
             recursive_select(caps, trace=trace)
-            visited = {t[0] for t in trace}
-            for sub in subsets_by_size(6):
-                if sub in visited:
-                    continue
+            for sub in skipped_subsets(caps, trace):
                 res = allocate(build_rate_matrix(caps, RelaySubset(sub)), RelaySubset(sub))
                 assert not res.feasible, f"pruned subset {sub} was feasible"
 
