@@ -1,6 +1,7 @@
 # The recursive search skips every subtree below a subset that passes a
-# nonpositive slot duration on to its descendants, which is how the paper's
-# algorithm "reduces the number of required iterations".  This prints the
+# nonpositive slot duration on to its descendants, or whose slot sum is
+# negative, which is how the paper's algorithm "reduces the number of
+# required iterations".  This prints the
 # share of the 2^N subsets the walk evaluates, read from the counters of
 # recursive_select's outcome, for growing pools on a line and on random
 # layouts.
@@ -48,6 +49,8 @@ for layout in ("linear", "random"):
 
 print(
     "\nevery subset not evaluated lies below one that passes a nonpositive\n"
-    "slot (or a missing decode-chain link) to all its descendants, so it\n"
-    "cannot be feasible; the winner is the exhaustive search's"
+    "slot (or a missing decode-chain link) to all its descendants, or whose\n"
+    "negative slot sum means its inherited slots alone give the destination\n"
+    "more than a unit, so it cannot be feasible; the winner is the\n"
+    "exhaustive search's"
 )

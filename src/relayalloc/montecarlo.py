@@ -60,8 +60,7 @@ REJECT_KEYS = ("singular", "negative_rate", "nonpositive_time")
 #     slot sums and minima: by tracemalloc at most 8n^2 + 150 bytes, and
 #     under 8n^2 + 32n + 16 at every n measured (2..13).
 # The charge exceeds tracemalloc's per-column figure by 4-8% at n = 2..4 and
-# about 10% at n = 11..13; the selectors' 2^N-entry subset index (0.15 MB at
-# N = 11) is not charged.  tests/test_montecarlo.py checks one block's peak
+# about 10% at n = 11..13.  tests/test_montecarlo.py checks one block's peak
 # against BLOCK_BYTES for N = 0..11 at S = 1 and 5.  Larger blocks spread
 # each selector call's fixed cost, 2^(N-1) node visits of a few numpy calls
 # each, over more columns: at N = 9 a `batch_optimized` call takes 7.6 ms at

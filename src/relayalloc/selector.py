@@ -11,8 +11,8 @@ Three selectors over the 2^N subsets of the relay pool:
   ``h`` in O(N).  This is the partitioned-inverse update of the paper
   (``extend_inverse``, O(p^2) per child) applied to the all-ones vector, so
   the inverse blocks are only built when a trace asks for them.  A subtree
-  is skipped as soon as its root passes a nonpositive slot duration on to
-  its descendants.
+  is skipped as soon as its root passes a nonpositive slot on to its
+  descendants, or has a negative slot sum: two sign tests, no division.
 * ``equal_time_select``: optimal subset choice under uniform slot durations
   (the non-optimized cooperation baseline), a one-matrix call of
   ``batch_equal_time``.
@@ -253,7 +253,7 @@ def recursive_select(
     Children of a subset append one relay beyond its largest index.  A node
     with chain (r1..rm) carries, as Python floats, the unnormalized slots
     fixed for all its descendants (the source and r1..r_{m-1}), which the
-    winner and the trace read, their sum and extremes, and ``h[k]``, the sum
+    winner and the trace read, their sum and minimum, and ``h[k]``, the sum
     of a[tx, k] * u_tx over those fixed transmitters; ``batch_optimized``
     keeps the sum, the minimum and ``h`` per trial.  Appending
     relay c fixes the slot of r_m at (1 - h[c]) / a[r_m, c] and the
@@ -264,17 +264,17 @@ def recursive_select(
     forms in O(p^2), so the reported operation count stays the paper's.
 
     A subset (r1..rp) passes its first p slots, the source's and
-    r1..r_{p-1}'s, on to every descendant; only rp's slot is its own.  When
-    any of those p slots over ``s`` is nonpositive, the subtree below is
-    skipped.  With ``s > 0`` every descendant inherits a nonpositive slot.
-    With ``s < 0`` either it does, or rp's slot is negative because the
-    inherited slots alone give the destination more than a unit; either way
-    no descendant's slots can all be positive.  The node itself is then
-    infeasible too, so the untraced walk skips its verdict.  A broken
-    decode-chain link likewise kills the subtree; a missing
-    last-relay-to-destination link only rejects the node itself.  Every
-    subset is either visited or inside a skipped subtree, so the number
-    evaluated is 2^N less the number pruned.
+    r1..r_{p-1}'s, on to every descendant; only rp's slot is its own.  A
+    feasible node's slots are all positive (``s > 0`` and each over ``s``
+    exceeds TIME_TOL), so the subtree is skipped when one of the p slots is
+    not positive, with or without rp's destination link; as the walk
+    descends only where this fails, only the slot that appending rp fixes
+    needs the test.  It is also skipped when ``s < 0``: then the inherited
+    slots alone give the destination more than a unit, in every descendant
+    too.  Either way the node is infeasible, so the untraced walk skips its
+    verdict.  A broken decode-chain link likewise kills the subtree.  Every
+    subset is visited or inside a skipped subtree, so the number evaluated
+    is 2^N less the number pruned.
 
     A node is feasible when ``s > 0`` and its smallest slot over ``s``
     exceeds TIME_TOL, which is ``judge``'s verdict written inline: a call per
@@ -321,7 +321,7 @@ def recursive_select(
     # the iterator over its children, and resumes at its next child once the
     # current subtree is done: the order of a recursive walk, in one frame.
     chain, last, h, slots = (), 0, [0.0] * (n + 1), ()
-    s_fixed, min_fixed, max_fixed = 0.0, math.inf, -math.inf
+    s_fixed, min_fixed = 0.0, math.inf
     row = a[0]
     h_dest, a_last_dest = h[-1], row[dest]
     # every child is charged op, and a broken chain link takes it back
@@ -341,22 +341,20 @@ def recursive_select(
                 continue
             u = (1.0 - h_c) / t11
             s_chain = s_fixed + u
+            # every descendant inherits u, and min_fixed > 0 wherever the walk is
+            skip = u <= 0.0
             t22 = a_dest[c]
             if t22 > SINGULARITY_TOL:
                 u_dest = (1.0 - (h_dest + a_last_dest * u)) / t22
                 s = s_chain + u_dest
                 if s > 0.0:
-                    # the slots fixed by the parent and u belong to every
-                    # descendant; the smallest slot is min(min_fixed, u,
-                    # u_dest), compared in that order
-                    low = min_fixed
-                    if u < low:
-                        low = u
-                    skip = low / s <= 0.0
                     # a node that passes on a nonpositive slot is infeasible
                     # itself, and below the floor no verdict is needed
                     rate = 1.0 / s
                     if not skip and rate >= best_floor:
+                        low = min_fixed
+                        if u < low:
+                            low = u
                         if u_dest < low:
                             low = u_dest
                         if low / s > TIME_TOL:
@@ -365,14 +363,9 @@ def recursive_select(
                                 best_rate, best_sub, best_s = rate, sub, s
                                 best_slots = (*slots, u, u_dest)
                                 best_floor = best_rate - RATE_TIE_TOL * max(best_rate, 1.0)
-                else:
-                    # a NaN slot makes s NaN, which fails s > 0 and this test
-                    high = max_fixed
-                    if u > high:
-                        high = u
-                    skip = s != 0.0 and high / s <= 0.0
-            else:
-                skip = False
+                elif s < 0.0:
+                    # the inherited slots alone give the destination over a unit
+                    skip = True
             if trace is not None:
                 sub = (*chain, c)
                 child_blocks = _extend_blocks(blocks, caps.caps, dest, c)
@@ -386,7 +379,7 @@ def recursive_select(
             elif c < n:
                 # descend into c; this node resumes at its next child
                 stack.append((children, chain, last, row, h, h_dest, a_last_dest, op,
-                              s_fixed, min_fixed, max_fixed, slots, blocks))
+                              s_fixed, min_fixed, slots, blocks))
                 h = [hk + ak * u for hk, ak in zip(h[c - last:], row[c + 1:])]
                 chain, last, row = (*chain, c), c, a[c]
                 h_dest, a_last_dest = h[-1], row[dest]
@@ -395,8 +388,6 @@ def recursive_select(
                 s_fixed = s_chain
                 if u < min_fixed:
                     min_fixed = u
-                if u > max_fixed:
-                    max_fixed = u
                 slots, blocks = (*slots, u), child_blocks
                 children = zip(range(c + 1, dest), h, row[c + 1:dest])
                 break
@@ -404,7 +395,7 @@ def recursive_select(
             if not stack:
                 break
             (children, chain, last, row, h, h_dest, a_last_dest, op,
-             s_fixed, min_fixed, max_fixed, slots, blocks) = stack.pop()
+             s_fixed, min_fixed, slots, blocks) = stack.pop()
 
     if best_slots is None:
         raise NoFeasibleSolution("no relay subset nor direct transmission is feasible")
@@ -483,14 +474,18 @@ def _link_major(caps_batch: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(caps_batch, dtype=float).transpose(1, 2, 0))
 
 
-def _subset_ids(n_relays: int) -> tuple[dict[tuple, int], np.ndarray]:
-    """Index of every subset in ``subsets_by_size`` order, and each index's size.
+def _size_ends(n_relays: int) -> list[int]:
+    """Entry m counts the subsets of at most m relays.  The batched walks pop
+    the nodes of one size in reverse ``subsets_by_size`` order, so their
+    blocks of children (consecutive subsets of one size) fill each size
+    class backwards from its end."""
+    return list(itertools.accumulate(math.comb(n_relays, m) for m in range(n_relays + 1)))
 
-    The size array carries a trailing 0, so a best index of -1 (no candidate
-    yet) maps to size 0.
-    """
-    ids = {sub: i for i, sub in enumerate(subsets_by_size(n_relays))}
-    return ids, np.array([len(sub) for sub in ids] + [0], dtype=np.int64)
+
+def _subset_sizes(ends: list[int], ids: np.ndarray) -> np.ndarray:
+    """Size of the subset with each id, 0 for -1: the number of class ends at
+    or below it, by comparison (np.searchsorted costs ~10 ns per id)."""
+    return (ids >= np.array(ends[:-1])[:, None]).sum(axis=0)
 
 
 def _tie_tol(r: np.ndarray) -> np.ndarray:
@@ -607,7 +602,8 @@ def batch_optimized(caps_batch: np.ndarray) -> dict[str, np.ndarray]:
     n, _, n_trials = a.shape
     n_relays = n - 2
     dest = n - 1
-    ids, sizes = _subset_ids(n_relays)
+    ends = _size_ends(n_relays)
+    first = ends.copy()  # counts down as blocks are offered
     # per trial: singular, rate <= 0 and feasible nodes (see node_rates)
     counts = np.zeros((3, n_trials), dtype=np.int64)
 
@@ -618,13 +614,13 @@ def batch_optimized(caps_batch: np.ndarray) -> dict[str, np.ndarray]:
 
         # A stack entry is a node waiting to have its children evaluated; its
         # own h is derived from its parent's block when it is popped, so only
-        # the blocks along the current path stay alive.
-        root = ((), np.zeros((n - 1, n_trials)), 0.0, 0.0, 0.0, np.inf, False)
+        # the blocks along the current path stay alive.  A node is its last
+        # relay (0 for the source) and its size.
+        root = (0, 0, np.zeros((n - 1, n_trials)), 0.0, 0.0, 0.0, np.inf, False)
         stack = [root] if n_relays else []
         while stack:
-            chain, h_parent, a_parent, u, s_chain, min_chain, singular = stack.pop()
+            last, m, h_parent, a_parent, u, s_chain, min_chain, singular = stack.pop()
             h = h_parent + a_parent * u
-            last = chain[-1] if chain else 0
             lo = last + 1
             a_last = a[last, lo:]  # links from the last transmitter to later nodes
             a_rd = a[lo:dest, dest]  # each child's destination link
@@ -639,9 +635,10 @@ def batch_optimized(caps_batch: np.ndarray) -> dict[str, np.ndarray]:
                 np.minimum(min_chain, u_dest),
                 counts,
             )
-            best.offer(rate, ids[(*chain, lo)])
+            first[m + 1] -= dest - lo
+            best.offer(rate, first[m + 1])
             for j in range(n_relays - lo):  # children of relay N are leaves
-                stack.append(((*chain, lo + j), h[j + 1:], a_last[j + 1:], u[j],
+                stack.append((lo + j, m + 1, h[j + 1:], a_last[j + 1:], u[j],
                               s_chain[j], min_chain[j], singular[j]))
 
     if np.any(best.id < 0):
@@ -649,7 +646,7 @@ def batch_optimized(caps_batch: np.ndarray) -> dict[str, np.ndarray]:
         raise NoFeasibleSolution(f"trial {bad} has no feasible subset", trial=bad)
     return {
         "rate": best.rate,
-        "n_active": sizes[best.id],
+        "n_active": _subset_sizes(ends, best.id),
         "best_id": best.id,
         "n_singular": counts[0],
         "n_negative_rate": counts[1],
@@ -673,17 +670,20 @@ def batch_equal_time(caps_batch: np.ndarray) -> dict[str, np.ndarray]:
     n, _, n_trials = a.shape
     n_relays = n - 2
     dest = n - 1
-    ids, sizes = _subset_ids(n_relays)
+    ends = _size_ends(n_relays)
+    first = ends.copy()  # counts down as blocks are offered
     best = _Best(a[0, dest])
-    stack = [((), a[0, 1:], 0.0, np.inf)] if n_relays else []
+    # a node is its last relay (0 for the source) and its size
+    stack = [(0, 0, a[0, 1:], 0.0, np.inf)] if n_relays else []
     while stack:
-        chain, e_parent, a_row, min_chain = stack.pop()
+        last, m, e_parent, a_row, min_chain = stack.pop()
         e = e_parent + a_row
-        lo = (chain[-1] if chain else 0) + 1
+        lo = last + 1
         min_chain = np.minimum(min_chain, e[:-1])
         e_dest = e[-1] + a[lo:dest, dest]
-        best.offer(np.minimum(min_chain, e_dest) / (len(chain) + 2), ids[(*chain, lo)])
+        first[m + 1] -= dest - lo
+        best.offer(np.minimum(min_chain, e_dest) / (m + 2), first[m + 1])
         for j in range(n_relays - lo):
             c = lo + j
-            stack.append(((*chain, c), e[j + 1:], a[c, c + 1:], min_chain[j]))
-    return {"rate": best.rate, "n_active": sizes[best.id], "best_id": best.id}
+            stack.append((c, m + 1, e[j + 1:], a[c, c + 1:], min_chain[j]))
+    return {"rate": best.rate, "n_active": _subset_sizes(ends, best.id), "best_id": best.id}

@@ -329,12 +329,12 @@ def recursive_select_blocks(
     """The recursive search on cached inverse blocks, one solve per node.
 
     Children of a subset append one relay beyond its largest index; each
-    child reuses the parent's cached inverse blocks.  When any of the first
-    p renormalized slot durations of a p-relay subset is nonpositive, every
-    descendant inherits that slot, or the subset's rate is negative, so the
-    subtree is skipped.  A broken decode-chain link likewise kills the
-    subtree; a missing last-relay-to-destination link only rejects the node
-    itself.
+    child reuses the parent's cached inverse blocks.  The subtree below a
+    subset is skipped when one of the slots its descendants inherit,
+    ``u_chain``, is nonpositive, or when its rate is negative: then the
+    inherited slots alone give the destination more than a unit.  Either
+    way no descendant's slots can all be positive.  A broken decode-chain
+    link likewise kills the subtree.
 
     ``trace``, if given, collects (subset, result, blocks) triples for every
     node visited.
@@ -370,8 +370,9 @@ def recursive_select_blocks(
             if trace is not None:
                 trace.append((child.subset, result, child))
             consider(result)
-            p = len(child.subset)
-            if result.times is not None and np.any(result.times.t[:p] <= 0.0):
+            if not np.all(child.u_chain > 0.0) or (
+                result.rate is not None and result.rate < 0.0
+            ):
                 pruned += (1 << (n - j)) - 1
                 continue
             visit(child)
@@ -401,11 +402,11 @@ def recursive_select_per_node(
     """The float walk of ``selector.recursive_select`` in its plain form.
 
     Every visited node builds its subset and slot tuples, takes its smallest
-    and largest slots with the builtin ``min`` and ``max``, offers every
-    feasible rate to ``_beats`` and counts itself and its operations one at
-    a time.  Its subtree is skipped when the smallest (``s > 0``) or the
-    largest (``s < 0``) of the slots its descendants inherit, the parent's
-    fixed slots and the chain slot ``u``, is nonpositive over ``s``.  The
+    slot with the builtin ``min``, offers every feasible rate to ``_beats``
+    and counts itself and its operations one at a time.  Its subtree is
+    skipped when the smallest of the slots its descendants inherit, the
+    parent's fixed slots and the chain slot ``u``, is not positive, or when
+    its slot sum ``s`` is negative, with or without a destination link.  The
     library walk does each of these only where it can change the outcome;
     its outcomes, counters and traces must equal these exactly.
     """
@@ -418,7 +419,7 @@ def recursive_select_per_node(
     ops = 0
     best_rate, best_sub, best_slots, best_s = -math.inf, (), None, None
 
-    def visit(chain, h, s_fixed, min_fixed, max_fixed, slots, blocks):
+    def visit(chain, h, s_fixed, min_fixed, slots, blocks):
         nonlocal evaluated, pruned, ops, best_rate, best_sub, best_slots, best_s
         last = chain[-1] if chain else 0
         row = a[last]
@@ -438,7 +439,6 @@ def recursive_select_per_node(
             s_chain = s_fixed + u
             t22 = a[c][dest]
             node_slots = s = None
-            skip = False
             if t22 > SINGULARITY_TOL:
                 u_dest = (1.0 - (h[-1] + row[dest] * u)) / t22
                 node_slots = (*child_slots, u_dest)
@@ -447,9 +447,7 @@ def recursive_select_per_node(
                     rate = 1.0 / s
                     if _beats(rate, sub, best_rate, best_sub):
                         best_rate, best_sub, best_slots, best_s = rate, sub, node_slots, s
-                if s != 0.0:
-                    inherited = min(min_fixed, u) if s > 0.0 else max(max_fixed, u)
-                    skip = inherited / s <= 0.0
+            skip = not min(min_fixed, u) > 0.0 or (s is not None and s < 0.0)
             if trace is not None:
                 child_blocks = _extend_blocks(blocks, caps.caps, dest, c)
                 trace.append((sub, judge(RelaySubset(sub), node_slots, s), child_blocks))
@@ -459,8 +457,7 @@ def recursive_select_per_node(
                 pruned += (1 << (n - c)) - 1
             elif c < n:
                 h_child = [hk + ak * u for hk, ak in zip(h[i + 1:], row[c + 1:])]
-                visit(sub, h_child, s_chain, min(min_fixed, u), max(max_fixed, u),
-                      child_slots, child_blocks)
+                visit(sub, h_child, s_chain, min(min_fixed, u), child_slots, child_blocks)
 
     direct = a[0][dest]
     root = root_blocks(caps) if trace is not None else None
@@ -469,7 +466,7 @@ def recursive_select_per_node(
         best_rate, best_sub, best_slots, best_s = 1.0 / u, (), (u,), u
     if trace is not None:
         trace.append(((), judge(RelaySubset(()), best_slots, best_s), root))
-    visit((), [0.0] * (n + 1), 0.0, math.inf, -math.inf, (), root)
+    visit((), [0.0] * (n + 1), 0.0, math.inf, (), root)
 
     if best_slots is None:
         raise NoFeasibleSolution("no relay subset nor direct transmission is feasible")
