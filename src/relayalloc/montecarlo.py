@@ -5,7 +5,9 @@ from its own counter-based substream, which a worker seeks to its first
 trial, and the same substreams are reused at every SNR point (common random
 numbers).
 
-A worker evaluates its trial range in equal blocks, each as large as
+One exact integer splitter, ``_ranges``, cuts the trials into worker ranges
+and each range into blocks.  A worker is sent the experiment and its range,
+derives the rest, and evaluates its range in blocks, each as large as
 BLOCK_BYTES allows for what a block allocates: the drawn links per trial,
 and per column (a trial at one SNR point) the capacity stack and the
 selectors' walk state.  The SNR axis is folded into the batch axis, so a
@@ -136,6 +138,10 @@ def sweep(
         raise ValueError(f"parallel must be at least 1, got {parallel}")
     snr_db = tuple(float(v) for v in snr_grid_db)
     snr_lin = tuple(snr_from_db(v) for v in snr_db)
+    # each trial adds up to 2^N rejects to an int64 total
+    limit = 2**63 >> topology.n_relays
+    if n_trials >= limit:
+        raise ValueError(f"n_trials must be below 2^63 / 2^N = {limit}, got {n_trials}")
     rank = _outage_rank(epsilon, n_trials)
     if not modes:
         raise ValueError("modes must be nonempty")
@@ -143,20 +149,16 @@ def sweep(
         if m not in MODES:
             raise ValueError(f"unknown mode {m!r}")
     modes = tuple(dict.fromkeys(modes))
-    params = fading_params(topology)
-    block_trials = _block_trials(len(snr_db), params.lam.shape[0])
 
-    bounds = np.linspace(0, n_trials, parallel + 1, dtype=int).tolist()
+    # at most one worker per trial, so no range is empty
     jobs = [
-        (params, topology, scheme, snr_db, snr_lin, base_seed, a, b - a, modes,
-         block_trials, rank)
-        for a, b in zip(bounds[:-1], bounds[1:])
-        if b > a
+        (topology, scheme, snr_db, base_seed, modes, rank, a, b - a)
+        for a, b in _ranges(0, n_trials, min(parallel, n_trials))
     ]
     if len(jobs) == 1:
         parts = [_fold_trials(*jobs[0])]
     else:
-        # a pool starts all its workers at once, so one per nonempty range
+        # a pool starts all its workers at once, so one per range
         with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
             parts = list(pool.map(_fold_trials, *zip(*jobs)))
 
@@ -188,6 +190,12 @@ def _block_trials(n_snr: int, n_nodes: int) -> int:
     return max(1, BLOCK_BYTES // (n_snr * per_column + per_trial))
 
 
+def _ranges(start: int, count: int, parts: int) -> Iterator[tuple[int, int]]:
+    """``parts`` contiguous ranges [a, b) covering [start, start+count), sizes within one."""
+    for i in range(parts):
+        yield start + count * i // parts, start + count * (i + 1) // parts
+
+
 def _smallest(rates: np.ndarray, k: int) -> np.ndarray:
     """The k smallest entries of each row of (S, T) ``rates``, unordered; all if T <= k."""
     if rates.shape[1] <= k:
@@ -196,17 +204,14 @@ def _smallest(rates: np.ndarray, k: int) -> np.ndarray:
 
 
 def _fold_trials(
-    params: FadingParams,
     topology: Topology,
     scheme: NumberingScheme,
     snr_db: tuple[float, ...],
-    snr_lin: tuple[float, ...],
     base_seed: int,
+    modes: tuple[str, ...],
+    k: int,
     start: int,
     count: int,
-    modes: tuple[str, ...],
-    block_trials: int,
-    k: int,
 ) -> dict[str, dict[str, np.ndarray]]:
     """One worker's trials [start, start+count), reduced to what the curves need.
 
@@ -217,10 +222,7 @@ def _fold_trials(
     """
     low: dict[str, list[np.ndarray]] = {m: [] for m in modes}
     sums: dict[str, dict[str, np.ndarray]] = {m: {} for m in modes}
-    for block in _evaluate_blocks(
-        params, topology, scheme, snr_db, snr_lin, base_seed, start, count, modes,
-        block_trials,
-    ):
+    for block in _evaluate_blocks(topology, scheme, snr_db, base_seed, modes, start, count):
         for m, res in block.items():
             low[m].append(res.pop("rate"))
             if sum(r.shape[1] for r in low[m]) >= 2 * k:
@@ -234,34 +236,30 @@ def _fold_trials(
 
 
 def _evaluate_blocks(
-    params: FadingParams,
     topology: Topology,
     scheme: NumberingScheme,
     snr_db: tuple[float, ...],
-    snr_lin: tuple[float, ...],
     base_seed: int,
+    modes: tuple[str, ...],
     start: int,
     count: int,
-    modes: tuple[str, ...],
-    block_trials: int,
 ) -> Iterator[dict[str, dict[str, np.ndarray]]]:
-    """Evaluate trials [start, start+count) in equal blocks of at most ``block_trials``.
+    """Evaluate trials [start, start+count) in the fewest blocks of at most ``_block_trials``.
 
-    Yields, per block in trial order, each mode's per-trial selector arrays
+    Yields, per ``_ranges`` block in trial order, each mode's per-trial selector arrays
     (``best_id`` dropped) shaped (S, C).  The SNR axis is folded into the
     batch axis: a block is one selector call per mode on an (S*C, n, n)
-    link-major stack.  ``snr_db`` only names the SNR point in errors.
+    link-major stack.
     """
+    params = fading_params(topology)
     n = params.lam.shape[0]
-    n_blocks = -(-count // block_trials)
-    edges = (start + count * np.arange(n_blocks + 1) // n_blocks).tolist()
-    snr = np.asarray(snr_lin)[:, None]
-    for a, b in zip(edges[:-1], edges[1:]):
+    snr = np.array([snr_from_db(v) for v in snr_db])[:, None]
+    for a, b in _ranges(start, count, -(-count // _block_trials(len(snr_db), n))):
         links = _ordered_powers(params, topology, scheme, base_seed, a, b - a)
         # link-major stack: transmitter i's links to the later nodes are one
         # contiguous (n-1-i, S, C) run, built in place; the diagonal and the
         # lower triangle stay 0, since the selectors never read them
-        stack = np.zeros((n, n, len(snr_lin), b - a))
+        stack = np.zeros((n, n, len(snr_db), b - a))
         first = 0
         for i in range(n - 1):
             row = stack[i, i + 1:]
@@ -281,7 +279,7 @@ def _evaluate_blocks(
                     f"trial {a + i} at {snr_db[s]:g} dB has no feasible subset"
                 ) from None
             out[m] = {
-                key: arr.reshape(len(snr_lin), b - a)
+                key: arr.reshape(len(snr_db), b - a)
                 for key, arr in res.items()
                 if key != "best_id"
             }

@@ -14,7 +14,6 @@ from relayalloc.allocator import (
     slot_times,
 )
 from relayalloc.rate_model import LinkCapacityMatrix, RelaySubset
-from relayalloc.scenario import fading_params
 from relayalloc.selector import (
     RATE_TIE_TOL,
     InverseBlocks,
@@ -68,18 +67,16 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-def trial_outcomes(topology, scheme, snr, n_trials, base_seed, modes=montecarlo.MODES):
-    """Per-trial selector arrays of trials [0, n_trials) at one linear SNR.
+def trial_outcomes(topology, scheme, snr_db, n_trials, base_seed, modes=montecarlo.MODES):
+    """Per-trial selector arrays of trials [0, n_trials) at one SNR, given in dB.
 
     Read from the block evaluator that ``sweep`` folds: {mode: {key: (T,)
     array}} with keys ``rate``, ``n_active`` and, for the optimized mode,
     the three reject counters ``n_singular``, ``n_negative_rate`` and
     ``n_nonpositive_time``.
     """
-    params = fading_params(topology)
     blocks = list(montecarlo._evaluate_blocks(
-        params, topology, scheme, (10.0 * math.log10(snr),), (snr,), base_seed, 0,
-        n_trials, tuple(modes), montecarlo._block_trials(1, params.lam.shape[0]),
+        topology, scheme, (snr_db,), base_seed, tuple(modes), 0, n_trials,
     ))
     return {
         m: {key: np.concatenate([b[m][key][0] for b in blocks]) for key in blocks[0][m]}

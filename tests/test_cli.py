@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from relayalloc.cli import instance_document, load_instance, main, parse_topology
 from relayalloc.scenario import grid_topology
+from relayalloc.selector import worst_case_ops
 
 
 def write_json(path, doc):
@@ -223,6 +228,20 @@ class TestOptimize:
         assert captured.out == ""
         assert f"'{field}' must be" in captured.err
 
+    @pytest.mark.parametrize("doc, flags, message", [
+        ({"n_relays": 1, "capacities": [0, 2, 1, 2, 0, 2, 1, 2, 0], "mask": [True] * 8}, [],
+         "mask shape does not match capacities"),
+        ([], [], "top-level JSON value must be an object"),
+        ({"topology": {"type": "linear", "n_relays": 13}, "snr_db": 10, "seed": 1},
+         ["--verbose"], "verbose table capped at 12 relays, instance has 13"),
+    ], ids=["mask-length", "top-level-array", "verbose-13-relays"])
+    def test_rejected_instance_exits_2(self, tmp_path, doc, flags, message, capsys):
+        path = write_json(tmp_path / "inst.json", doc)
+        assert main(["optimize", "--instance", path, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_no_feasible_solution_exits_3(self, tmp_path, capsys):
         path = write_json(tmp_path / "z.json", {"n_relays": 0, "capacities": [0, 0, 0, 0]})
         assert main(["optimize", "--instance", path]) == 3
@@ -362,6 +381,31 @@ class TestSimulate:
         assert main(["simulate", "--config", sweep_config]) == 2
         assert f"'{field}' must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("scheme", "bogus", "unknown numbering scheme 'bogus'"),
+        ("snr_db", [], "snr grid must be nonempty"),
+        # each trial adds up to 2^N rejects to an int64 total
+        ("n_trials", 1e30, f"n_trials must be below 2^63 / 2^N = {2**61},"),
+        ("topology", {"type": "custom", "positions": [[0, 0]]},
+         "positions must be (n >= 2, 2), got (1, 2)"),
+        ("topology", {"type": "linear", "n_relays": -1}, "n_relays must be nonnegative"),
+        ("topology", {"type": "grid", "side": 0}, "grid side must be >= 1"),
+        ("topology", {"type": "random", "n_relays": 0, "seed": 1}, "n_relays must be >= 1"),
+        ("topology", {"type": "linear", "n_relays": 2, "p_a": 0},
+         "path-loss exponent must be positive"),
+    ], ids=["scheme", "snr-grid-empty", "n-trials-1e30", "custom-one-node",
+            "linear-negative", "grid-side-0", "random-empty", "p-a-0"])
+    def test_out_of_range_field_exits_2(self, sweep_config, tmp_path, field, value, message,
+                                        capsys):
+        with open(sweep_config, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc[field] = value
+        with open(sweep_config, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        assert main(["simulate", "--config", sweep_config]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "curve.json").exists()
+
     def test_integral_float_trial_count_is_accepted(self, sweep_config, tmp_path, capsys):
         with open(sweep_config, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -467,3 +511,28 @@ class TestNumbering:
         assert main(["numbering", "--config", cfg]) == 2
         assert "50 samples cannot resolve outage probability 0.001" in capsys.readouterr().err
         assert not list(tmp_path.glob("few*.csv"))
+
+
+class TestModuleEntryPoint:
+    """``python -m relayalloc.cli``, the process the benchmark spawns, run in a
+    fresh interpreter from an empty working directory."""
+
+    @staticmethod
+    def run(args, cwd):
+        src = Path(__file__).resolve().parent.parent / "src"
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=str(src) + (os.pathsep + path if path else ""))
+        return subprocess.run([sys.executable, "-m", "relayalloc.cli", *args], cwd=cwd,
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    def test_complexity_exits_0(self, tmp_path):
+        proc = self.run(["complexity", "3"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        total = worst_case_ops(3)
+        assert f"worst-case total over all subsets of 3 relays: {total}\n" in proc.stdout
+
+    def test_array_instance_exits_2(self, tmp_path):
+        write_json(tmp_path / "inst.json", [])
+        proc = self.run(["optimize", "--instance", "inst.json"], tmp_path)
+        assert proc.returncode == 2
+        assert "top-level JSON value must be an object" in proc.stderr

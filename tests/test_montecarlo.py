@@ -84,10 +84,10 @@ class TestRunTrials:
         assert np.all((opt["n_active"] >= 0) & (opt["n_active"] <= 3))
 
     def test_single_mode_leaves_other_empty(self):
-        out = trial_outcomes(linear_topology(1), DESC, 5.0, 10, 0, modes=("optimized",))
+        out = trial_outcomes(linear_topology(1), DESC, 7.0, 10, 0, modes=("optimized",))
         assert set(out) == {"optimized"}
         assert out["optimized"]["rate"].shape == (10,)
-        out = trial_outcomes(linear_topology(1), DESC, 5.0, 10, 0, modes=("equal_time",))
+        out = trial_outcomes(linear_topology(1), DESC, 7.0, 10, 0, modes=("equal_time",))
         assert set(out) == {"equal_time"}
 
     def test_reject_counters_present(self):
@@ -100,7 +100,7 @@ class TestRunTrials:
     def test_direct_link_empirical_cdf_matches_closed_form(self):
         # N=0: R = log2(1 + snr X) with X ~ Exp(1); KS distance below 0.02
         snr = 10.0 ** (10.0 / 10.0)
-        out = trial_outcomes(linear_topology(0), DESC, snr, 10_000, 5, modes=("optimized",))
+        out = trial_outcomes(linear_topology(0), DESC, 10.0, 10_000, 5, modes=("optimized",))
         samples = np.sort(out["optimized"]["rate"])
         cdf = 1.0 - np.exp(-(2.0**samples - 1.0) / snr)
         n = samples.size
@@ -148,9 +148,8 @@ class TestSweep:
         # holds per trial, not just in expectation
         pos_small = np.array([[0, 0], [0.4, 0], [1, 0]], dtype=float)
         pos_big = np.array([[0, 0], [0.4, 0], [0.7, 0], [1, 0]], dtype=float)
-        snr = 10.0
         small, big = (
-            trial_outcomes(Topology(pos, layout="linear"), DESC, snr, 400, 8,
+            trial_outcomes(Topology(pos, layout="linear"), DESC, 10.0, 400, 8,
                            modes=("optimized",))["optimized"]["rate"]
             for pos in (pos_small, pos_big)
         )
@@ -162,6 +161,21 @@ class TestSweep:
         parallel = sweep(topo, DESC, [0, 10], 600, 0.01, base_seed=1, parallel=3)
         for mode in serial:
             assert serial[mode] == parallel[mode]
+
+    @pytest.mark.parametrize("n_trials", [10**30, 2**62, 10**400])
+    def test_trial_count_beyond_int64_totals_rejected(self, n_trials):
+        # a trial adds up to 2^N rejects to an int64 total; only refusals are
+        # tested, since an accepted count this large would run.  10**400 has
+        # no float, so the check must come before epsilon * n_trials
+        with pytest.raises(ValueError, match=rf"n_trials must be below 2\^63 / 2\^N = {2**62},"):
+            sweep(linear_topology(1), DESC, [0], n_trials, 0.01, base_seed=0)
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_invalid_topology_raises_from_any_worker(self, parallel):
+        # fading parameters are derived in the worker, in or out of process
+        topo = Topology(np.array([[0, 0], [0.5, 0], [0.5, 0], [1, 0]], dtype=float))
+        with pytest.raises(ValueError, match="nodes 1 and 2 are coincident"):
+            sweep(topo, NumberingScheme.RANDOM, [0], 100, 0.1, base_seed=0, parallel=parallel)
 
     def test_insufficient_trials_rejected(self):
         with pytest.raises(InsufficientSamples):
@@ -229,8 +243,8 @@ class TestSweep:
     def test_common_randomness_across_schemes(self):
         # different numbering schemes see identical per-trial fading: with a
         # single relay every scheme gives identical rates
-        a = trial_outcomes(linear_topology(1), NumberingScheme.RANDOM, 5.0, 50, 7)
-        b = trial_outcomes(linear_topology(1), DESC, 5.0, 50, 7)
+        a = trial_outcomes(linear_topology(1), NumberingScheme.RANDOM, 7.0, 50, 7)
+        b = trial_outcomes(linear_topology(1), DESC, 7.0, 50, 7)
         assert np.array_equal(a["optimized"]["rate"], b["optimized"]["rate"])
 
 
@@ -264,7 +278,7 @@ class TestBlocks:
     def test_fold_matches_per_trial_records(self, monkeypatch):
         # per-trial outcomes under whole-range blocks against 7-trial blocks
         records = [
-            trial_outcomes(self.TOPO, self.SCHEME, 10.0 ** (db / 10.0), 200, 13)
+            trial_outcomes(self.TOPO, self.SCHEME, db, 200, 13)
             for db in self.GRID
         ]
         set_block_trials(monkeypatch, 7)
@@ -275,6 +289,17 @@ class TestBlocks:
             assert curves["equal_time"].avg_active[s] == np.mean(eq["n_active"])
             assert (curves["optimized"].reject_totals["negative_rate"][s]
                     == opt["n_negative_rate"].sum())
+
+    @pytest.mark.parametrize("start, count, parts", [
+        (0, 10**30, 7), (2**63, 2**64 + 3, 5), (5, 17, 4), (0, 3, 3),
+    ])
+    def test_ranges_are_exact_beyond_int64(self, start, count, parts):
+        ranges = list(montecarlo._ranges(start, count, parts))
+        assert len(ranges) == parts
+        assert ranges[0][0] == start and ranges[-1][1] == start + count
+        assert all(b == a for (_, b), (a, _) in zip(ranges, ranges[1:]))
+        sizes = [b - a for a, b in ranges]
+        assert min(sizes) >= count // parts and max(sizes) - min(sizes) <= 1
 
     def test_trial_outcomes_independent_of_blocks(self, monkeypatch):
         whole = trial_outcomes(self.TOPO, self.SCHEME, 10.0, 50, base_seed=4)
@@ -292,16 +317,16 @@ class TestLinkMajorStacks:
     SNR_DB = (0.0, 10.0)
 
     @pytest.mark.parametrize("scheme", list(NumberingScheme))
-    def test_blocks_match_a_per_trial_reference(self, scheme):
+    def test_blocks_match_a_per_trial_reference(self, scheme, monkeypatch):
         # the reference orders each trial on its own, relabels its C-ordered
         # power matrix and takes log2 of every entry, then runs the
         # brute-force oracles; the blocks must agree bit for bit
         seed, start, count = 21, 5, 17
         params = fading_params(self.TOPO)
         snr = tuple(10.0 ** (db / 10.0) for db in self.SNR_DB)
+        set_block_trials(monkeypatch, 4)
         blocks = list(montecarlo._evaluate_blocks(
-            params, self.TOPO, scheme, self.SNR_DB, snr, seed, start, count,
-            montecarlo.MODES, 4,
+            self.TOPO, scheme, self.SNR_DB, seed, montecarlo.MODES, start, count,
         ))
         powers = np.ascontiguousarray(draw_channel_powers_keyed(params, seed, count, start))
         orders = per_trial_orders(self.TOPO, scheme, powers, seed, start)
@@ -347,11 +372,11 @@ class TestBlockBudget:
         # per-trial relay orders: the draws' largest index arrays
         topo = linear_topology(n_relays)
         snr_db = tuple(np.linspace(0.0, 20.0, n_snr).tolist())
-        snr = tuple(10.0 ** (db / 10.0) for db in snr_db)
         trials = montecarlo._block_trials(n_snr, n_relays + 2)
+        # the evaluator sizes its blocks by the same rule: one block
         blocks = montecarlo._evaluate_blocks(
-            fading_params(topo), topo, NumberingScheme.INSTANTANEOUS_RELAY_RELAY,
-            snr_db, snr, 5, 0, trials, montecarlo.MODES, trials,
+            topo, NumberingScheme.INSTANTANEOUS_RELAY_RELAY, snr_db, 5, montecarlo.MODES,
+            0, trials,
         )
         tracemalloc.start()
         try:
