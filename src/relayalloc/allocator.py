@@ -5,7 +5,8 @@ relay and at the destination, which is the unique interior max-min optimum
 for that subset.  The solve is one forward substitution; the full inverse is
 only ever materialized by the selector's incremental-inverse API.  The
 feasibility verdict is written here once per form, for every selector:
-``judge`` for one subset and ``node_rates`` for a block of nodes.
+``judge`` for one subset and ``node_rates`` for a block of nodes, where a
+singular node comes with NaN slots.
 
 Every selector computes the unnormalized slots u in one float order, left
 to right: row i of the solve accumulates ``0.0 + a[i, 0] * u[0] + ... +
@@ -177,53 +178,62 @@ def judge(
     return AllocationResult(subset=subset, times=times, rate=rate, feasible=True)
 
 
-def node_rates(
-    singular: np.ndarray, s: np.ndarray, min_u: np.ndarray, counts: np.ndarray
-) -> np.ndarray:
-    """``judge`` on a (k, T) block of nodes: rates 1/s, -inf where rejected.
+# Where a node's verdict is feasible, its rate is 1.0 / s; elsewhere NaN / s
+_VERDICT_NUMERATOR = np.array([np.nan, 1.0])
+
+
+def node_rates(s: np.ndarray, min_u: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``judge`` on a (k, T) block of nodes: rates 1/s, NaN where rejected.
 
     ``s`` and ``min_u`` are the sum and the minimum of each node's
-    unnormalized slots; the verdict order is judge's.  Adds each trial's
-    count of singular, rate <= 0 and feasible nodes to ``counts[0..2]``, as
-    uint8 sums over the block's rows (k < 256); the nodes left over are the
-    nonpositive-slot rejects, which the caller derives once.
+    unnormalized slots; the verdict order is judge's: rate <= 0 (``s <=
+    0``), then the smallest slot over ``s`` must exceed TIME_TOL.  A
+    singular node comes with NaN slots, hence a NaN ``s``, which fails both
+    tests.  Adds each trial's count of rate <= 0 and of feasible nodes to
+    ``counts[0..1]``, as uint8 sums over the block's rows (k < 256); the
+    caller counts the singular nodes and derives the nonpositive-slot
+    rejects, the nodes left over, once.
 
-    The rejected nodes are set to -inf with ``copy_where``, not ``np.where``,
-    because a masked copy branches on every element and is slowest on mixed
-    masks (see ``copy_where``).
+    A rejected node's rate is NaN, which ``_Best.offer`` treats as no
+    candidate.  The rates are one gather from ``[nan, 1.0]`` by the verdict
+    and a divide by ``s``, so no masked copy is made and a feasible rate is
+    ``1.0 / s`` bit for bit.
     """
-    # the three verdicts share one buffer, so one sum counts them all
-    flags = np.empty((3, *s.shape), dtype=bool)
-    flags[0] = singular
-    solved = ~singular
-    negative = np.less_equal(s, 0.0, out=flags[1])
-    negative &= solved
-    # neither singular nor rate <= 0; a NaN s gets this far and fails
-    # min_u / s > TIME_TOL, as in judge
-    solved ^= negative
-    feasible = np.greater(min_u / s, TIME_TOL, out=flags[2])
-    feasible &= solved
+    # the two verdicts share one buffer, so one sum counts them both
+    flags = np.empty((2, *s.shape), dtype=bool)
+    negative = np.less_equal(s, 0.0, out=flags[0])
+    # min_u / s > TIME_TOL and not rate <= 0; a NaN s fails both, as in judge
+    feasible = np.greater(min_u / s, TIME_TOL, out=flags[1])
+    np.greater(feasible, negative, out=feasible)
     counts += flags.sum(axis=1, dtype=np.uint8)
-    rate = 1.0 / s
-    copy_where(rate, -np.inf, ~feasible)
+    rate = _VERDICT_NUMERATOR.take(feasible.view(np.uint8))
+    rate /= s
     return rate
 
 
 def copy_where(dst: np.ndarray, src, mask: np.ndarray) -> None:
     """``np.copyto(dst, src, where=mask)`` bit for bit, without a branch per
-    element: ``dst ^ ((dst ^ src) & -mask)`` on the int64 views.
+    element: ``dst ^ ((dst ^ src) & select)`` on the int64 views.
 
-    ``dst`` holds 8-byte floats or ints and ``mask`` is boolean, both of
-    ``dst``'s shape; ``src`` broadcasts to it.  A masked copy branches on
-    every element, so it is slowest on mixed masks: on 16025 float64s (a
-    sweep-deep block) it took 2 us at 0% true, 25 us at 10% and 99 us at
-    50%, while these three passes took 23-30 us whatever the mask (2-vCPU
-    host, numpy 2.4).
+    ``dst`` holds 8-byte floats or ints, of ``mask``'s shape, and ``src``
+    broadcasts to it.  ``mask`` is boolean, or the int64 ``select_mask`` of
+    one, built once for several writes under the same mask.  A masked copy
+    branches on every element, so it is slowest on mixed masks: on 16025
+    float64s (a sweep-deep block) it took 2 us at 0% true, 25 us at 10% and
+    99 us at 50%, while these three passes took 23-30 us whatever the mask
+    (2-vCPU host, numpy 2.4).
     """
+    if mask.dtype == np.bool_:
+        mask = select_mask(mask)
     bits = dst.view(np.int64)
     diff = np.bitwise_xor(bits, np.asarray(src, dtype=dst.dtype).view(np.int64))
-    diff &= -mask.view(np.int8)  # 0 or -1, every bit set
+    diff &= mask
     bits ^= diff
+
+
+def select_mask(mask: np.ndarray) -> np.ndarray:
+    """A boolean mask as int64 0 or -1 (every bit set), for ``copy_where``."""
+    return np.negative(mask.view(np.int8), dtype=np.int64)
 
 
 def slot_times(u: np.ndarray, s: float) -> TimeAllocation | None:

@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 usage or config error, 3 no feasible solution.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -58,7 +59,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first ``main`` call and reused:
+    building it costs more than parsing, and importing the module pays for
+    neither."""
     parser = argparse.ArgumentParser(
         prog="relayalloc",
         description="Relay-subset selection and time allocation for half-duplex "

@@ -104,11 +104,23 @@ def outage_rate(
 
 
 def _outage_rank(epsilon: float, n: int) -> int:
-    if epsilon * n < 1.0:
+    """ceil(epsilon * n), with epsilon read as the decimal it is written as.
+
+    The float product can land one ulp above an integer: 0.07 * 100 is
+    7.000000000000001, whose ceiling is 8, where the decimal 0.07 gives 7.
+    The exact product of the float's shortest repr is taken instead, for the
+    rank and for the too-few-samples test alike.
+    """
+    # imported here: with the decimal module it takes about 3 ms, which
+    # every import of the package would otherwise pay
+    from fractions import Fraction
+
+    rank = Fraction(repr(float(epsilon))) * n
+    if rank < 1:
         raise InsufficientSamples(
             f"{n} samples cannot resolve outage probability {epsilon}"
         )
-    return math.ceil(epsilon * n)
+    return math.ceil(rank)
 
 
 def sweep(

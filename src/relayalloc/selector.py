@@ -24,9 +24,11 @@ lexicographically smallest subset.
 the same subset-tree walk over a stack of fading realizations, vectorized
 over trials.  Each child's per-trial state comes from its parent's in O(1)
 array operations, with no rate matrix built or solved, and every subset is
-visited so that reject counts cover the whole tree.  The best-subset merge
-reads only the trials where a sibling block reaches the best rate less its
-tie tolerance, which is exact (see ``_Best``).
+visited so that reject counts cover the whole tree.  An absent link makes
+its slot NaN, so a singular subset needs no state of its own, and the
+singular count is one count of paths over the present links.  The
+best-subset merge reads only the trials where a sibling block reaches the
+best rate less its tie tolerance, which is exact (see ``_Best``).
 
 The walks build each node's slots and slot sum one transmitter at a time,
 in the left-to-right order that ``allocator`` states and ``allocate``
@@ -52,6 +54,7 @@ from .allocator import (
     copy_where,
     judge,
     node_rates,
+    select_mask,
     slot_times,
 )
 from .rate_model import LinkCapacityMatrix, RelaySubset, build_rate_matrix
@@ -451,6 +454,9 @@ def worst_case_ops(n_relays: int) -> int:
 # of array operations.  A child's state is its parent's plus one appended
 # transmitter, so no rate matrix is ever built or solved.  Every subset is
 # visited, because the reject counters are defined over all 2^N of them.
+# A node's verdict reads only its slot sum and smallest slot: a slot whose
+# divisor is an absent link is NaN, which carries to every descendant and
+# fails both of ``node_rates``' tests, and a rejected node's rate is NaN.
 #
 # Every subset is judged, but few can change the best: on a 3x3 grid about
 # 2% of (node, trial) pairs for the optimized search and under 1% for equal
@@ -489,8 +495,9 @@ def _subset_sizes(ends: list[int], ids: np.ndarray) -> np.ndarray:
 
 
 def _tie_tol(r: np.ndarray) -> np.ndarray:
-    # a rate's own tie tolerance, as in _beats; rates are nonnegative or
-    # -inf (no candidate), which counts as magnitude 0
+    # a rate's own tie tolerance, as in _beats; best rates are nonnegative
+    # or -inf (no candidate), which counts as magnitude 0, and a NaN
+    # (rejected) rate gets a NaN tolerance, which passes no test
     return RATE_TIE_TOL * np.maximum(r, 1.0)
 
 
@@ -498,18 +505,20 @@ class _Best:
     """Per-trial best subset so far, under the tie rule of ``_beats``.
 
     It starts from the empty subset's (T,) rates: a finite one is its
-    trial's best, index 0, and the rest start at -inf, index -1, which only
-    a finite rate beats.  The merge reads only the trials whose block
-    maximum reaches ``floor``, the best rate less its tie tolerance.  This
-    is exact: a block's candidate is at most its maximum, and a rate below
-    the floor is neither higher than the best by more than the tolerance
-    nor tied with it, so the trials skipped would have kept their best.
+    trial's best, index 0, and the rest (NaN for a rejected subset) start
+    at -inf, index -1, which only a finite rate beats.  The merge reads
+    only the trials whose block maximum reaches ``floor``, the best rate
+    less its tie tolerance.  This is exact: a block's candidate is at most
+    its maximum, and a rate below the floor is neither higher than the best
+    by more than the tolerance nor tied with it, so the trials skipped would
+    have kept their best.
 
     The merge writes the taken trials with ``copy_where``, not masked
-    copies.  On sweep-deep's 16025-column blocks 50-90% of the trials are
-    taken in most merges; at half taken a ``np.copyto(..., where=take)``,
-    which branches on every element, took 99 us against 24 us for the
-    branch-free select of the same bits.
+    copies, under one select mask built for both writes.  On sweep-deep's
+    16025-column blocks 50-90% of the trials are taken in most merges; at
+    half taken a ``np.copyto(..., where=take)``, which branches on every
+    element, took 99 us against 24 us for the branch-free select of the
+    same bits.
     """
 
     def __init__(self, rate: np.ndarray):
@@ -522,8 +531,10 @@ class _Best:
     def offer(self, rate: np.ndarray, sid0: int) -> None:
         """Merge a (k, T) block of sibling rates into the best, in place.
 
-        Row j is the subset with index ``sid0 + j``; -inf marks a rejected
-        subset.  The block's candidate is its first rate tied with the block
+        Row j is the subset with index ``sid0 + j``; NaN marks a rejected
+        subset, which neither sets the block maximum (``np.fmax`` skips it)
+        nor passes a comparison, so it counts as no candidate, as -inf
+        would.  The block's candidate is its first rate tied with the block
         maximum.  It replaces the best when higher by more than its own tie
         tolerance, or when it reaches the best's floor and comes earlier in
         ``subsets_by_size`` order, so the walk's visiting order does not
@@ -545,6 +556,7 @@ class _Best:
         # the tie test r >= best - tol: where r <= best, tol is best's own
         # tolerance, and where r > best both tests hold
         take = (r > best + _tie_tol(r)) | ((r >= floor) & (sid < best_id))
+        take = select_mask(take)  # built once for both writes
         copy_where(best, r, take)
         copy_where(best_id, sid, take)
         np.subtract(best, _tie_tol(best), out=floor)
@@ -579,11 +591,22 @@ def batch_optimized(caps_batch: np.ndarray) -> dict[str, np.ndarray]:
 
     * ``h[k]``, the sum of a[tx, k] * u_tx over the transmitters whose
       unnormalized slot u_tx is fixed (the source and r1..r_{m-1});
-    * the sum and the minimum of those slots, and whether any chain link
-      into r1..rm is absent (then every descendant is singular).
+    * the sum and the minimum of those slots.
 
     Appending relay c fixes the slot of r_m at (1 - h[c]) / a[r_m, c]; the
-    destination row then gives the child's last slot.
+    destination row then gives the child's last slot.  A slot whose divisor
+    is an absent link (at or below SINGULARITY_TOL) is NaN instead: a chain
+    slot's NaN reaches every descendant through ``h``, the sum and the
+    minimum, so each singular node has a NaN slot sum and is judged neither
+    rate <= 0 nor feasible.  The NaN goes into the slots, never into the
+    capacities, which also enter ``h`` as multipliers where a missing link
+    makes nothing singular.  Whether any link i < j is absent is tested
+    once per call, and the two masked writes per node are made only if one
+    is.
+
+    A subset is singular unless its path 0 -> r1 -> ... -> rm -> dest uses
+    only present links, so ``n_singular`` is 2^N less the number of such
+    paths, counted per trial in O(n^2) array operations (``_singular_counts``).
 
     Parameters
     ----------
@@ -604,55 +627,92 @@ def batch_optimized(caps_batch: np.ndarray) -> dict[str, np.ndarray]:
     dest = n - 1
     ends = _size_ends(n_relays)
     first = ends.copy()  # counts down as blocks are offered
-    # per trial: singular, rate <= 0 and feasible nodes (see node_rates)
-    counts = np.zeros((3, n_trials), dtype=np.int64)
+    # row i: which links from node i to the later nodes are absent; None
+    # when no link i < j is, and then no slot is written NaN
+    absent = [a[i, i + 1:] <= SINGULARITY_TOL for i in range(dest)]
+    if any(map(np.any, absent)):
+        absent_dest = a[1:dest, dest] <= SINGULARITY_TOL  # relay r at r - 1
+    else:
+        absent = None
+    # per trial: rate <= 0 and feasible nodes (see node_rates)
+    counts = np.zeros((2, n_trials), dtype=np.int64)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        direct = a[None, 0, dest]
-        u_direct = 1.0 / direct
-        best = _Best(node_rates(direct <= SINGULARITY_TOL, u_direct, u_direct, counts)[0])
+        u_direct = 1.0 / a[None, 0, dest]
+        if absent is not None:
+            np.copyto(u_direct, np.nan, where=absent[0][-1])
+        best = _Best(node_rates(u_direct, u_direct, counts)[0])
 
         # A stack entry is a node waiting to have its children evaluated; its
         # own h is derived from its parent's block when it is popped, so only
         # the blocks along the current path stay alive.  A node is its last
-        # relay (0 for the source) and its size.
-        root = (0, 0, np.zeros((n - 1, n_trials)), 0.0, 0.0, 0.0, np.inf, False)
+        # relay (0 for the source) and its size; the root's h is all zeros.
+        root = (0, 0, np.zeros((n - 1, n_trials)), None, None, 0.0, np.inf)
         stack = [root] if n_relays else []
         while stack:
-            last, m, h_parent, a_parent, u, s_chain, min_chain, singular = stack.pop()
-            h = h_parent + a_parent * u
+            last, m, h_parent, a_parent, u, s_chain, min_chain = stack.pop()
+            if m:
+                h = a_parent * u
+                h += h_parent
+            else:
+                h = h_parent
             lo = last + 1
             a_last = a[last, lo:]  # links from the last transmitter to later nodes
-            a_rd = a[lo:dest, dest]  # each child's destination link
-            u = (1.0 - h[:-1]) / a_last[:-1]
+            u = np.subtract(1.0, h[:-1])
+            u /= a_last[:-1]
+            if absent is not None:
+                np.copyto(u, np.nan, where=absent[last][:-1])
             s_chain = s_chain + u
             min_chain = np.minimum(min_chain, u)
-            singular = singular | (a_last[:-1] <= SINGULARITY_TOL)
-            u_dest = (1.0 - (h[-1] + a_last[-1] * u)) / a_rd
-            rate = node_rates(
-                singular | (a_rd <= SINGULARITY_TOL),
-                s_chain + u_dest,
-                np.minimum(min_chain, u_dest),
-                counts,
-            )
+            # each child's destination link
+            u_dest = a_last[-1] * u
+            u_dest += h[-1]
+            np.subtract(1.0, u_dest, out=u_dest)
+            u_dest /= a[lo:dest, dest]
+            if absent is not None:
+                np.copyto(u_dest, np.nan, where=absent_dest[last:])
+            s = s_chain + u_dest
+            rate = node_rates(s, np.minimum(min_chain, u_dest, out=u_dest), counts)
             first[m + 1] -= dest - lo
             best.offer(rate, first[m + 1])
             for j in range(n_relays - lo):  # children of relay N are leaves
                 stack.append((lo + j, m + 1, h[j + 1:], a_last[j + 1:], u[j],
-                              s_chain[j], min_chain[j], singular[j]))
+                              s_chain[j], min_chain[j]))
 
     if np.any(best.id < 0):
         bad = int(np.nonzero(best.id < 0)[0][0])
         raise NoFeasibleSolution(f"trial {bad} has no feasible subset", trial=bad)
+    n_singular = (
+        np.zeros(n_trials, dtype=np.int64) if absent is None
+        else _singular_counts(absent, n_relays)
+    )
     return {
         "rate": best.rate,
         "n_active": _subset_sizes(ends, best.id),
         "best_id": best.id,
-        "n_singular": counts[0],
-        "n_negative_rate": counts[1],
+        "n_singular": n_singular,
+        "n_negative_rate": counts[0],
         # every one of the 2^N subsets was judged once
-        "n_nonpositive_time": (1 << n_relays) - counts[0] - counts[1] - counts[2],
+        "n_nonpositive_time": (1 << n_relays) - n_singular - counts[0] - counts[1],
     }
+
+
+def _singular_counts(absent: list[np.ndarray], n_relays: int) -> np.ndarray:
+    """Per trial, the number of singular subsets: 2^N less the paths from
+    the source to the destination through present links.
+
+    ``absent[i]`` marks, per trial, the absent links from node i to the
+    later nodes i + 1 .. N + 1.  ``paths[j]`` counts the paths from the
+    source to node j, and node i adds its count to every later node it has
+    a present link to; it is complete by then, since every path into i
+    comes from an earlier node.  A NaN link is not at or below
+    SINGULARITY_TOL, so it is present, as it is for ``judge``.
+    """
+    paths = np.zeros((n_relays + 2, absent[0].shape[-1]), dtype=np.int64)
+    paths[0] = 1
+    for i, row in enumerate(absent):
+        paths[i + 1:] += paths[i] * ~row
+    return (1 << n_relays) - paths[-1]
 
 
 def batch_equal_time(caps_batch: np.ndarray) -> dict[str, np.ndarray]:

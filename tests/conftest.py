@@ -194,7 +194,8 @@ def batch_brute_force(caps_batch):
             s = np.cumsum(u, axis=1)[:, -1]
             negative = ~singular & (s <= 0.0)
             t = u / s[:, None]
-            bad_time = ~singular & ~negative & (t.min(axis=1) <= TIME_TOL)
+            # judge's test: no comparison with NaN holds, so a NaN slot fails it
+            bad_time = ~singular & ~negative & ~(t.min(axis=1) > TIME_TOL)
             feasible = ~singular & ~negative & ~bad_time
             n_sing += singular
             n_neg += negative

@@ -15,6 +15,8 @@ from relayalloc.allocator import (
     allocate,
     copy_where,
     judge,
+    node_rates,
+    select_mask,
     slot_times,
     solve_lower_triangular,
     verify_equalization,
@@ -277,10 +279,12 @@ class TestCopyWhere:
         m = len(special)
         dst[-2 * m : -m], src[-m:] = special, special
         mask = rng.random(n) < density
-        for x in (src, src[7]):  # an array, and a scalar broadcast over dst
+        # an array, and a scalar broadcast over dst; the mask as booleans,
+        # and as the select mask built once for several writes
+        for x, m in itertools.product((src, src[7]), (mask, select_mask(mask))):
             want = np.where(mask, x, dst)
             got = dst.copy()
-            copy_where(got, x, mask)
+            copy_where(got, x, m)
             assert got.dtype == want.dtype
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -292,6 +296,35 @@ class TestCopyWhere:
         assert np.array_equal(buf[1].view(np.int64),
                               np.array([1.0, np.nan, -0.0, -np.inf]).view(np.int64))
         assert np.array_equal(src, [1.0, np.nan, -0.0, 2.0], equal_nan=True)
+
+
+# The special values of a node's slot sum and smallest slot
+VERDICT_VALUES = [-math.inf, -1.0, -0.0, 0.0, 5e-324, 1e-13, 1.0, 1e308, math.inf, math.nan]
+
+
+def test_node_rates_is_judge_on_every_special_pair():
+    # a (10, 10) block: row i has slot sum VERDICT_VALUES[i], column j the
+    # smallest slot VERDICT_VALUES[j]; each node is judge's one-slot subset
+    s, min_u = np.meshgrid(VERDICT_VALUES, VERDICT_VALUES, indexing="ij")
+    counts = np.zeros((2, len(VERDICT_VALUES)), dtype=np.int64)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rate = node_rates(s, min_u, counts)
+        want_rate = 1.0 / s
+    want_counts = np.zeros_like(counts)
+    for (i, j), x in np.ndenumerate(s):
+        res = judge(RelaySubset(()), (min_u[i, j],), x)
+        want_counts[0, j] += res.reject_reason is RejectReason.NEGATIVE_RATE
+        want_counts[1, j] += res.feasible
+        where = (x, min_u[i, j])
+        if res.feasible:
+            assert rate[i, j].view(np.int64) == want_rate[i, j].view(np.int64), where
+        else:
+            assert math.isnan(rate[i, j]), where
+    assert np.array_equal(counts, want_counts)
+    # the counts are added to what the caller holds
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        node_rates(s, min_u, counts)
+    assert np.array_equal(counts, 2 * want_counts)
 
 
 # -- the Python-float verdict against the numpy one ----------------------------

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from relayalloc import cli
 from relayalloc.cli import instance_document, load_instance, main, parse_topology
 from relayalloc.scenario import grid_topology
 from relayalloc.selector import worst_case_ops
@@ -291,6 +292,16 @@ class TestComplexity:
         assert main(["complexity", "0"]) == 2
         assert main(["complexity", "31"]) == 2
 
+    def test_reused_parser_carries_nothing_between_calls(self, capsys):
+        # the parser is built once and reused by every main call
+        assert main(["complexity", "3"]) == 0
+        first = capsys.readouterr().out
+        assert main(["complexity", "1"]) == 0
+        assert capsys.readouterr().out != first
+        assert main(["complexity", "3"]) == 0
+        assert capsys.readouterr().out == first
+        assert cli._build_parser() is cli._build_parser()
+
 
 @pytest.fixture
 def sweep_config(tmp_path):
@@ -530,6 +541,15 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         total = worst_case_ops(3)
         assert f"worst-case total over all subsets of 3 relays: {total}\n" in proc.stdout
+
+    def test_import_builds_no_parser(self, tmp_path):
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = "import relayalloc.cli as c; print(c._build_parser.cache_info().currsize)"
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                              text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=str(src)))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"
 
     def test_array_instance_exits_2(self, tmp_path):
         write_json(tmp_path / "inst.json", [])

@@ -56,6 +56,37 @@ class TestOutageRate:
         samples = np.arange(1, 11, dtype=float)
         assert outage_rate(samples, 0.25) == 3.0  # ceil(2.5) = 3
 
+    @pytest.mark.parametrize("epsilon, n, rank", [
+        (0.07, 100, 7), (0.07, 10**4, 700), (0.14, 100, 14), (0.14, 10**4, 1400),
+    ])
+    def test_rank_reads_epsilon_as_its_decimal(self, epsilon, n, rank):
+        # the float product lands one ulp above the integer, so its ceiling
+        # would be one rank too high
+        assert epsilon * n > rank
+        rng = np.random.default_rng(n)
+        assert outage_rate(rng.permutation(np.arange(1.0, n + 1)), epsilon) == rank
+        # the rank smallest samples resolve it, one fewer do not
+        assert outage_rate(np.arange(rank, 0.0, -1.0), epsilon, n_samples=n) == rank
+        with pytest.raises(ValueError):
+            outage_rate(np.arange(1.0, rank), epsilon, n_samples=n)
+
+    @pytest.mark.parametrize("epsilon", [0.07, 0.14])
+    def test_sweep_rank_reads_epsilon_as_its_decimal(self, epsilon):
+        rank = round(epsilon * 100)
+        curve = sweep(linear_topology(2), DESC, [10], 100, epsilon, base_seed=3,
+                      modes=("optimized",))["optimized"]
+        rates = np.sort(trial_outcomes(linear_topology(2), DESC, 10.0, 100, 3,
+                                       modes=("optimized",))["optimized"]["rate"])
+        assert curve.outage_rate[0] == rates[rank - 1]
+
+    def test_too_few_samples_reads_epsilon_as_its_decimal(self):
+        # 0.3333333333333333 * 3 is 1.0 in floats, but 0.9999999999999999
+        # as decimals: three samples cannot resolve that epsilon
+        assert 0.3333333333333333 * 3 == 1.0
+        with pytest.raises(InsufficientSamples):
+            outage_rate(np.ones(3), 0.3333333333333333)
+        assert outage_rate(np.arange(4.0), 0.3333333333333333) == 1.0
+
     def test_smallest_samples_of_a_larger_set(self):
         # the 10 smallest of 1000 samples resolve the 1% outage rate
         assert outage_rate(np.arange(10, 0, -1, dtype=float), 1e-2, n_samples=1000) == 10.0

@@ -818,11 +818,17 @@ class TestBatchEngines:
                 (batch_optimized, batch_brute_force),
                 (batch_equal_time, batch_brute_equal_time),
             ):
-                got, want = walk(caps_b), oracle(caps_b)
-                assert got.keys() == want.keys()
-                for key in want:
-                    where = f"{walk.__name__} {key} on {name} caps, N={n_relays}"
-                    np.testing.assert_array_equal(got[key], want[key], err_msg=where)
+                assert_walk_equals_oracle(walk, oracle, caps_b, f"{name}, N={n_relays}")
+        # the singular accounting: absent, NaN and +inf links
+        for name, caps_b in singular_cases(rng, n_relays, 200).items():
+            assert_walk_equals_oracle(
+                batch_optimized, batch_brute_force, caps_b, f"{name}, N={n_relays}")
+
+    @pytest.mark.parametrize("n_relays", [9, 10])
+    def test_walk_matches_brute_force_oracle_on_large_masked_pools(self, rng, n_relays):
+        caps_b = oracle_cases(rng, n_relays, 200)["masked"]
+        assert_walk_equals_oracle(batch_optimized, batch_brute_force, caps_b,
+                                  f"masked, N={n_relays}")
 
     @pytest.mark.parametrize("n_relays", range(9))
     def test_layout_and_unread_entries_change_nothing(self, rng, n_relays):
@@ -853,6 +859,15 @@ class TestBatchEngines:
                 engine(caps_b)
             with pytest.raises(NoFeasibleSolution, match="trial 0 "):
                 engine(np.zeros((5, 4, 4)))
+
+
+def assert_walk_equals_oracle(walk, oracle, caps_b, where):
+    """A batched selector returns its brute-force oracle's keys and arrays."""
+    got, want = walk(caps_b), oracle(caps_b)
+    assert got.keys() == want.keys()
+    for key in want:
+        np.testing.assert_array_equal(
+            got[key], want[key], err_msg=f"{walk.__name__} {key} on {where} caps")
 
 
 def allocate_reject_counts(caps):
@@ -898,6 +913,31 @@ def oracle_cases(rng, n_relays, n_draws):
         integer_no_direct = rng.integers(1, 4, size=fading.shape) * off_diagonal.astype(float)
         integer_no_direct[:, 0, dest] = 0.0
         cases.update(no_direct=no_direct, integer_no_direct=integer_no_direct)
+    return cases
+
+
+def singular_cases(rng, n_relays, n_draws):
+    """Named capacity stacks for the singular accounting of batch_optimized.
+
+    Fading draws with 10% of the links i < j NaN or +inf (the direct link
+    kept), and, from two relays on, with only the link (0, 2) absent.  That
+    makes {2} and every subset that starts with relay 2 singular, but not
+    {1, 2}, where the link enters only as a multiplier.  Only the links
+    i < j hold NaN: the brute-force oracle zeroes the unread entries of a
+    rate matrix by multiplying, which a NaN survives.
+    """
+    n = n_relays + 2
+    fading = exponential_caps_batch(rng, n_relays, n_draws)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    cases = {}
+    for name, value in (("nan_links", np.nan), ("inf_links", np.inf)):
+        stack = np.where((rng.random(fading.shape) < 0.1) & upper, value, fading)
+        stack[:, 0, n - 1] = fading[:, 0, n - 1]
+        cases[name] = stack
+    if n_relays >= 2:
+        no_link_0_2 = fading.copy()
+        no_link_0_2[:, 0, 2] = no_link_0_2[:, 2, 0] = 0.0
+        cases["no_link_0_2"] = no_link_0_2
     return cases
 
 
