@@ -211,23 +211,21 @@ def node_rates(s: np.ndarray, min_u: np.ndarray, counts: np.ndarray) -> np.ndarr
     return rate
 
 
-def copy_where(dst: np.ndarray, src, mask: np.ndarray) -> None:
+def copy_where(dst: np.ndarray, src, select: np.ndarray) -> None:
     """``np.copyto(dst, src, where=mask)`` bit for bit, without a branch per
     element: ``dst ^ ((dst ^ src) & select)`` on the int64 views.
 
-    ``dst`` holds 8-byte floats or ints, of ``mask``'s shape, and ``src``
-    broadcasts to it.  ``mask`` is boolean, or the int64 ``select_mask`` of
-    one, built once for several writes under the same mask.  A masked copy
-    branches on every element, so it is slowest on mixed masks: on 16025
-    float64s (a sweep-deep block) it took 2 us at 0% true, 25 us at 10% and
-    99 us at 50%, while these three passes took 23-30 us whatever the mask
-    (2-vCPU host, numpy 2.4).
+    ``dst`` holds 8-byte floats or ints, ``src`` broadcasts to it, and
+    ``select`` is the int64 ``select_mask`` of a boolean mask of ``dst``'s
+    shape, built once for several writes under the same mask.  A masked
+    copy branches on every element, so it is slowest on mixed masks: on
+    16025 float64s (a sweep-deep block) it took 2 us at 0% true, 25 us at
+    10% and 99 us at 50%, while these three passes took 23-30 us whatever
+    the mask (2-vCPU host, numpy 2.4).
     """
-    if mask.dtype == np.bool_:
-        mask = select_mask(mask)
     bits = dst.view(np.int64)
     diff = np.bitwise_xor(bits, np.asarray(src, dtype=dst.dtype).view(np.int64))
-    diff &= mask
+    diff &= select
     bits ^= diff
 
 

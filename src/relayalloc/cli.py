@@ -202,11 +202,11 @@ def _load_json(path: str) -> dict:
 
 
 def instance_document(caps: LinkCapacityMatrix) -> dict:
-    """JSON-ready instance document for a capacity matrix (round-trips)."""
+    """JSON-ready instance document for a capacity matrix (round-trips: an
+    absent link is its zero capacity, so no mask is written)."""
     return {
         "n_relays": caps.n_relays,
         "capacities": [float(v) for v in caps.caps.ravel()],
-        "mask": [bool(v) for v in caps.link_mask.ravel()],
     }
 
 
@@ -271,7 +271,7 @@ def load_instance(path: str) -> LinkCapacityMatrix:
     # the diagonal is unused and absent links carry no capacity
     np.fill_diagonal(mask, False)
     caps = np.where(mask, np.reshape(caps, (n, n)), 0.0)
-    return LinkCapacityMatrix(n_relays=n_relays, caps=caps, link_mask=mask)
+    return LinkCapacityMatrix(caps)
 
 
 def parse_scheme(name: str) -> NumberingScheme:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -78,7 +79,6 @@ class InsufficientSamples(ValueError):
 class OutageCurve:
     """Outage rate and mean active-relay count across an SNR grid, one mode."""
 
-    snr_grid: tuple[float, ...]          # linear SNR values
     snr_grid_db: tuple[float, ...]
     outage_rate: tuple[float, ...]
     avg_active: tuple[float, ...]
@@ -86,6 +86,11 @@ class OutageCurve:
     epsilon: float
     mode: str
     reject_totals: dict[str, tuple[int, ...]] | None = None
+
+    @property
+    def snr_grid(self) -> tuple[float, ...]:
+        """The grid's linear SNR values."""
+        return tuple(snr_from_db(v) for v in self.snr_grid_db)
 
 
 def outage_rate(
@@ -149,7 +154,8 @@ def sweep(
     if parallel < 1:
         raise ValueError(f"parallel must be at least 1, got {parallel}")
     snr_db = tuple(float(v) for v in snr_grid_db)
-    snr_lin = tuple(snr_from_db(v) for v in snr_db)
+    for v in snr_db:
+        snr_from_db(v)  # refuses a dB value with no finite linear SNR
     # each trial adds up to 2^N rejects to an int64 total
     limit = 2**63 >> topology.n_relays
     if n_trials >= limit:
@@ -179,7 +185,6 @@ def sweep(
         low = np.concatenate([p[m]["low"] for p in parts], axis=1)
         sums = {key: sum(p[m][key] for p in parts) for key in parts[0][m] if key != "low"}
         curves[m] = OutageCurve(
-            snr_grid=snr_lin,
             snr_grid_db=snr_db,
             outage_rate=tuple(outage_rate(row, epsilon, n_trials) for row in low),
             avg_active=tuple(float(v) / n_trials for v in sums["n_active"]),
@@ -266,6 +271,14 @@ def _evaluate_blocks(
     params = fading_params(topology)
     n = params.lam.shape[0]
     snr = np.array([snr_from_db(v) for v in snr_db])[:, None]
+    # a draw is -mean * log1p(-u) with u < 1 - 2^-53, at most 53 ln 2 (about
+    # 36.74) times its mean; within this bound no SNR times power overflows
+    # to an infinite capacity
+    if float(snr.max()) * float(params.mean_power.max()) * 37.0 > sys.float_info.max:
+        raise ValueError(
+            f"snr_db {max(snr_db):g} is too high for this topology: "
+            f"an SNR times a channel power can overflow to inf"
+        )
     for a, b in _ranges(start, count, -(-count // _block_trials(len(snr_db), n))):
         links = _ordered_powers(params, topology, scheme, base_seed, a, b - a)
         # link-major stack: transmitter i's links to the later nodes are one

@@ -8,7 +8,6 @@ converts the dB values that the sweep and the CLI take.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -44,26 +43,18 @@ class SnrConfig:
 class LinkCapacityMatrix:
     """Shannon capacities of every directed link for one fading realization.
 
-    ``caps[i, j]`` is the capacity of the i -> j link in bits/symbol.
-    Links masked out in ``link_mask`` are exactly zero; the diagonal is
-    unused and kept at zero.
+    ``caps[i, j]`` is the capacity of the i -> j link in bits/symbol, for
+    N relays an (N+2, N+2) matrix.  A capacity at or below SINGULARITY_TOL
+    is an absent link; the diagonal is unused.
     """
 
-    n_relays: int
     caps: np.ndarray
-    link_mask: np.ndarray
 
     def __post_init__(self):
-        # copied: the caller's arrays stay writeable
-        caps = np.array(self.caps, dtype=float)
-        mask = np.array(self.link_mask, dtype=bool)
-        if self.n_relays < 0:
-            raise ValueError(f"n_relays must be nonnegative, got {self.n_relays}")
-        n = self.n_relays + 2
-        if caps.shape != (n, n) or mask.shape != (n, n):
+        caps = np.array(self.caps, dtype=float)  # copied: the caller's array stays writeable
+        if caps.ndim != 2 or caps.shape[0] != caps.shape[1] or caps.shape[0] < 2:
             raise ValueError(
-                f"expected ({n}, {n}) arrays for {self.n_relays} relays, "
-                f"got caps {caps.shape}, mask {mask.shape}"
+                f"capacities must be a square matrix of at least 2x2, got shape {caps.shape}"
             )
         # NaN fails both tests; the checks below only name what failed
         if not (np.minimum.reduce(caps, axis=None) >= 0.0
@@ -71,21 +62,21 @@ class LinkCapacityMatrix:
             if not np.all(np.isfinite(caps)):
                 raise ValueError("capacities must be finite")
             raise ValueError("capacities must be nonnegative")
-        if np.count_nonzero(caps[~mask]):
-            raise ValueError("masked-out links must have capacity exactly 0")
         caps.setflags(write=False)
-        mask.setflags(write=False)
         object.__setattr__(self, "caps", caps)
-        object.__setattr__(self, "link_mask", mask)
+
+    @property
+    def n_relays(self) -> int:
+        return self.caps.shape[0] - 2
 
     @property
     def destination(self) -> int:
-        return self.n_relays + 1
+        return self.caps.shape[0] - 1
 
     @property
     def direct_capacity(self) -> float:
         """Capacity of the source-destination link."""
-        return float(self.caps[0, self.n_relays + 1])
+        return float(self.caps[0, -1])
 
 
 @dataclass(frozen=True)
@@ -125,17 +116,21 @@ class RateMatrix:
     diagonal entry is positive.
     """
 
-    m: int
     entries: np.ndarray
 
     def __post_init__(self):
         e = np.array(self.entries, dtype=float)  # copied: the caller's array stays writeable
-        if e.shape != (self.m + 1, self.m + 1):
-            raise ValueError(f"expected ({self.m + 1}, {self.m + 1}) entries, got {e.shape}")
+        if e.ndim != 2 or e.shape[0] != e.shape[1] or not e.size:
+            raise ValueError(f"rate matrix must be square and nonempty, got shape {e.shape}")
         if np.triu(e, 1).any():
             raise ValueError("rate matrix must be lower-triangular")
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
+
+    @property
+    def m(self) -> int:
+        """Number of relays in the subset."""
+        return self.entries.shape[0] - 1
 
 
 def build_capacity_matrix(
@@ -154,29 +149,21 @@ def build_capacity_matrix(
     n = powers.shape[0]
     if n < 2:
         raise ValueError("need at least source and destination nodes")
-    if mask is None:
-        mask = _off_diagonal(n)
-    else:
+    if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != powers.shape:
             raise ValueError(f"mask shape {mask.shape} != powers shape {powers.shape}")
-        mask = mask & _off_diagonal(n)
     # fmin skips NaN: a NaN power is refused only on an unmasked link, whose
     # capacity it makes non-finite
     if np.fmin.reduce(powers, axis=None) < 0:
         raise ValueError("channel powers must be nonnegative")
     caps = powers * snr.snr_scalar
     caps += 1.0
-    caps = np.where(mask, np.log2(caps, out=caps), 0.0)
-    return LinkCapacityMatrix(n_relays=n - 2, caps=caps, link_mask=mask)
-
-
-@functools.lru_cache(maxsize=16)
-def _off_diagonal(n: int) -> np.ndarray:
-    """Read-only (n, n) mask of every link but the unused diagonal."""
-    mask = ~np.eye(n, dtype=bool)
-    mask.setflags(write=False)
-    return mask
+    np.log2(caps, out=caps)
+    if mask is not None:
+        np.copyto(caps, 0.0, where=~mask)
+    caps.flat[:: n + 1] = 0.0  # the diagonal
+    return LinkCapacityMatrix(caps)
 
 
 def build_rate_matrix(caps: LinkCapacityMatrix, subset: RelaySubset) -> RateMatrix:
@@ -188,10 +175,9 @@ def build_rate_matrix(caps: LinkCapacityMatrix, subset: RelaySubset) -> RateMatr
     subset yields the 1x1 matrix holding the direct-link capacity.
     """
     subset.validate_for(caps)
-    m = len(subset)
     tx = [0, *subset.indices]                     # transmitter of each slot
     rx = [*subset.indices, caps.destination]      # receiver of each row
-    return RateMatrix(m=m, entries=np.tril(caps.caps[np.ix_(tx, rx)].T))
+    return RateMatrix(np.tril(caps.caps[np.ix_(tx, rx)].T))
 
 
 def mutual_informations(rm: RateMatrix, t: np.ndarray) -> np.ndarray:

@@ -36,8 +36,7 @@ def symmetric_exponential_caps(rng, n_relays, scale=1.0):
     v = rng.exponential(scale=scale, size=iu.size)
     caps[iu, ju] = v
     caps[ju, iu] = v
-    mask = ~np.eye(n, dtype=bool)
-    return LinkCapacityMatrix(n_relays=n_relays, caps=caps * mask, link_mask=mask)
+    return LinkCapacityMatrix(caps)
 
 
 def exponential_caps_batch(rng, n_relays, n_draws, scale=1.0):
@@ -55,11 +54,9 @@ def caps_from_links(n_relays, links):
     """LinkCapacityMatrix from {(i, j): capacity}; unlisted links are absent."""
     n = n_relays + 2
     caps = np.zeros((n, n))
-    mask = np.zeros((n, n), dtype=bool)
     for (i, j), value in links.items():
         caps[i, j] = caps[j, i] = value
-        mask[i, j] = mask[j, i] = True
-    return LinkCapacityMatrix(n_relays=n_relays, caps=caps, link_mask=mask)
+    return LinkCapacityMatrix(caps)
 
 
 @pytest.fixture

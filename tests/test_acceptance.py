@@ -55,11 +55,10 @@ def oracle_runs():
     t0 = time.time()
     for n_relays in range(1, 9):
         caps_b = exponential_caps_batch(rng, n_relays, 1000)
-        mask = ~np.eye(n_relays + 2, dtype=bool)
         instances = []
         outcomes = []
         for k in range(1000):
-            lcm = LinkCapacityMatrix(n_relays, caps_b[k] * mask, mask)
+            lcm = LinkCapacityMatrix(caps_b[k])
             instances.append(lcm)
             outcomes.append(recursive_select(lcm))
         oracle = batch_brute_force(caps_b)

@@ -34,8 +34,7 @@ from conftest import reference_judge, reference_slot_times, symmetric_exponentia
 
 
 def rm(entries):
-    entries = np.asarray(entries, dtype=float)
-    return RateMatrix(m=entries.shape[0] - 1, entries=entries)
+    return RateMatrix(entries)
 
 
 class TestSolveLowerTriangular:
@@ -107,7 +106,7 @@ class TestAllocate:
             [1, 0, 1, 0, 1, 3, 2, 1], [3, 2, 2, 1, 0, 1, 3, 3], [3, 1, 0, 3, 1, 0, 3, 1],
             [2, 2, 0, 2, 3, 3, 0, 1], [0, 2, 2, 1, 3, 1, 1, 0],
         ], dtype=float)
-        lcm = LinkCapacityMatrix(6, caps, caps > 0)
+        lcm = LinkCapacityMatrix(caps)
         sub = RelaySubset((2, 3, 4))
         res = allocate(build_rate_matrix(lcm, sub), sub)
         assert res.reject_reason is RejectReason.NEGATIVE_RATE
@@ -138,7 +137,7 @@ class TestAllocate:
         for (i, j), value in {(0, 1): 1e-250, (0, 2): 1.0, (1, 2): 1.0, (0, 3): 1e-250,
                               (1, 3): 1e-250, (2, 3): 1e100}.items():
             caps[i, j] = caps[j, i] = value
-        lcm = LinkCapacityMatrix(2, caps, caps > 0)
+        lcm = LinkCapacityMatrix(caps)
         assert build_rate_matrix(lcm, RelaySubset((1, 2))).entries.tolist() == entries
         assert recursive_select(lcm).best.subset == brute_force_select(lcm).best.subset
 
@@ -279,19 +278,18 @@ class TestCopyWhere:
         m = len(special)
         dst[-2 * m : -m], src[-m:] = special, special
         mask = rng.random(n) < density
-        # an array, and a scalar broadcast over dst; the mask as booleans,
-        # and as the select mask built once for several writes
-        for x, m in itertools.product((src, src[7]), (mask, select_mask(mask))):
+        # an array, and a scalar broadcast over dst
+        for x in (src, src[7]):
             want = np.where(mask, x, dst)
             got = dst.copy()
-            copy_where(got, x, m)
+            copy_where(got, x, select_mask(mask))
             assert got.dtype == want.dtype
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_writes_through_a_view_and_leaves_src_alone(self):
         buf = np.full((2, 4), -np.inf)
         src = np.array([1.0, np.nan, -0.0, 2.0])
-        copy_where(buf[1], src, np.array([True, True, True, False]))
+        copy_where(buf[1], src, select_mask(np.array([True, True, True, False])))
         assert np.array_equal(buf[0], np.full(4, -np.inf))
         assert np.array_equal(buf[1].view(np.int64),
                               np.array([1.0, np.nan, -0.0, -np.inf]).view(np.int64))

@@ -264,9 +264,35 @@ class TestSerialization:
             {"n_relays": 2, "capacities": [v for row in caps for v in row]},
         )
         loaded = load_instance(path)
-        again = load_instance(write_json(tmp_path / "i2.json", instance_document(loaded)))
+        doc = instance_document(loaded)
+        assert sorted(doc) == ["capacities", "n_relays"]
+        again = load_instance(write_json(tmp_path / "i2.json", doc))
         assert np.array_equal(loaded.caps, again.caps)
-        assert np.array_equal(loaded.link_mask, again.link_mask)
+
+    def test_instance_mask_zeroes_its_links(self, tmp_path):
+        mask = [True] * 16
+        mask[1] = mask[6] = False  # links 0 -> 1 and 1 -> 2; 1 -> 0 stays
+        path = write_json(tmp_path / "i.json", {
+            "n_relays": 2, "capacities": [3.0] * 16, "mask": mask,
+        })
+        want = np.full((4, 4), 3.0)
+        want[0, 1] = want[1, 2] = 0.0
+        np.fill_diagonal(want, 0.0)
+        assert np.array_equal(load_instance(path).caps, want)
+
+    @pytest.mark.parametrize("doc", [
+        {"n_relays": 3, "capacities": [0, 1, 10, 1, 5, 1, 0, 1, 1, 5, 10, 1, 0, 1, 0,
+                                       1, 1, 1, 0, 1, 5, 5, 0, 1, 0],
+         "mask": [i % 7 != 3 for i in range(25)]},
+        {"topology": {"type": "random", "n_relays": 9, "seed": 3}, "snr_db": 10, "seed": 1},
+    ], ids=["masked", "random9"])
+    def test_report_instance_reproduces_the_report(self, tmp_path, doc, capsys):
+        # the report's instance, fed back, gives the same answer and counters
+        assert main(["optimize", "--instance", write_json(tmp_path / "a.json", doc)]) == 0
+        first = json.loads(capsys.readouterr().out)
+        path = write_json(tmp_path / "b.json", first["instance"])
+        assert main(["optimize", "--instance", path]) == 0
+        assert json.loads(capsys.readouterr().out) == first
 
     def test_topology_round_trip(self):
         topo = grid_topology(2, p_a=3.0)
@@ -438,6 +464,40 @@ class TestSimulate:
                                                    "snr_db": [4000]})
         assert main(["simulate", "--config", path]) == 2
         assert "snr_db 4000 has no finite linear SNR" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_snr_whose_capacities_can_overflow_exits_2(self, tmp_path, parallel, capsys):
+        # on linear_topology(2) an SNR of 3070 dB times a channel power can
+        # exceed the float range, which would make a capacity inf
+        path = write_json(tmp_path / "hot.json", {
+            "topology": {"type": "linear", "n_relays": 2}, "snr_db": [0, 3070],
+            "n_trials": 200, "parallel": parallel, "out_prefix": str(tmp_path / "hot"),
+        })
+        assert main(["simulate", "--config", path]) == 2
+        assert "snr_db 3070 is too high for this topology" in capsys.readouterr().err
+        assert not (tmp_path / "hot.csv").exists()
+
+    def test_snr_within_the_overflow_bound_is_swept_as_before(self, tmp_path, capsys):
+        # the figures were written before the bound existed; 3000 dB is within it
+        path = write_json(tmp_path / "warm.json", {
+            "topology": {"type": "linear", "n_relays": 2}, "snr_db": [3000],
+            "n_trials": 200, "out_prefix": str(tmp_path / "warm"),
+        })
+        assert main(["simulate", "--config", path]) == 0
+        assert (tmp_path / "warm.csv").read_text().splitlines()[1:] == [
+            "snr_db,outage_rate_optimized,outage_rate_equal_time,avg_active_optimized,"
+            "avg_active_equal_time",
+            "3000,990.801182,990.709778,1.265,0",
+        ]
+        curves = json.loads((tmp_path / "warm.json").read_text())["curves"]
+        common = {"epsilon": 0.01, "n_trials": 200, "snr_db": [3000.0], "snr_linear": [1e300]}
+        assert curves == {
+            "equal_time": {"avg_active": [0.0], "outage_rate": [990.7097784214227],
+                           "reject_totals": None, **common},
+            "optimized": {"avg_active": [1.265], "outage_rate": [990.8011820091498],
+                          "reject_totals": {"negative_rate": [0], "nonpositive_time": [144],
+                                            "singular": [0]}, **common},
+        }
 
     def test_too_few_trials_for_epsilon_exits_2(self, sweep_config, capsys):
         argv = ["simulate", "--config", sweep_config, "--trials", "50", "--epsilon", "0.001"]

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ from relayalloc.montecarlo import (
     outage_rate,
     sweep,
 )
-from relayalloc.rate_model import LinkCapacityMatrix
+from relayalloc.rate_model import LinkCapacityMatrix, snr_from_db
 from relayalloc.scenario import (
     NumberingScheme,
     Topology,
@@ -440,11 +441,16 @@ def per_trial_orders(topology, scheme, powers, seed, start):
         return [tuple(o) for o in trial_permutations(seed, n_relays, len(powers), start)]
     if scheme in (NumberingScheme.AVERAGE_DESCENDING, NumberingScheme.AVERAGE_LINEAR):
         return [renumber(topology, scheme)] * len(powers)
-    mask = ~np.eye(n_relays + 2, dtype=bool)
-    return [renumber(LinkCapacityMatrix(n_relays, p, mask), scheme) for p in powers]
+    return [renumber(LinkCapacityMatrix(p), scheme) for p in powers]
 
 
 class TestEmitters:
+    def test_linear_snr_grid_is_derived_from_db(self):
+        curves = sweep(linear_topology(1), DESC, [-3, 0, 7.5], 100, 0.05, base_seed=2)
+        for c in curves.values():
+            assert "snr_grid" not in {f.name for f in dataclasses.fields(c)}
+            assert c.snr_grid == tuple(snr_from_db(v) for v in (-3.0, 0.0, 7.5))
+
     def test_csv_shape_and_echo(self):
         curves = sweep(linear_topology(1), DESC, [0, 10], 200, 0.05, base_seed=2)
         text = curves_to_csv(curves, {"base_seed": 2})

@@ -13,6 +13,7 @@ from relayalloc.rate_model import (
     mutual_informations,
     snr_from_db,
 )
+from relayalloc.selector import brute_force_select, equal_time_select, recursive_select
 
 from conftest import symmetric_exponential_caps
 
@@ -115,9 +116,17 @@ class TestBuildCapacityMatrix:
         mask[1, 3] = False
         caps = build_capacity_matrix(powers, mask, SnrConfig(1.0))
         assert caps.caps[2, 2] == 0.0 and caps.caps[1, 3] == 0.0
-        assert caps.caps[3, 1] == 1.0
-        # the mask passed in is kept, less its diagonal
-        assert np.array_equal(caps.link_mask, mask & ~np.eye(4, dtype=bool))
+        # every other link has capacity log2(1 + 1) = 1
+        assert np.array_equal(caps.caps, np.where(mask & ~np.eye(4, dtype=bool), 1.0, 0.0))
+
+    def test_callers_powers_and_mask_stay_as_they_were(self):
+        powers = np.full((3, 3), 3.0)
+        mask = np.ones((3, 3), dtype=bool)
+        mask[0, 2] = False
+        caps = build_capacity_matrix(powers, mask, SnrConfig(1.0))
+        assert caps.caps[0, 2] == 0.0 and caps.caps[0, 1] == 2.0
+        assert np.array_equal(powers, np.full((3, 3), 3.0))
+        assert mask.sum() == 8 and mask[0, 0]
 
 
 class TestLinkCapacityMatrix:
@@ -125,59 +134,59 @@ class TestLinkCapacityMatrix:
     def test_nonfinite_capacity_rejected(self, bad):
         caps = np.array([[0.0, 2.0, 1.0], [2.0, 0.0, bad], [1.0, bad, 0.0]])
         with pytest.raises(ValueError, match="^capacities must be finite$"):
-            LinkCapacityMatrix(n_relays=1, caps=caps, link_mask=~np.eye(3, dtype=bool))
+            LinkCapacityMatrix(caps)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_capacity_named_before_a_negative_one(self, bad):
         caps = np.array([[0.0, -2.0, 1.0], [2.0, 0.0, bad], [1.0, 3.0, 0.0]])
         with pytest.raises(ValueError, match="^capacities must be finite$"):
-            LinkCapacityMatrix(n_relays=1, caps=caps, link_mask=~np.eye(3, dtype=bool))
+            LinkCapacityMatrix(caps)
 
     @pytest.mark.parametrize("bad", [-1.0, -5e-324])
     def test_negative_capacity_rejected(self, bad):
         caps = np.array([[0.0, 2.0, 1.0], [2.0, 0.0, 3.0], [1.0, bad, 0.0]])
         with pytest.raises(ValueError, match="^capacities must be nonnegative$"):
-            LinkCapacityMatrix(n_relays=1, caps=caps, link_mask=~np.eye(3, dtype=bool))
+            LinkCapacityMatrix(caps)
 
-    def test_masked_capacity_must_be_zero(self):
-        caps = np.array([[0.0, 2.0, 1.0], [2.0, 0.0, 3.0], [1.0, 3.0, 0.0]])
-        mask = ~np.eye(3, dtype=bool)
-        mask[1, 2] = False
-        with pytest.raises(ValueError, match="^masked-out links must have capacity exactly 0$"):
-            LinkCapacityMatrix(n_relays=1, caps=caps, link_mask=mask)
-        # a nonzero diagonal counts as a masked link; -0.0 is zero
-        caps[1, 2], caps[0, 0] = -0.0, 0.5
-        with pytest.raises(ValueError, match="^masked-out links must have capacity exactly 0$"):
-            LinkCapacityMatrix(n_relays=1, caps=caps, link_mask=mask)
-        caps[0, 0] = 0.0
-        assert LinkCapacityMatrix(n_relays=1, caps=caps, link_mask=mask).caps[1, 2] == 0.0
-
-    @pytest.mark.parametrize("caps_shape, mask_shape", [
-        ((3, 3), (4, 4)), ((4, 4), (3, 3)), ((3, 4), (3, 4)), ((9,), (9,)), ((2, 2), (2, 2)),
-    ])
-    def test_wrong_shapes_rejected(self, caps_shape, mask_shape):
-        with pytest.raises(ValueError, match=r"^expected \(3, 3\) arrays for 1 relays"):
-            LinkCapacityMatrix(n_relays=1, caps=np.zeros(caps_shape),
-                               link_mask=np.zeros(mask_shape, dtype=bool))
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 3), (9,), (), (2, 3, 3)])
+    def test_wrong_shapes_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"^capacities must be a square matrix of at least 2x2"):
+            LinkCapacityMatrix(np.zeros(shape))
 
     @pytest.mark.parametrize("n_relays", [-1, -2])
     def test_negative_pool_rejected(self, n_relays):
-        # the (n_relays + 2)^2 arrays match, so only the count can refuse them
+        # the (n_relays + 2)^2 matrix of a negative pool is smaller than 2x2
         n = n_relays + 2
-        with pytest.raises(ValueError, match="n_relays must be nonnegative"):
-            LinkCapacityMatrix(
-                n_relays=n_relays, caps=np.zeros((n, n)), link_mask=np.zeros((n, n), dtype=bool)
-            )
+        with pytest.raises(ValueError, match=r"of at least 2x2, got shape"):
+            LinkCapacityMatrix(np.zeros((n, n)))
+
+    @pytest.mark.parametrize("n_relays", [0, 1, 5])
+    def test_pool_and_destination_come_from_the_shape(self, n_relays):
+        n = n_relays + 2
+        caps = np.zeros((n, n))
+        caps[0, n - 1] = 1.5
+        lcm = LinkCapacityMatrix(caps)
+        assert lcm.n_relays == n_relays
+        assert lcm.destination == n - 1
+        assert lcm.direct_capacity == 1.5
+
+    def test_diagonal_is_unused(self, rng):
+        # a nonzero diagonal is accepted and changes no selector's answer
+        for n_relays in range(4):
+            zero = symmetric_exponential_caps(rng, n_relays)
+            caps = np.array(zero.caps)
+            np.fill_diagonal(caps, rng.exponential(size=n_relays + 2))
+            lcm = LinkCapacityMatrix(caps)
+            for select in (brute_force_select, recursive_select, equal_time_select):
+                want, got = select(zero).best, select(lcm).best
+                assert (got.subset, got.rate) == (want.subset, want.rate)
 
     def test_callers_arrays_stay_writeable(self):
         caps = np.array([[0.0, 2.0, 1.0], [2.0, 0.0, 3.0], [1.0, 3.0, 0.0]])
-        mask = ~np.eye(3, dtype=bool)
-        lcm = LinkCapacityMatrix(n_relays=1, caps=caps, link_mask=mask)
-        assert caps.flags.writeable and mask.flags.writeable
-        assert not lcm.caps.flags.writeable and not lcm.link_mask.flags.writeable
+        lcm = LinkCapacityMatrix(caps)
+        assert caps.flags.writeable and not lcm.caps.flags.writeable
         caps[0, 1] = 5.0
-        mask[0, 1] = False
-        assert lcm.caps[0, 1] == 2.0 and lcm.link_mask[0, 1]
+        assert lcm.caps[0, 1] == 2.0
 
 
 class TestRelaySubset:
@@ -204,8 +213,7 @@ class TestBuildRateMatrix:
                 [3.0, 5.0, 6.0, 0.0],
             ]
         )
-        mask = ~np.eye(4, dtype=bool)
-        return LinkCapacityMatrix(n_relays=2, caps=a, link_mask=mask)
+        return LinkCapacityMatrix(a)
 
     def test_full_two_relay_layout(self):
         rm = build_rate_matrix(self.caps(), RelaySubset((1, 2)))
@@ -249,22 +257,30 @@ class TestBuildRateMatrix:
     def test_masked_chain_link_gives_zero_diagonal(self):
         a = self.caps()
         caps = np.array(a.caps)
-        mask = np.array(a.link_mask)
         caps[1, 2] = caps[2, 1] = 0.0
-        mask[1, 2] = mask[2, 1] = False
-        broken = LinkCapacityMatrix(n_relays=2, caps=caps, link_mask=mask)
+        broken = LinkCapacityMatrix(caps)
         rm = build_rate_matrix(broken, RelaySubset((1, 2)))
         assert rm.entries[1, 1] == 0.0  # the r1 -> r2 decode link
 
     def test_rate_matrix_validates_triangularity(self):
         with pytest.raises(ValueError):
-            RateMatrix(m=1, entries=[[1.0, 0.5], [1.0, 1.0]])
+            RateMatrix([[1.0, 0.5], [1.0, 1.0]])
+
+    @pytest.mark.parametrize("entries", [np.zeros((2, 3)), np.zeros(2), np.zeros((0, 0)),
+                                         np.zeros((2, 2, 2))])
+    def test_rate_matrix_must_be_square_and_nonempty(self, entries):
+        with pytest.raises(ValueError, match="^rate matrix must be square and nonempty"):
+            RateMatrix(entries)
+
+    @pytest.mark.parametrize("m", [0, 1, 4])
+    def test_subset_size_comes_from_the_shape(self, m):
+        assert RateMatrix(np.eye(m + 1)).m == m
 
     def test_callers_array_stays_writeable(self):
         entries = np.array([[1.0, 0.0], [2.0, 3.0]])
         # a view of the caller's array is not frozen either
         for given in (entries, entries[:, :]):
-            rm = RateMatrix(m=1, entries=given)
+            rm = RateMatrix(given)
             assert given.flags.writeable and not rm.entries.flags.writeable
         entries[1, 0] = 5.0
         assert rm.entries[1, 0] == 2.0
@@ -272,24 +288,24 @@ class TestBuildRateMatrix:
 
 class TestMutualInformations:
     def test_hand_product(self):
-        rm = RateMatrix(m=1, entries=[[2.0, 0.0], [1.0, 2.0]])
+        rm = RateMatrix([[2.0, 0.0], [1.0, 2.0]])
         info = mutual_informations(rm, np.array([2 / 3, 1 / 3]))
         assert info == pytest.approx([4 / 3, 4 / 3])
 
     def test_zero_times(self):
-        rm = RateMatrix(m=1, entries=[[2.0, 0.0], [1.0, 2.0]])
+        rm = RateMatrix([[2.0, 0.0], [1.0, 2.0]])
         assert np.array_equal(mutual_informations(rm, np.zeros(2)), np.zeros(2))
 
     def test_direct_transmission(self):
-        rm = RateMatrix(m=0, entries=[[3.5]])
+        rm = RateMatrix([[3.5]])
         assert mutual_informations(rm, np.array([1.0])) == pytest.approx([3.5])
 
     def test_length_mismatch(self):
-        rm = RateMatrix(m=1, entries=[[2.0, 0.0], [1.0, 2.0]])
+        rm = RateMatrix([[2.0, 0.0], [1.0, 2.0]])
         with pytest.raises(ValueError):
             mutual_informations(rm, np.ones(3))
 
     def test_nonfinite_rejected(self):
-        rm = RateMatrix(m=1, entries=[[2.0, 0.0], [1.0, 2.0]])
+        rm = RateMatrix([[2.0, 0.0], [1.0, 2.0]])
         with pytest.raises(ValueError):
             mutual_informations(rm, np.array([np.inf, 0.0]))

@@ -85,11 +85,7 @@ class TestBruteForce:
         for _ in range(30):
             caps_big = symmetric_exponential_caps(rng, 4)
             sub_ids = [0, 1, 2, 3, 5]  # drop relay 4, keep source/dest
-            small = LinkCapacityMatrix(
-                n_relays=3,
-                caps=caps_big.caps[np.ix_(sub_ids, sub_ids)],
-                link_mask=caps_big.link_mask[np.ix_(sub_ids, sub_ids)],
-            )
+            small = LinkCapacityMatrix(caps_big.caps[np.ix_(sub_ids, sub_ids)])
             assert brute_force_select(caps_big).best.rate >= (
                 brute_force_select(small).best.rate - 1e-12
             )
@@ -124,15 +120,13 @@ class TestRecursiveSelect:
         for _ in range(200):
             caps_full = symmetric_exponential_caps(rng, 4)
             caps = np.array(caps_full.caps)
-            mask = np.array(caps_full.link_mask)
             iu, ju = np.triu_indices(6, 1)
             drop = rng.random(iu.size) < 0.3
             for i, j in zip(iu[drop], ju[drop]):
                 if (i, j) == (0, 5):
                     continue  # keep the direct link so an optimum exists
                 caps[i, j] = caps[j, i] = 0.0
-                mask[i, j] = mask[j, i] = False
-            lcm = LinkCapacityMatrix(n_relays=4, caps=caps, link_mask=mask)
+            lcm = LinkCapacityMatrix(caps)
             b = brute_force_select(lcm)
             r = recursive_select(lcm)
             assert r.best.subset.indices == b.best.subset.indices
@@ -319,7 +313,7 @@ class TestFloatWalk:
         for name, caps_b in oracle_cases(rng, n_relays, 8).items():
             walk = batch_optimized(caps_b)
             for k, caps in enumerate(caps_b):
-                lcm = LinkCapacityMatrix(n_relays, caps, caps > 0)
+                lcm = LinkCapacityMatrix(caps)
                 want = brute_force_select(lcm).best
                 got = recursive_select(lcm).best
                 where = (name, n_relays, k)
@@ -351,7 +345,7 @@ class TestFloatWalk:
         walk = batch_optimized(stack)
         subsets = list(subsets_by_size(n_relays))
         for k, (name, caps) in enumerate(zip(names, stack)):
-            lcm = LinkCapacityMatrix(n_relays, caps, caps > 0)
+            lcm = LinkCapacityMatrix(caps)
             got = recursive_select(lcm).best
             want = allocate(build_rate_matrix(lcm, got.subset), got.subset)
             where = (name, n_relays, k)
@@ -405,12 +399,11 @@ def extreme_instances():
     each with allocate's result for every subset."""
     n = 5
     codes = np.random.default_rng(9).integers(0, len(EXTREME_CAPACITIES), size=(2000, 10))
-    mask = ~np.eye(n, dtype=bool)
     cases = []
     for row in codes:
         caps = np.zeros((n, n))
         caps[np.triu_indices(n, 1)] = EXTREME_CAPACITIES[row]
-        lcm = LinkCapacityMatrix(3, caps, mask)
+        lcm = LinkCapacityMatrix(caps)
         cases.append((lcm, {
             sub: allocate(build_rate_matrix(lcm, RelaySubset(sub)), RelaySubset(sub))
             for sub in subsets_by_size(3)
@@ -780,9 +773,8 @@ class TestBatchEngines:
         opt = batch_optimized(caps_b)
         eq = batch_equal_time(caps_b)
         subs = list(subsets_by_size(4))
-        mask = ~np.eye(6, dtype=bool)
         for k in range(200):
-            lcm = LinkCapacityMatrix(4, caps_b[k] * mask, mask)
+            lcm = LinkCapacityMatrix(caps_b[k])
             b = brute_force_select(lcm)
             assert subs[opt["best_id"][k]] == b.best.subset.indices
             assert opt["rate"][k] == b.best.rate
@@ -793,9 +785,8 @@ class TestBatchEngines:
     def test_batch_reject_counters_match_allocate(self, rng):
         caps_b = exponential_caps_batch(rng, 3, 100)
         opt = batch_optimized(caps_b)
-        mask = ~np.eye(5, dtype=bool)
         for k in range(100):
-            lcm = LinkCapacityMatrix(3, caps_b[k] * mask, mask)
+            lcm = LinkCapacityMatrix(caps_b[k])
             assert batch_reject_counts(opt, k) == allocate_reject_counts(lcm)
 
     def test_exact_cancellation_verdict_matches_allocate(self):
@@ -808,7 +799,7 @@ class TestBatchEngines:
         caps = np.zeros((10, 10))
         caps[np.triu_indices(10, 1)] = upper
         caps += caps.T
-        lcm = LinkCapacityMatrix(8, caps, ~np.eye(10, dtype=bool))
+        lcm = LinkCapacityMatrix(caps)
         assert batch_reject_counts(batch_optimized(caps[None]), 0) == allocate_reject_counts(lcm)
 
     @pytest.mark.parametrize("n_relays", range(9))
@@ -983,7 +974,7 @@ def scalar_cases(rng, family, max_relays=9):
             elif family == "integer":
                 caps = np.triu(rng.integers(0, 4, size=(n, n)), 1).astype(float)
                 caps = caps + caps.T
-            yield LinkCapacityMatrix(n_relays, caps, caps > 0)
+            yield LinkCapacityMatrix(caps)
 
 
 def assert_scalar_equals_batched(caps_b, where):
@@ -992,7 +983,7 @@ def assert_scalar_equals_batched(caps_b, where):
     walk = batch_optimized(caps_b)
     subsets = list(subsets_by_size(n_relays))
     for k, caps in enumerate(caps_b):
-        got = recursive_select(LinkCapacityMatrix(n_relays, caps, caps > 0)).best
+        got = recursive_select(LinkCapacityMatrix(caps)).best
         assert got.subset.indices == subsets[walk["best_id"][k]], (where, k)
         assert got.rate == walk["rate"][k], (where, k)
 
@@ -1007,7 +998,7 @@ def integer_instances(draw):
     flags = st.lists(st.booleans(), min_size=n * n, max_size=n * n)
     mask = np.array(draw(flags)).reshape(n, n) & ~np.eye(n, dtype=bool)
     caps = np.array(draw(cells), dtype=float).reshape(n, n) * mask
-    return LinkCapacityMatrix(n_relays=n_relays, caps=caps, link_mask=mask)
+    return LinkCapacityMatrix(caps)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
