@@ -190,9 +190,12 @@ def node_rates(s: np.ndarray, min_u: np.ndarray, counts: np.ndarray) -> np.ndarr
     0``), then the smallest slot over ``s`` must exceed TIME_TOL.  A
     singular node comes with NaN slots, hence a NaN ``s``, which fails both
     tests.  Adds each trial's count of rate <= 0 and of feasible nodes to
-    ``counts[0..1]``, as uint8 sums over the block's rows (k < 256); the
-    caller counts the singular nodes and derives the nonpositive-slot
-    rejects, the nodes left over, once.
+    ``counts[0..1]``, a (2, T) uint8 buffer, by a same-type add: of the
+    flag planes themselves for a one-row block, else of their uint8 sums
+    over the k rows.  A block adds at most k to an entry, so the caller
+    empties the buffer into its wider totals before 255 rows in all could
+    overflow it.  The caller also counts the singular nodes and derives the
+    nonpositive-slot rejects, the nodes left over, once.
 
     A rejected node's rate is NaN, which ``_Best.offer`` treats as no
     candidate.  The rates are one gather from ``[nan, 1.0]`` by the verdict
@@ -205,7 +208,8 @@ def node_rates(s: np.ndarray, min_u: np.ndarray, counts: np.ndarray) -> np.ndarr
     # min_u / s > TIME_TOL and not rate <= 0; a NaN s fails both, as in judge
     feasible = np.greater(min_u / s, TIME_TOL, out=flags[1])
     np.greater(feasible, negative, out=feasible)
-    counts += flags.sum(axis=1, dtype=np.uint8)
+    planes = flags.view(np.uint8)
+    counts += planes[:, 0] if len(s) == 1 else np.add.reduce(planes, axis=1, dtype=np.uint8)
     rate = _VERDICT_NUMERATOR.take(feasible.view(np.uint8))
     rate /= s
     return rate

@@ -25,6 +25,7 @@ from .scenario import (
     AVERAGE_SCHEMES,
     NumberingScheme,
     Topology,
+    check_snr,
     draw_channel_powers_keyed,
     fading_params,
     grid_topology,
@@ -248,9 +249,12 @@ def load_instance(path: str) -> LinkCapacityMatrix:
     if "topology" in doc:
         _known(doc, ("topology", "snr_db", "seed"), path)
         topo = parse_topology(_field(doc, "topology", _object, "an object"))
-        snr = SnrConfig(snr_from_db(_field(doc, "snr_db", _number, "a number")))
+        snr_db = _field(doc, "snr_db", _number, "a number")
+        snr = SnrConfig(snr_from_db(snr_db))
         seed = _field(doc, "seed", _integer, "an integer")
-        powers = draw_channel_powers_keyed(fading_params(topo), seed, 1)[0]
+        params = fading_params(topo)
+        check_snr(params, snr_db)
+        powers = draw_channel_powers_keyed(params, seed, 1)[0]
         return build_capacity_matrix(powers, None, snr)
 
     _known(doc, ("n_relays", "capacities", "mask"), path)

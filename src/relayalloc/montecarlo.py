@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -40,6 +39,7 @@ from .scenario import (
     FadingParams,
     NumberingScheme,
     Topology,
+    check_snr,
     draw_channel_powers_keyed,
     fading_params,
     trial_orders,
@@ -271,14 +271,7 @@ def _evaluate_blocks(
     params = fading_params(topology)
     n = params.lam.shape[0]
     snr = np.array([snr_from_db(v) for v in snr_db])[:, None]
-    # a draw is -mean * log1p(-u) with u < 1 - 2^-53, at most 53 ln 2 (about
-    # 36.74) times its mean; within this bound no SNR times power overflows
-    # to an infinite capacity
-    if float(snr.max()) * float(params.mean_power.max()) * 37.0 > sys.float_info.max:
-        raise ValueError(
-            f"snr_db {max(snr_db):g} is too high for this topology: "
-            f"an SNR times a channel power can overflow to inf"
-        )
+    check_snr(params, max(snr_db))
     for a, b in _ranges(start, count, -(-count // _block_trials(len(snr_db), n))):
         links = _ordered_powers(params, topology, scheme, base_seed, a, b - a)
         # link-major stack: transmitter i's links to the later nodes are one

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .rate_model import LinkCapacityMatrix
+from .rate_model import LinkCapacityMatrix, snr_from_db
 
 DEFAULT_PATH_LOSS_EXPONENT = 2.5
 
@@ -242,6 +243,22 @@ def draw_channel_powers_keyed(
             powers[i, j] = draws
             powers[j, i] = draws
     return powers.transpose(2, 0, 1)
+
+
+def check_snr(params: FadingParams, snr_db: float) -> None:
+    """ValueError when an SNR of ``snr_db`` dB times a channel power drawn
+    from ``params`` can overflow to an infinite capacity.
+
+    A draw is -mean * log1p(-u) with u < 1 - 2^-53, at most 53 ln 2 (about
+    36.74) times its mean, so within this bound no SNR times power does.
+    Checked before any draw, for a sweep's largest SNR and for a generated
+    instance's one.
+    """
+    if snr_from_db(snr_db) * float(params.mean_power.max()) * 37.0 > sys.float_info.max:
+        raise ValueError(
+            f"snr_db {snr_db:g} is too high for this topology: "
+            f"an SNR times a channel power can overflow to inf"
+        )
 
 
 def trial_permutations(

@@ -494,6 +494,11 @@ def _subset_sizes(ends: list[int], ids: np.ndarray) -> np.ndarray:
     return (ids >= np.array(ends[:-1])[:, None]).sum(axis=0)
 
 
+# A merge gathers the trials that reach the floor when fewer than one in this
+# many do, and otherwise runs at full width (see ``_Best``).
+SPARSE_SHARE = 4
+
+
 def _tie_tol(r: np.ndarray) -> np.ndarray:
     # a rate's own tie tolerance, as in _beats; best rates are nonnegative
     # or -inf (no candidate), which counts as magnitude 0, and a NaN
@@ -513,12 +518,26 @@ class _Best:
     by more than the tolerance nor tied with it, so the trials skipped would
     have kept their best.
 
-    The merge writes the taken trials with ``copy_where``, not masked
-    copies, under one select mask built for both writes.  On sweep-deep's
-    16025-column blocks 50-90% of the trials are taken in most merges; at
-    half taken a ``np.copyto(..., where=take)``, which branches on every
+    A merge takes one of two read-outs.  When fewer than one trial in
+    ``SPARSE_SHARE`` reaches the floor, the sparse read-out gathers those
+    trials' columns once, picks each one's candidate and applies the take
+    rule on that small block, and writes back only the trials that take, so
+    its cost follows its hits.  On a 3x3-grid sweep block (2500 columns)
+    110 of ``batch_optimized``'s 256 merges read out a median of 14 trials
+    this way, and 18 of ``batch_equal_time``'s a median of 6.  A denser
+    merge runs at full width and writes with ``copy_where``, not masked
+    copies, under one select mask built for both writes: on sweep-deep's
+    16025-column blocks 50-90% of the trials are taken in most merges, and
+    at half taken a ``np.copyto(..., where=take)``, which branches on every
     element, took 99 us against 24 us for the branch-free select of the
     same bits.
+
+    The crossover, measured on blocks in which every trial that reaches
+    the floor takes: the sparse read-out is the cheaper up to 37% of the
+    trials at 4 rows and 2500 columns, 65% at one row, and 55% and 85% at
+    2 rows and 1 row of 16025 columns.  Replaying the merges of grid3 and
+    sweep-deep blocks of both engines, shares from 1/2 to 1/6 gave the same
+    totals within 5%; 1/4 stays below the lowest break-even.
     """
 
     def __init__(self, rate: np.ndarray):
@@ -539,47 +558,91 @@ class _Best:
         tolerance, or when it reaches the best's floor and comes earlier in
         ``subsets_by_size`` order, so the walk's visiting order does not
         decide ties.
+
+        A +inf rate is higher than the best by no finite margin, so it is
+        taken only as a tie with an earlier subset, and it would hide the
+        finite rates of its block.  A trial whose block maximum is +inf is
+        therefore merged row by row, as k one-row blocks in subset order,
+        which is ``_beats`` applied to each row in turn.  The engines merge
+        with invalid-value warnings off, since inf - inf is NaN here.
         """
-        top = rate[0] if len(rate) == 1 else np.fmax.reduce(rate, axis=0)
+        k = len(rate)
+        top = rate[0] if k == 1 else np.fmax.reduce(rate, axis=0)
         hit = top >= self.floor
         n_hit = np.count_nonzero(hit)
         if not n_hit:
             return
-        # reading out the trials that reach the floor pays only when few do;
-        # a dense block is merged in place, at its full width
-        dense = 4 * n_hit >= len(hit)
-        cols = slice(None) if dense else np.flatnonzero(hit)
-        best, best_id, floor = self.rate[cols], self.id[cols], self.floor[cols]
-        r, sid = self._candidate(rate, top, sid0, cols)
+        if SPARSE_SHARE * n_hit >= len(hit):
+            self._merge_dense(rate, top, sid0)
+            return
+        cols = hit.nonzero()[0]
+        top = top.take(cols)
+        if k == 1:
+            self._take(top, sid0, cols)
+            return
+        rate = rate.take(cols, axis=1)
+        if top.max() == np.inf:  # no trial that reaches its floor has a NaN top
+            inf = top == np.inf
+            self._rows(rate[:, inf], sid0, cols[inf])
+            finite = ~inf
+            rate, top, cols = rate[:, finite], top[finite], cols[finite]
+        j = np.argmax(rate >= top - _tie_tol(top), axis=0)
+        self._take(rate[j, np.arange(len(j))], sid0 + j, cols)
+
+    def _take(self, r: np.ndarray, sid, cols: np.ndarray) -> None:
+        """The take rule on the candidates ``r``, ``sid`` of the trials
+        ``cols``, gathered; only the trials that take are written."""
         # where r > best, _tie_tol(r) is the tolerance of the larger rate;
         # elsewhere r > best + tol fails for any tol >= 0.  r >= floor is
         # the tie test r >= best - tol: where r <= best, tol is best's own
         # tolerance, and where r > best both tests hold
-        take = (r > best + _tie_tol(r)) | ((r >= floor) & (sid < best_id))
+        take = r > self.rate.take(cols) + _tie_tol(r)
+        take |= (r >= self.floor.take(cols)) & (sid < self.id.take(cols))
+        cols, r = cols[take], r[take]
+        self.rate[cols] = r
+        self.id[cols] = sid[take] if isinstance(sid, np.ndarray) else sid
+        self.floor[cols] = r - _tie_tol(r)
+
+    def _rows(self, rate: np.ndarray, sid0: int, cols: np.ndarray) -> None:
+        """Merge the (k, h) rates of the trials ``cols`` one row at a time."""
+        for j, r in enumerate(rate):
+            self._take(r, sid0 + j, cols)
+
+    def _merge_dense(self, rate: np.ndarray, top: np.ndarray, sid0: int) -> None:
+        """The merge of a (k, T) block at full width; ``top`` is its maximum."""
+        best, best_id = self.rate, self.id
+        if len(rate) == 1:
+            r, sid = top, sid0
+            inf = None
+        else:
+            r, sid = self._candidate(rate, top, sid0)
+            # fmax skips the NaN maxima of wholly rejected trials
+            inf = np.flatnonzero(top == np.inf) if np.fmax.reduce(top) == np.inf else None
+        take = (r > best + _tie_tol(r)) | ((r >= self.floor) & (sid < best_id))
+        if inf is not None:
+            take[inf] = False
         take = select_mask(take)  # built once for both writes
         copy_where(best, r, take)
         copy_where(best_id, sid, take)
-        np.subtract(best, _tie_tol(best), out=floor)
-        if not dense:
-            self.rate[cols], self.id[cols], self.floor[cols] = best, best_id, floor
+        np.subtract(best, _tie_tol(best), out=self.floor)
+        if inf is not None:
+            self._rows(rate[:, inf], sid0, inf)
 
-    def _candidate(self, rate: np.ndarray, top: np.ndarray, sid0: int, cols):
-        """Candidate rate and subset index of the trials ``cols`` of a (k, T)
-        block whose column maxima are ``top``."""
-        if len(rate) == 1:
-            return top[cols], sid0
-        rate, top = rate[:, cols], top[cols]
+    def _candidate(self, rate: np.ndarray, top: np.ndarray, sid0: int):
+        """Candidate rate and subset index of every trial of a (k, T) block
+        whose column maxima are ``top``."""
         tied = rate >= top - _tie_tol(top)
-        # np.argmax(tied, axis=0) costs one call per trial; the largest
-        # rank of a tied row runs row by row.  Row j has rank k - j, so the
-        # first tied row has the largest.  A trial with no tied row (its
-        # maximum is inf or NaN) has rank 0 and gets row 0, as from argmax.
-        # A block has at most N < 256 rows, so ranks fit uint8.
+        # np.argmax(tied, axis=0) costs one call per trial at this width;
+        # the largest rank of a tied row runs row by row.  Row j has rank
+        # k - j, so the first tied row has the largest.  A trial with no
+        # tied row (its maximum is +inf, merged row by row, or NaN, which
+        # no merge takes) has rank 0 and gets row 0, as from argmax.  A
+        # block has at most N < 256 rows, so ranks fit uint8.
         k = len(tied)
         rank = np.max(tied * np.arange(k, 0, -1, dtype=np.uint8)[:, None], axis=0)
         j = ((k - rank) * (rank > 0)).astype(np.intp)
         flat = j * len(j)
-        flat += self._trials[:len(j)]
+        flat += self._trials
         return np.take(rate, flat), sid0 + j
 
 
@@ -634,14 +697,18 @@ def batch_optimized(caps_batch: np.ndarray) -> dict[str, np.ndarray]:
         absent_dest = a[1:dest, dest] <= SINGULARITY_TOL  # relay r at r - 1
     else:
         absent = None
-    # per trial: rate <= 0 and feasible nodes (see node_rates)
+    # per trial: rate <= 0 and feasible nodes.  node_rates adds each block
+    # into the uint8 buffer ``pending``, which is emptied into the int64
+    # totals before 255 rows could overflow it
     counts = np.zeros((2, n_trials), dtype=np.int64)
+    pending = np.zeros((2, n_trials), dtype=np.uint8)
+    rows = 1  # rows added to pending since it was emptied: the root's
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         u_direct = 1.0 / a[None, 0, dest]
         if absent is not None:
             np.copyto(u_direct, np.nan, where=absent[0][-1])
-        best = _Best(node_rates(u_direct, u_direct, counts)[0])
+        best = _Best(node_rates(u_direct, u_direct, pending)[0])
 
         # A stack entry is a node waiting to have its children evaluated; its
         # own h is derived from its parent's block when it is popped, so only
@@ -672,7 +739,12 @@ def batch_optimized(caps_batch: np.ndarray) -> dict[str, np.ndarray]:
             if absent is not None:
                 np.copyto(u_dest, np.nan, where=absent_dest[last:])
             s = s_chain + u_dest
-            rate = node_rates(s, np.minimum(min_chain, u_dest, out=u_dest), counts)
+            if rows + len(s) > 255:
+                counts += pending
+                pending.fill(0)
+                rows = 0
+            rows += len(s)
+            rate = node_rates(s, np.minimum(min_chain, u_dest, out=u_dest), pending)
             first[m + 1] -= dest - lo
             best.offer(rate, first[m + 1])
             for j in range(n_relays - lo):  # children of relay N are leaves
@@ -682,6 +754,7 @@ def batch_optimized(caps_batch: np.ndarray) -> dict[str, np.ndarray]:
     if np.any(best.id < 0):
         bad = int(np.nonzero(best.id < 0)[0][0])
         raise NoFeasibleSolution(f"trial {bad} has no feasible subset", trial=bad)
+    counts += pending
     n_singular = (
         np.zeros(n_trials, dtype=np.int64) if absent is None
         else _singular_counts(absent, n_relays)
@@ -715,6 +788,8 @@ def _singular_counts(absent: list[np.ndarray], n_relays: int) -> np.ndarray:
     return (1 << n_relays) - paths[-1]
 
 
+# an infinite link makes an infinite rate, which the merge reads as inf - inf
+@np.errstate(invalid="ignore")
 def batch_equal_time(caps_batch: np.ndarray) -> dict[str, np.ndarray]:
     """Equal-time baseline rate and subset size for a stack of capacity matrices.
 

@@ -264,18 +264,27 @@ def full_width_offer(best_rate, best_id, rate, sid0):
     ``rate`` of subsets ``sid0 .. sid0 + k - 1``: the block's candidate is
     its first rate tied with the block maximum, and it replaces the best
     when higher by more than the tie tolerance, or when tied and earlier in
-    ``subsets_by_size`` order.  The library reads only the trials whose
-    block maximum reaches its rate floor; this reads them all.
+    ``subsets_by_size`` order.  A trial whose block maximum is +inf takes
+    the rows one at a time instead, each as a one-row block.  The library
+    reads only the trials whose block maximum reaches its rate floor; this
+    reads them all.
     """
     if len(rate) == 1:
-        r, sid = rate[0], sid0
-    else:
-        top = np.fmax.reduce(rate, axis=0)
-        j = np.argmax(rate >= top - _tie_tol(top), axis=0)
-        r = rate[j, np.arange(rate.shape[1])]
-        sid = sid0 + j
+        _full_width_take(best_rate, best_id, rate[0], sid0, True)
+        return
+    top = np.fmax.reduce(rate, axis=0)
+    inf = top == np.inf
+    j = np.argmax(rate >= top - _tie_tol(top), axis=0)
+    r = rate[j, np.arange(rate.shape[1])]
+    _full_width_take(best_rate, best_id, r, sid0 + j, ~inf)
+    for j, row in enumerate(rate):
+        _full_width_take(best_rate, best_id, row, sid0 + j, inf)
+
+
+def _full_width_take(best_rate, best_id, r, sid, where):
+    """The take rule on candidates ``r``, ``sid``, written where ``where``."""
     tol = _tie_tol(np.maximum(r, best_rate))
-    take = (r > best_rate + tol) | ((r >= best_rate - tol) & (sid < best_id))
+    take = where & ((r > best_rate + tol) | ((r >= best_rate - tol) & (sid < best_id)))
     np.copyto(best_rate, r, where=take)
     np.copyto(best_id, sid, where=take)
 

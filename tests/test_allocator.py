@@ -304,7 +304,8 @@ def test_node_rates_is_judge_on_every_special_pair():
     # a (10, 10) block: row i has slot sum VERDICT_VALUES[i], column j the
     # smallest slot VERDICT_VALUES[j]; each node is judge's one-slot subset
     s, min_u = np.meshgrid(VERDICT_VALUES, VERDICT_VALUES, indexing="ij")
-    counts = np.zeros((2, len(VERDICT_VALUES)), dtype=np.int64)
+    # the (2, T) uint8 buffer that batch_optimized passes
+    counts = np.zeros((2, len(VERDICT_VALUES)), dtype=np.uint8)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         rate = node_rates(s, min_u, counts)
         want_rate = 1.0 / s
@@ -323,6 +324,13 @@ def test_node_rates_is_judge_on_every_special_pair():
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         node_rates(s, min_u, counts)
     assert np.array_equal(counts, 2 * want_counts)
+    # one-row blocks add their flag planes; their rates are the block's rows
+    rows = np.zeros_like(counts)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(len(s)):
+            one = node_rates(s[i:i + 1], min_u[i:i + 1], rows)
+            assert np.array_equal(one.view(np.int64), rate[i:i + 1].view(np.int64))
+    assert np.array_equal(rows, want_counts)
 
 
 # -- the Python-float verdict against the numpy one ----------------------------

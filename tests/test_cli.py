@@ -212,6 +212,18 @@ class TestOptimize:
         assert captured.out == ""
         assert "snr_db 4000 has no finite linear SNR" in captured.err
 
+    def test_snr_whose_capacities_can_overflow_exits_2(self, tmp_path, capsys):
+        # the sweep's bound holds for a generated instance too: on
+        # linear_topology(2) an SNR of 3080 dB times a channel power can
+        # exceed the float range, and it is refused before any draw
+        doc = {"topology": {"type": "linear", "n_relays": 2}, "snr_db": 3080, "seed": 1}
+        path = write_json(tmp_path / "hot.json", doc)
+        assert main(["optimize", "--instance", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: snr_db 3080 is too high for this topology: "
+                                "an SNR times a channel power can overflow to inf\n")
+
     @pytest.mark.parametrize("field, value", [
         ("snr_db", [10]), ("seed", [4]), ("seed", "four"), ("seed", "4"), ("seed", 4.5),
         ("seed", True), ("n_relays", [2]), ("n_relays", 2.5), ("snr_db", "10"),
@@ -610,6 +622,17 @@ class TestModuleEntryPoint:
                               env=dict(os.environ, PYTHONPATH=str(src)))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "0\n"
+
+    def test_overflowing_generated_instance_prints_only_its_error(self, tmp_path):
+        # no numpy warning either, which tier-1's filter would turn into an
+        # exception in process but a fresh interpreter prints to stderr
+        write_json(tmp_path / "hot.json", {"topology": {"type": "linear", "n_relays": 2},
+                                           "snr_db": 3080, "seed": 1})
+        proc = self.run(["optimize", "--instance", "hot.json"], tmp_path)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == ("error: snr_db 3080 is too high for this topology: "
+                               "an SNR times a channel power can overflow to inf\n")
 
     def test_array_instance_exits_2(self, tmp_path):
         write_json(tmp_path / "inst.json", [])

@@ -22,6 +22,7 @@ from relayalloc.scenario import (
 )
 from relayalloc.selector import (
     RATE_TIE_TOL,
+    SPARSE_SHARE,
     NoFeasibleSolution,
     _beats,
     _Best,
@@ -842,6 +843,33 @@ class TestBatchEngines:
                         assert np.array_equal(got[key], want[key]), (
                             select.__name__, key, variant, name)
 
+    @pytest.mark.parametrize("n_relays", [9, 10])
+    def test_counts_past_the_block_buffer_match_brute_force(self, rng, n_relays):
+        # node_rates counts into a uint8 buffer, which batch_optimized empties
+        # into its int64 totals before 255 rows could overflow it; here a
+        # trial has more than 255 nodes of one counted verdict in one call
+        caps_b = exponential_caps_batch(rng, n_relays, 40)
+        want = batch_brute_force(caps_b)
+        feasible = ((1 << n_relays) - want["n_singular"] - want["n_negative_rate"]
+                    - want["n_nonpositive_time"])
+        assert np.any((want["n_negative_rate"] > 255) | (feasible > 255))
+        assert_walk_equals_oracle(batch_optimized, batch_brute_force, caps_b,
+                                  f"fading, N={n_relays}")
+
+    def test_infinite_block_maximum_keeps_the_finite_rates(self):
+        # the root's children are {1} at +inf and {2} at 1.67 over a direct
+        # 1.18: +inf is never taken from a later subset, so the block's
+        # finite rate must still be merged, and {1, 2} at 1.37 loses to it
+        caps = np.zeros((4, 4))
+        for (i, j), value in {(0, 1): np.inf, (0, 2): 3.86, (0, 3): 1.18, (1, 2): 0.25,
+                              (1, 3): np.inf, (2, 3): 2.16}.items():
+            caps[i, j] = caps[j, i] = value
+        got = batch_equal_time(caps[None])
+        assert list(subsets_by_size(2))[got["best_id"][0]] == (2,)
+        assert got["rate"][0] == pytest.approx(1.67)
+        assert_walk_equals_oracle(batch_equal_time, batch_brute_equal_time, caps[None],
+                                  "+inf links")
+
     def test_walk_and_oracle_raise_on_the_same_trial(self, rng):
         caps_b = exponential_caps_batch(rng, 3, 10)
         caps_b[4] = 0.0  # every subset of trial 4 is singular
@@ -1040,8 +1068,10 @@ def offer_sequences(draw):
 
     The empty subset's row is all -inf or mixes finite, -inf, NaN and +inf
     rates.  A block has 1 to 5 rows and is one of: no trial may reach the
-    floor, fewer than a quarter may, or every trial may.  Some rows are
-    wholly rejected (-inf) or NaN.
+    floor, one may, fewer than one in ``SPARSE_SHARE`` may (the sparse
+    read-out), or every trial may (the dense one).  Some rows are wholly
+    rejected (-inf) or NaN, and in some one row is +inf wherever a trial
+    may reach, so the block maximum is +inf there.
     """
     n_trials = draw(st.integers(8, 24))
     start = draw(st.lists(st.sampled_from((0.25, 1.0, 3.0, 1e3)),
@@ -1055,16 +1085,21 @@ def offer_sequences(draw):
     blocks = []
     for _ in range(draw(st.integers(1, 10))):
         k = draw(st.sampled_from((1, 1, 2, 3, 5)))
-        reach = draw(st.sampled_from(("none", "sparse", "all")))
+        reach = draw(st.sampled_from(("none", "one", "sparse", "all")))
         if reach == "sparse":
             cols = draw(st.sets(st.integers(0, n_trials - 1),
-                                min_size=1, max_size=(n_trials - 1) // 4))
+                                min_size=1, max_size=(n_trials - 1) // SPARSE_SHARE))
+        elif reach == "one":
+            cols = {draw(st.integers(0, n_trials - 1))}
         else:
             cols = set(range(n_trials)) if reach == "all" else set()
         codes = [
             [draw(st.sampled_from(REACHING if t in cols else SHORT)) for t in range(n_trials)]
             for _ in range(k)
         ]
+        inf_row = draw(st.sampled_from((None, None, *range(k))))
+        if inf_row is not None:
+            codes[inf_row] = ["+inf" if t in cols else c for t, c in enumerate(codes[inf_row])]
         dead = draw(st.sampled_from((None, -np.inf, np.nan)))
         blocks.append((codes, dead, draw(st.integers(0, 40))))
     return n_trials, np.array(start), root, blocks
