@@ -148,7 +148,9 @@ def judge(
     durations are t = u/s.  The verdict is, in order: singular; else R <= 0
     (``s <= 0``); else a nonpositive slot unless every ``u_i / s`` exceeds
     TIME_TOL.  No comparison with NaN holds, so a NaN slot sum falls in the
-    last bucket instead of passing, and its rate is None, like a zero sum's.
+    last bucket instead of passing.  The rate is None wherever 1/s is not
+    finite: a zero or NaN sum, or a rejected subset's sum so small that 1/s
+    overflows (within MAX_CAPACITY a feasible subset's cannot).
     ``node_rates`` is the same verdict on blocks of nodes.  Every scalar
     AllocationResult but ``equal_time_select``'s comes from here.
 
@@ -162,7 +164,9 @@ def judge(
         )
     s = float(s)
     q = _ratios(_floats(u), s)
-    rate = None if s == 0.0 or s != s else 1.0 / s
+    rate = 1.0 / s if s != 0.0 else math.nan
+    if not math.isfinite(rate):
+        rate = None
     times = _renormalized(q)
     if s <= 0.0:
         return AllocationResult(
@@ -213,29 +217,6 @@ def node_rates(s: np.ndarray, min_u: np.ndarray, counts: np.ndarray) -> np.ndarr
     rate = _VERDICT_NUMERATOR.take(feasible.view(np.uint8))
     rate /= s
     return rate
-
-
-def copy_where(dst: np.ndarray, src, select: np.ndarray) -> None:
-    """``np.copyto(dst, src, where=mask)`` bit for bit, without a branch per
-    element: ``dst ^ ((dst ^ src) & select)`` on the int64 views.
-
-    ``dst`` holds 8-byte floats or ints, ``src`` broadcasts to it, and
-    ``select`` is the int64 ``select_mask`` of a boolean mask of ``dst``'s
-    shape, built once for several writes under the same mask.  A masked
-    copy branches on every element, so it is slowest on mixed masks: on
-    16025 float64s (a sweep-deep block) it took 2 us at 0% true, 25 us at
-    10% and 99 us at 50%, while these three passes took 23-30 us whatever
-    the mask (2-vCPU host, numpy 2.4).
-    """
-    bits = dst.view(np.int64)
-    diff = np.bitwise_xor(bits, np.asarray(src, dtype=dst.dtype).view(np.int64))
-    diff &= select
-    bits ^= diff
-
-
-def select_mask(mask: np.ndarray) -> np.ndarray:
-    """A boolean mask as int64 0 or -1 (every bit set), for ``copy_where``."""
-    return np.negative(mask.view(np.int8), dtype=np.int64)
 
 
 def slot_times(u: np.ndarray, s: float) -> TimeAllocation | None:

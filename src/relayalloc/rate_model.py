@@ -39,13 +39,20 @@ class SnrConfig:
             raise ValueError(f"snr_scalar must be positive and finite, got {self.snr_scalar}")
 
 
+# The largest capacity an instance may hold, in bits/symbol.  No float SNR
+# gives a capacity above 1024 (log2 of the largest float), and below this
+# bound every 1/s of a feasible node and every sum of N + 2 links is finite,
+# so no selector ever returns an infinite rate.
+MAX_CAPACITY = 2.0**1000
+
+
 @dataclass(frozen=True)
 class LinkCapacityMatrix:
     """Shannon capacities of every directed link for one fading realization.
 
     ``caps[i, j]`` is the capacity of the i -> j link in bits/symbol, for
-    N relays an (N+2, N+2) matrix.  A capacity at or below SINGULARITY_TOL
-    is an absent link; the diagonal is unused.
+    N relays an (N+2, N+2) matrix, each in [0, MAX_CAPACITY].  A capacity
+    at or below SINGULARITY_TOL is an absent link; the diagonal is unused.
     """
 
     caps: np.ndarray
@@ -58,9 +65,11 @@ class LinkCapacityMatrix:
             )
         # NaN fails both tests; the checks below only name what failed
         if not (np.minimum.reduce(caps, axis=None) >= 0.0
-                and np.maximum.reduce(caps, axis=None) < math.inf):
+                and np.maximum.reduce(caps, axis=None) <= MAX_CAPACITY):
             if not np.all(np.isfinite(caps)):
                 raise ValueError("capacities must be finite")
+            if caps.max() > MAX_CAPACITY:
+                raise ValueError("capacities must be at most MAX_CAPACITY = 2**1000")
             raise ValueError("capacities must be nonnegative")
         caps.setflags(write=False)
         object.__setattr__(self, "caps", caps)

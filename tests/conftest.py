@@ -97,7 +97,7 @@ def reference_judge(subset, u, s=None):
             reject_reason=RejectReason.SINGULAR,
         )
     u = np.asarray(u, dtype=float)
-    rate = None if s == 0.0 or math.isnan(s) else 1.0 / s
+    rate = finite_rate(s)
     times = reference_slot_times(u, s)
     if s <= 0.0:
         return AllocationResult(
@@ -112,6 +112,12 @@ def reference_judge(subset, u, s=None):
             reject_reason=RejectReason.NONPOSITIVE_TIME, reject_index=int(bad[0]),
         )
     return AllocationResult(subset=subset, times=times, rate=rate, feasible=True)
+
+
+def finite_rate(s):
+    """1/s, or None unless it is finite, as ``judge`` gives a rate."""
+    rate = 1.0 / float(s) if s != 0.0 else math.nan
+    return rate if math.isfinite(rate) else None
 
 
 def reference_slot_times(u, s):
@@ -239,7 +245,7 @@ def batch_brute_equal_time(caps_batch):
         tx = np.array((0, *sub))
         rx = np.array((*sub, dest))
         rm = caps_batch[:, tx[:, None], rx[None, :]].transpose(0, 2, 1)
-        rm = rm * np.tri(m + 1)
+        rm = np.tril(rm)
         rate = np.cumsum(rm, axis=2)[:, :, -1].min(axis=1) / (m + 1)
         tol = RATE_TIE_TOL * np.maximum(
             1.0,
@@ -264,27 +270,15 @@ def full_width_offer(best_rate, best_id, rate, sid0):
     ``rate`` of subsets ``sid0 .. sid0 + k - 1``: the block's candidate is
     its first rate tied with the block maximum, and it replaces the best
     when higher by more than the tie tolerance, or when tied and earlier in
-    ``subsets_by_size`` order.  A trial whose block maximum is +inf takes
-    the rows one at a time instead, each as a one-row block.  The library
-    reads only the trials whose block maximum reaches its rate floor; this
-    reads them all.
+    ``subsets_by_size`` order.  The library reads only the trials whose
+    block maximum reaches its rate floor; this reads them all.
     """
-    if len(rate) == 1:
-        _full_width_take(best_rate, best_id, rate[0], sid0, True)
-        return
     top = np.fmax.reduce(rate, axis=0)
-    inf = top == np.inf
     j = np.argmax(rate >= top - _tie_tol(top), axis=0)
     r = rate[j, np.arange(rate.shape[1])]
-    _full_width_take(best_rate, best_id, r, sid0 + j, ~inf)
-    for j, row in enumerate(rate):
-        _full_width_take(best_rate, best_id, row, sid0 + j, inf)
-
-
-def _full_width_take(best_rate, best_id, r, sid, where):
-    """The take rule on candidates ``r``, ``sid``, written where ``where``."""
+    sid = sid0 + j
     tol = _tie_tol(np.maximum(r, best_rate))
-    take = where & ((r > best_rate + tol) | ((r >= best_rate - tol) & (sid < best_id)))
+    take = (r > best_rate + tol) | ((r >= best_rate - tol) & (sid < best_id))
     np.copyto(best_rate, r, where=take)
     np.copyto(best_id, sid, where=take)
 
@@ -310,10 +304,10 @@ def allocation_from_blocks(blocks: InverseBlocks) -> AllocationResult:
     s = np.cumsum(u)[-1]
     if s <= 0.0:
         return AllocationResult(
-            subset=subset, times=slot_times(u, s), rate=1.0 / s if s != 0.0 else None,
+            subset=subset, times=slot_times(u, s), rate=finite_rate(s),
             feasible=False, reject_reason=RejectReason.NEGATIVE_RATE,
         )
-    rate = 1.0 / s
+    rate = finite_rate(s)
     t = u / s
     t = t / t.sum()
     bad = np.nonzero(t <= TIME_TOL)[0]

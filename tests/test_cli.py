@@ -203,6 +203,27 @@ class TestOptimize:
         table = {tuple(row["subset"]): row for row in report["subsets"]}
         assert table[(1, 2, 3)] == {"subset": [1, 2, 3], "feasible": False, "rate": None,
                                     "reject_reason": "nonpositive_time"}
+        # links within MAX_CAPACITY whose slots cancel to a sum of 2^-1051 for
+        # {1}: its 1/s overflows, and a rejected subset's rate is then None
+        a0d, a1d = 2.0**999 * (1 + 2.0**-52), 2.0**947 * (1 + 2.0**-52)
+        doc = {"n_relays": 1, "capacities": [0, 2.0**999, a0d, 0, 0, a1d, 0, 0, 0]}
+        path = write_json(tmp_path / "cancel.json", doc)
+        assert main(["optimize", "--instance", path, "--verbose"]) == 0
+        report = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+        assert report["subset"] == [] and report["rate"] == a0d
+        assert report["subsets"][1] == {"subset": [1], "feasible": False, "rate": None,
+                                        "reject_reason": "nonpositive_time"}
+
+    def test_capacity_above_the_bound_exits_2(self, tmp_path, capsys):
+        # 1/DBL_MAX is subnormal, so the direct rate, its reciprocal, would
+        # overflow to inf; such a link is refused at the boundary
+        path = write_json(tmp_path / "max.json",
+                          {"n_relays": 0, "capacities": [0, 1.7976931348623157e308,
+                                                         1.7976931348623157e308, 0]})
+        assert main(["optimize", "--instance", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: capacities must be at most MAX_CAPACITY = 2**1000\n"
 
     def test_snr_beyond_float_range_exits_2(self, tmp_path, capsys):
         doc = {"topology": {"type": "linear", "n_relays": 2}, "snr_db": 4000, "seed": 4}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from relayalloc.rate_model import (
+    MAX_CAPACITY,
     LinkCapacityMatrix,
     RateMatrix,
     RelaySubset,
@@ -147,6 +148,19 @@ class TestLinkCapacityMatrix:
         caps = np.array([[0.0, 2.0, 1.0], [2.0, 0.0, 3.0], [1.0, bad, 0.0]])
         with pytest.raises(ValueError, match="^capacities must be nonnegative$"):
             LinkCapacityMatrix(caps)
+
+    @pytest.mark.parametrize("bad", [np.finfo(float).max, np.nextafter(MAX_CAPACITY, np.inf)])
+    def test_capacity_above_the_bound_rejected(self, bad):
+        caps = np.array([[0.0, 2.0, 1.0], [2.0, 0.0, bad], [1.0, 3.0, 0.0]])
+        with pytest.raises(ValueError, match=r"^capacities must be at most MAX_CAPACITY = 2\*\*1000$"):
+            LinkCapacityMatrix(caps)
+
+    def test_capacity_at_the_bound_accepted(self):
+        caps = np.array([[0.0, MAX_CAPACITY], [MAX_CAPACITY, 0.0]])
+        assert LinkCapacityMatrix(caps).direct_capacity == MAX_CAPACITY == 2.0**1000
+        # the largest capacity a float SNR can give is far below the bound
+        top = build_capacity_matrix(np.ones((2, 2)), None, SnrConfig(np.finfo(float).max))
+        assert top.direct_capacity == 1024.0
 
     @pytest.mark.parametrize("shape", [(3, 4), (4, 3), (9,), (), (2, 3, 3)])
     def test_wrong_shapes_rejected(self, shape):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from relayalloc.allocator import RejectReason, SingularMatrix, allocate
 from relayalloc.rate_model import (
+    MAX_CAPACITY,
     LinkCapacityMatrix,
     RelaySubset,
     SnrConfig,
@@ -30,12 +31,14 @@ from relayalloc.selector import (
     batch_equal_time,
     batch_optimized,
     brute_force_select,
+    copy_where,
     equal_time_select,
     extend_inverse,
     extend_solution,
     op_count,
     recursive_select,
     root_blocks,
+    select_mask,
     subsets_by_size,
     worst_case_ops,
 )
@@ -412,6 +415,29 @@ def extreme_instances():
     return cases
 
 
+# Links near the capacity bound B = MAX_CAPACITY, next to absent, tiny and
+# ordinary ones: slot sums and rates come within a factor of two or so of
+# the float range, where an infinite rate must never appear.
+NEAR_BOUND_CAPACITIES = np.array(
+    [MAX_CAPACITY, MAX_CAPACITY / 1.5, 2.0**999, 1e300, 1e10, 1.0, 1e-300, 0.0])
+
+
+@pytest.fixture(scope="module")
+def near_bound_instances():
+    """200 seeded instances of each pool of 0..4 relays, with links drawn
+    from NEAR_BOUND_CAPACITIES."""
+    rng = np.random.default_rng(24)
+    cases = []
+    for n_relays in range(5):
+        n = n_relays + 2
+        upper = np.triu_indices(n, 1)
+        for codes in rng.integers(0, len(NEAR_BOUND_CAPACITIES), size=(200, len(upper[0]))):
+            caps = np.zeros((n, n))
+            caps[upper] = NEAR_BOUND_CAPACITIES[codes]
+            cases.append(LinkCapacityMatrix(caps))
+    return cases
+
+
 class TestExactWalk:
     """recursive_select against the per-node walk it was derived from: the
     same outcome, slot bytes, counters and trace on every instance."""
@@ -482,30 +508,36 @@ def fading_pools():
 class TestExtremeMagnitudes:
     """One verdict for every selector, also where the slots overflow."""
 
-    def test_selectors_agree_and_rates_are_finite(self, extreme_instances):
-        subsets = list(subsets_by_size(3))
-        n_infeasible = 0
-        for k, (caps, _) in enumerate(extreme_instances):
-            picks = []
-            for select in (recursive_select, brute_force_select):
+    def test_selectors_agree_and_rates_are_finite(self, extreme_instances,
+                                                  near_bound_instances):
+        families = {"extreme": [caps for caps, _ in extreme_instances],
+                    "near bound": near_bound_instances}
+        for family, cases in families.items():
+            n_infeasible = 0
+            for k, caps in enumerate(cases):
+                where = (family, caps.n_relays, k)
+                picks = []
+                for select in (recursive_select, brute_force_select):
+                    try:
+                        best = select(caps).best
+                    except NoFeasibleSolution:
+                        picks.append(None)
+                        continue
+                    assert best.feasible and np.isfinite(best.rate), (where, select.__name__)
+                    picks.append((best.subset.indices, best.rate))
                 try:
-                    best = select(caps).best
+                    out = batch_optimized(caps.caps[None])
                 except NoFeasibleSolution:
                     picks.append(None)
-                    continue
-                assert best.feasible and np.isfinite(best.rate), (k, select.__name__)
-                picks.append(best.subset.indices)
-            try:
-                out = batch_optimized(caps.caps[None])
-            except NoFeasibleSolution:
-                picks.append(None)
-            else:
-                assert np.isfinite(out["rate"][0]), k
-                picks.append(subsets[out["best_id"][0]])
-            assert picks[0] == picks[1] == picks[2], (k, picks)
-            n_infeasible += picks[0] is None
-        # the family exercises both outcomes
-        assert 0 < n_infeasible < len(extreme_instances)
+                else:
+                    subsets = list(subsets_by_size(caps.n_relays))
+                    picks.append((subsets[out["best_id"][0]], out["rate"][0]))
+                # the same subset at the same rate, bit for bit
+                assert picks[0] == picks[1] == picks[2], (where, picks)
+                assert np.isfinite(equal_time_select(caps).best.rate), where
+                n_infeasible += picks[0] is None
+            # each family exercises both outcomes
+            assert 0 < n_infeasible < len(cases), family
 
     def test_traced_verdicts_match_allocate(self, extreme_instances):
         for k, (caps, verdicts) in enumerate(extreme_instances):
@@ -811,7 +843,7 @@ class TestBatchEngines:
                 (batch_equal_time, batch_brute_equal_time),
             ):
                 assert_walk_equals_oracle(walk, oracle, caps_b, f"{name}, N={n_relays}")
-        # the singular accounting: absent, NaN and +inf links
+        # the singular accounting: absent, NaN and MAX_CAPACITY links
         for name, caps_b in singular_cases(rng, n_relays, 200).items():
             assert_walk_equals_oracle(
                 batch_optimized, batch_brute_force, caps_b, f"{name}, N={n_relays}")
@@ -855,20 +887,6 @@ class TestBatchEngines:
         assert np.any((want["n_negative_rate"] > 255) | (feasible > 255))
         assert_walk_equals_oracle(batch_optimized, batch_brute_force, caps_b,
                                   f"fading, N={n_relays}")
-
-    def test_infinite_block_maximum_keeps_the_finite_rates(self):
-        # the root's children are {1} at +inf and {2} at 1.67 over a direct
-        # 1.18: +inf is never taken from a later subset, so the block's
-        # finite rate must still be merged, and {1, 2} at 1.37 loses to it
-        caps = np.zeros((4, 4))
-        for (i, j), value in {(0, 1): np.inf, (0, 2): 3.86, (0, 3): 1.18, (1, 2): 0.25,
-                              (1, 3): np.inf, (2, 3): 2.16}.items():
-            caps[i, j] = caps[j, i] = value
-        got = batch_equal_time(caps[None])
-        assert list(subsets_by_size(2))[got["best_id"][0]] == (2,)
-        assert got["rate"][0] == pytest.approx(1.67)
-        assert_walk_equals_oracle(batch_equal_time, batch_brute_equal_time, caps[None],
-                                  "+inf links")
 
     def test_walk_and_oracle_raise_on_the_same_trial(self, rng):
         caps_b = exponential_caps_batch(rng, 3, 10)
@@ -938,18 +956,18 @@ def oracle_cases(rng, n_relays, n_draws):
 def singular_cases(rng, n_relays, n_draws):
     """Named capacity stacks for the singular accounting of batch_optimized.
 
-    Fading draws with 10% of the links i < j NaN or +inf (the direct link
-    kept), and, from two relays on, with only the link (0, 2) absent.  That
-    makes {2} and every subset that starts with relay 2 singular, but not
-    {1, 2}, where the link enters only as a multiplier.  Only the links
-    i < j hold NaN: the brute-force oracle zeroes the unread entries of a
-    rate matrix by multiplying, which a NaN survives.
+    Fading draws with 10% of the links i < j NaN or MAX_CAPACITY (the
+    direct link kept), and, from two relays on, with only the link (0, 2)
+    absent.  That makes {2} and every subset that starts with relay 2
+    singular, but not {1, 2}, where the link enters only as a multiplier.
+    Both NaN and MAX_CAPACITY links are present, and only the links i < j
+    are read.
     """
     n = n_relays + 2
     fading = exponential_caps_batch(rng, n_relays, n_draws)
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
     cases = {}
-    for name, value in (("nan_links", np.nan), ("inf_links", np.inf)):
+    for name, value in (("nan_links", np.nan), ("max_links", MAX_CAPACITY)):
         stack = np.where((rng.random(fading.shape) < 0.1) & upper, value, fading)
         stack[:, 0, n - 1] = fading[:, 0, n - 1]
         cases[name] = stack
@@ -1049,16 +1067,56 @@ def test_scalar_and_batched_selectors_agree(caps):
     assert walk["rate"][0] == want.rate
 
 
+class TestCopyWhere:
+    """copy_where is np.where(mask, src, dst) written into dst, bit for bit."""
+
+    SPECIAL = {
+        np.float64: [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -1.5, 1.7e308],
+        np.int64: [0, -1, 1, np.iinfo(np.int64).min, np.iinfo(np.int64).max],
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    @pytest.mark.parametrize("density", [0.0, 0.5, 1.0])
+    def test_equals_where_bit_for_bit(self, rng, dtype, density):
+        special = np.array(self.SPECIAL[dtype], dtype=dtype)
+        n = 1000
+        if dtype is np.float64:
+            dst, src = rng.normal(size=n), rng.normal(size=n)
+        else:
+            dst, src = rng.integers(-(2**62), 2**62, size=(2, n))
+        # every special value against every other, and against ordinary ones
+        pairs = np.array(list(itertools.product(special, repeat=2)), dtype=dtype)
+        dst[: len(pairs)], src[: len(pairs)] = pairs.T
+        m = len(special)
+        dst[-2 * m : -m], src[-m:] = special, special
+        mask = rng.random(n) < density
+        # an array, and a scalar broadcast over dst
+        for x in (src, src[7]):
+            want = np.where(mask, x, dst)
+            got = dst.copy()
+            copy_where(got, x, select_mask(mask))
+            assert got.dtype == want.dtype
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_writes_through_a_view_and_leaves_src_alone(self):
+        buf = np.full((2, 4), -np.inf)
+        src = np.array([1.0, np.nan, -0.0, 2.0])
+        copy_where(buf[1], src, select_mask(np.array([True, True, True, False])))
+        assert np.array_equal(buf[0], np.full(4, -np.inf))
+        assert np.array_equal(buf[1].view(np.int64),
+                              np.array([1.0, np.nan, -0.0, -np.inf]).view(np.int64))
+        assert np.array_equal(src, [1.0, np.nan, -0.0, 2.0], equal_nan=True)
+
+
 # Cell codes of an offered block, read against the best before the offer:
 # a multiple of the tie tolerance away from it (0.0 is an exact tie), far
-# above it, +inf (a feasible rate from a denormal slot sum), far below it,
-# or a rejected subset.
+# above it, far below it, or a rejected subset.
 NEAR = (-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5)
-REACHING = (*NEAR, "above", "+inf")
+REACHING = (*NEAR, "above")
 SHORT = ("below", "-inf", "nan")
 # Cell codes of the empty subset's row: a finite rate (the trial's start
-# rate) or a non-finite one.
-ROOT = ("start", "-inf", "nan", "+inf")
+# rate) or a rejected one.
+ROOT = ("start", "-inf", "nan")
 
 
 @st.composite
@@ -1066,12 +1124,11 @@ def offer_sequences(draw):
     """Trial count, per-trial start rates, the empty subset's row and blocks
     to offer to a _Best.
 
-    The empty subset's row is all -inf or mixes finite, -inf, NaN and +inf
+    The empty subset's row is all -inf or mixes finite, -inf and NaN
     rates.  A block has 1 to 5 rows and is one of: no trial may reach the
     floor, one may, fewer than one in ``SPARSE_SHARE`` may (the sparse
     read-out), or every trial may (the dense one).  Some rows are wholly
-    rejected (-inf) or NaN, and in some one row is +inf wherever a trial
-    may reach, so the block maximum is +inf there.
+    rejected (-inf) or NaN.
     """
     n_trials = draw(st.integers(8, 24))
     start = draw(st.lists(st.sampled_from((0.25, 1.0, 3.0, 1e3)),
@@ -1080,7 +1137,7 @@ def offer_sequences(draw):
         root = np.full(n_trials, -np.inf)
     else:
         codes = draw(st.lists(st.sampled_from(ROOT), min_size=n_trials, max_size=n_trials))
-        values = {"-inf": -np.inf, "nan": np.nan, "+inf": np.inf}
+        values = {"-inf": -np.inf, "nan": np.nan}
         root = np.array([values.get(c, s) for c, s in zip(codes, start)])
     blocks = []
     for _ in range(draw(st.integers(1, 10))):
@@ -1097,9 +1154,6 @@ def offer_sequences(draw):
             [draw(st.sampled_from(REACHING if t in cols else SHORT)) for t in range(n_trials)]
             for _ in range(k)
         ]
-        inf_row = draw(st.sampled_from((None, None, *range(k))))
-        if inf_row is not None:
-            codes[inf_row] = ["+inf" if t in cols else c for t, c in enumerate(codes[inf_row])]
         dead = draw(st.sampled_from((None, -np.inf, np.nan)))
         blocks.append((codes, dead, draw(st.integers(0, 40))))
     return n_trials, np.array(start), root, blocks
@@ -1116,8 +1170,6 @@ def block_rates(codes, dead, best, start):
                 rate[i, t] = 2.0 * b + 1.0
             elif code == "below":
                 rate[i, t] = b / 4.0 - 1.0 if np.isfinite(best[t]) else b / 4.0
-            elif code == "+inf":
-                rate[i, t] = np.inf
             elif code == "-inf":
                 rate[i, t] = -np.inf
             elif code == "nan":
@@ -1133,30 +1185,25 @@ def block_rates(codes, dead, best, start):
 @given(offer_sequences())
 def test_floor_merge_equals_full_width_merge(case):
     n_trials, start, root, blocks = case
-    # +inf rates make inf - inf in the tolerances, as in batch_optimized,
-    # which merges under the same errstate
-    with np.errstate(invalid="ignore"):
-        best = _Best(root)
-        # the full-width merge starts from no candidate and takes the empty
-        # subset's row as its first block
-        want_rate = np.full(n_trials, -np.inf)
-        want_id = np.full(n_trials, -1, dtype=np.int64)
-        full_width_offer(want_rate, want_id, root[None], 0)
+    best = _Best(root)
+    # the full-width merge starts from no candidate and takes the empty
+    # subset's row as its first block
+    want_rate = np.full(n_trials, -np.inf)
+    want_id = np.full(n_trials, -1, dtype=np.int64)
+    full_width_offer(want_rate, want_id, root[None], 0)
 
-        def check():
-            assert np.array_equal(best.rate, want_rate)
-            assert np.array_equal(best.id, want_id)
-            # the tie test reads the floor, so it must be exactly this bound;
-            # a best of +inf, taken as a tie, has the floor inf - inf = NaN
-            floor = best.rate - _tie_tol(best.rate)
-            assert np.array_equal(best.floor, floor, equal_nan=True)
+    def check():
+        assert np.array_equal(best.rate, want_rate)
+        assert np.array_equal(best.id, want_id)
+        # the tie test reads the floor, so it must be exactly this bound
+        assert np.array_equal(best.floor, best.rate - _tie_tol(best.rate))
 
+    check()
+    for codes, dead, sid0 in blocks:
+        rate = block_rates(codes, dead, want_rate, start)
+        full_width_offer(want_rate, want_id, rate, sid0)
+        best.offer(rate, sid0)
         check()
-        for codes, dead, sid0 in blocks:
-            rate = block_rates(codes, dead, want_rate, start)
-            full_width_offer(want_rate, want_id, rate, sid0)
-            best.offer(rate, sid0)
-            check()
 
 
 # One-trial offers for the scalar rule: every code but the rejected ones,
@@ -1185,11 +1232,10 @@ def assert_beats_matches_full_width(start, offers):
 def test_beats_is_the_merge_rule():
     # every three codes from the -inf start, each subset earlier, later or
     # the same as the one before
-    with np.errstate(invalid="ignore"):
-        for start in (0.25, 1e3):
-            for codes in itertools.product(SCALAR_CODES, repeat=3):
-                for sids in ((9, 4, 0), (0, 4, 9), (4, 4, 4), (4, 9, 0)):
-                    assert_beats_matches_full_width(start, list(zip(codes, sids)))
+    for start in (0.25, 1e3):
+        for codes in itertools.product(SCALAR_CODES, repeat=3):
+            for sids in ((9, 4, 0), (0, 4, 9), (4, 4, 4), (4, 9, 0)):
+                assert_beats_matches_full_width(start, list(zip(codes, sids)))
 
 
 # Rates around which the floor test is exercised: the infinities, zero, the
