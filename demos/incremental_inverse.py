@@ -34,9 +34,10 @@ for relay in (1, 3, 4):
     subset = RelaySubset(blocks.subset)
     fresh = np.linalg.inv(build_rate_matrix(caps, subset).entries)
     err = np.abs(blocks.full_inverse - fresh).max()
-    times, rate = extend_solution(blocks)
+    result = extend_solution(blocks)
+    verdict = "feasible" if result.feasible else result.reject_reason.value
     print(
-        f"  subset {blocks.subset}: rate {rate:.4f}, "
+        f"  subset {blocks.subset}: rate {result.rate:.4f} ({verdict}), "
         f"max inverse deviation vs fresh {err:.2e}"
     )
 

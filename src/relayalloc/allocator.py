@@ -15,8 +15,8 @@ a[i, i-1] * u[i-1]`` in index order, and the slot sum is ``u[0] + u[1] +
 transmitter at a time, so every selector returns bit-identical rates and
 verdicts, exact cancellations included.  No sum is left to numpy's pairwise
 or BLAS order, nor to Python's ``sum``, which is compensated from 3.12 on.
-The one exception is the renormalizing sum of the slot durations t = u/s,
-which is numpy's ``t.sum()``; it runs after the verdict's inputs are fixed
+The one exception is the renormalizing sum of a feasible subset's slot
+durations t = u/s, which is numpy's ``t.sum()``; it runs after the verdict
 and only shapes the reported durations.
 """
 
@@ -61,13 +61,8 @@ class TimeAllocation:
             raise ValueError("time allocation must be a nonempty vector")
         if not all(map(math.isfinite, t.tolist())):
             raise ValueError(f"slot durations must be finite, got {t}")
-        # scale-aware gate: for feasible vectors (all positive) the scale is 1
-        # and this is an absolute 1e-12 check; rejected solutions may carry
-        # huge cancelling entries whose float sum cannot do better than this.
-        # The scale is at least 1, so a sum within 1e-12 of 1 needs no scale.
         total = t.sum()
-        err = abs(total - 1.0)
-        if err > 1e-12 and err > 1e-12 * max(1.0, np.abs(t).sum()):
+        if abs(total - 1.0) > 1e-12:
             raise ValueError(f"slot durations must sum to 1, got {total!r}")
         t.setflags(write=False)
         object.__setattr__(self, "t", t)
@@ -80,13 +75,10 @@ class TimeAllocation:
 class AllocationResult:
     """Outcome of the equalizing solve for one subset.
 
-    ``times`` is present for any outcome where the linear system had a
-    solution with finite slot durations (even an infeasible one, so callers
-    can inspect which slot went nonpositive).  It is None for singular
-    matrices, for a zero or non-finite slot sum, and when renormalizing
-    overflows, which exact cancellations (small-integer capacities) can
-    cause.  Results come from ``judge``, except ``equal_time_select``'s,
-    whose uniform slots are feasible by definition.
+    ``times`` holds the slot durations of a feasible subset only.  A rejected
+    subset has none: ``reject_reason`` says why, and for a nonpositive slot
+    ``reject_index`` names the first one.  Results come from ``judge``, except
+    ``equal_time_select``'s, whose uniform slots are feasible by definition.
     """
 
     subset: RelaySubset
@@ -146,13 +138,16 @@ def judge(
     ``u`` solves ``rate_matrix @ u = 1``, or is None when the matrix is
     singular, and ``s`` is its sum: the rate is R = 1/s and the slot
     durations are t = u/s.  The verdict is, in order: singular; else R <= 0
-    (``s <= 0``); else a nonpositive slot unless every ``u_i / s`` exceeds
-    TIME_TOL.  No comparison with NaN holds, so a NaN slot sum falls in the
-    last bucket instead of passing.  The rate is None wherever 1/s is not
-    finite: a zero or NaN sum, or a rejected subset's sum so small that 1/s
-    overflows (within MAX_CAPACITY a feasible subset's cannot).
-    ``node_rates`` is the same verdict on blocks of nodes.  Every scalar
-    AllocationResult but ``equal_time_select``'s comes from here.
+    (``s <= 0``); else a nonpositive slot, at the first ``u_i / s`` that
+    does not exceed TIME_TOL.  No comparison with NaN holds, so a NaN slot
+    sum falls in the last bucket instead of passing.  Only a feasible subset
+    gets its durations, ``u / s`` renormalized to sum to one: each ratio
+    lies in (0, 1], so that sum neither overflows nor cancels.  The rate is
+    None wherever 1/s is not finite: a zero or NaN sum, or a rejected
+    subset's sum so small that 1/s overflows (within MAX_CAPACITY a feasible
+    subset's cannot).  ``node_rates`` is the same verdict on blocks of
+    nodes.  Every scalar AllocationResult but ``equal_time_select``'s comes
+    from here.
 
     The verdict runs on Python floats: a subset has at most N + 1 slots, too
     few for numpy calls to pay for themselves.
@@ -163,23 +158,26 @@ def judge(
             reject_reason=RejectReason.SINGULAR,
         )
     s = float(s)
-    q = _ratios(_floats(u), s)
     rate = 1.0 / s if s != 0.0 else math.nan
     if not math.isfinite(rate):
         rate = None
-    times = _renormalized(q)
     if s <= 0.0:
         return AllocationResult(
-            subset=subset, times=times, rate=rate, feasible=False,
+            subset=subset, times=None, rate=rate, feasible=False,
             reject_reason=RejectReason.NEGATIVE_RATE,
         )
+    # s is positive or NaN here, so no division raises
+    q = [x / s for x in _floats(u)]
     for i, x in enumerate(q):
         if not x > TIME_TOL:
             return AllocationResult(
-                subset=subset, times=times, rate=rate, feasible=False,
+                subset=subset, times=None, rate=rate, feasible=False,
                 reject_reason=RejectReason.NONPOSITIVE_TIME, reject_index=i,
             )
-    return AllocationResult(subset=subset, times=times, rate=rate, feasible=True)
+    t = np.array(q)
+    return AllocationResult(
+        subset=subset, times=TimeAllocation(t / t.sum()), rate=rate, feasible=True
+    )
 
 
 # Where a node's verdict is feasible, its rate is 1.0 / s; elsewhere NaN / s
@@ -219,62 +217,11 @@ def node_rates(s: np.ndarray, min_u: np.ndarray, counts: np.ndarray) -> np.ndarr
     return rate
 
 
-def slot_times(u: np.ndarray, s: float) -> TimeAllocation | None:
-    """Slot durations from unnormalized slots ``u`` with sum ``s``.
-
-    ``u / s`` is renormalized once more, which keeps the durations summing to
-    one to machine precision even for badly scaled solutions.  Returns None
-    when the durations are not finite (``s`` is zero, or the solution
-    cancels so exactly that renormalizing overflows).
-    """
-    return _renormalized(_ratios(_floats(u), float(s)))
-
-
 def _floats(u) -> list[float]:
     """The entries of a slot vector, as Python floats."""
     if isinstance(u, np.ndarray):
         return u.astype(float, copy=False).tolist()
     return [float(x) for x in u]
-
-
-def _ratios(u: list[float], s: float) -> list[float]:
-    """``u_i / s`` as numpy divides.  A zero ``s``, on which Python raises,
-    gives NaN throughout in place of numpy's inf or NaN: no slot duration is
-    finite either way."""
-    if s == 0.0:
-        return [math.nan] * len(u)
-    return [x / s for x in u]
-
-
-# Below this, a sum of slot magnitudes bounds every partial sum in any order
-# away from overflow: half the largest float.
-_SUM_SAFE = 2.0**1023
-
-
-def _renormalized(q: list[float]) -> TimeAllocation | None:
-    """``TimeAllocation(t / t.sum())`` for ``t = q``, or None unless every
-    duration is finite.
-
-    The sum is numpy's ``t.sum()``, in its pairwise order, so durations are
-    bit-identical to those of a numpy renormalization.  Finiteness is tested
-    first: a sum over inf or NaN would warn.  Slots whose magnitudes sum
-    beyond half the float range can overflow the sum, and only for them is
-    numpy's overflow warning silenced; an overflowing sum gives zeros, which
-    TimeAllocation refuses.
-    """
-    t = np.array(q)
-    if sum(map(abs, q)) < _SUM_SAFE:
-        total = float(t.sum())
-    elif not all(map(math.isfinite, q)):
-        return None
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = float(t.sum())
-    if total == 0.0 or total != total:
-        # no duration is finite; an empty vector is refused as such
-        return TimeAllocation(t) if not q else None
-    t = [x / total for x in q]
-    return TimeAllocation(t) if all(map(math.isfinite, t)) else None
 
 
 def verify_equalization(rm: RateMatrix, result: AllocationResult) -> float:

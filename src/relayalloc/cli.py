@@ -214,8 +214,8 @@ def instance_document(caps: LinkCapacityMatrix) -> dict:
 # the fields each topology type reads besides "type" and "p_a"
 _TOPOLOGY_FIELDS = {
     "linear": ("n_relays",),
-    "grid": ("side", "scale"),
-    "random": ("n_relays", "seed", "scale"),
+    "grid": ("side",),
+    "random": ("n_relays", "seed"),
     "custom": ("positions",),
 }
 
@@ -232,12 +232,11 @@ def parse_topology(spec: dict) -> Topology:
         pos = _field(spec, "positions", _list_of(_list_of(_number, 2)),
                      "a list of [x, y] pairs")
         return Topology(positions=pos, p_a=p_a)
-    scale = _field(spec, "scale", _number, "a number", 1.0)
     if kind == "grid":
-        return grid_topology(_field(spec, "side", _integer, "an integer"), p_a=p_a, scale=scale)
+        return grid_topology(_field(spec, "side", _integer, "an integer"), p_a=p_a)
     return random_topology(
         _field(spec, "n_relays", _integer, "an integer"),
-        _field(spec, "seed", _integer, "an integer"), p_a=p_a, scale=scale,
+        _field(spec, "seed", _integer, "an integer"), p_a=p_a,
     )
 
 

@@ -109,15 +109,12 @@ def linear_topology(n_relays: int, p_a: float = DEFAULT_PATH_LOSS_EXPONENT) -> T
     return Topology(positions=pos, p_a=p_a, layout="linear")
 
 
-def grid_topology(
-    side: int, p_a: float = DEFAULT_PATH_LOSS_EXPONENT, scale: float = 1.0
-) -> Topology:
+def grid_topology(side: int, p_a: float = DEFAULT_PATH_LOSS_EXPONENT) -> Topology:
     """side x side relay grid centered between source and destination.
 
     Columns sit at x = c/(side+1) and rows are spaced identically about the
     axis, so the lattice pitch is uniform.  Relays are stored column by
-    column toward the destination, top to bottom within a column.  ``scale``
-    stretches the grid about its center for experimentation.
+    column toward the destination, top to bottom within a column.
     """
     if side < 1:
         raise ValueError("grid side must be >= 1")
@@ -128,18 +125,12 @@ def grid_topology(
         for r in range(1, k + 1):
             y = ((k + 1) / 2 - r) / (k + 1)
             coords.append((x, y))
-    relays = np.asarray(coords)
-    center = np.array([0.5, 0.0])
-    relays = center + scale * (relays - center)
-    pos = np.vstack([[0.0, 0.0], relays, [1.0, 0.0]])
+    pos = np.vstack([[0.0, 0.0], coords, [1.0, 0.0]])
     return Topology(positions=pos, p_a=p_a, layout="grid")
 
 
 def random_topology(
-    n_relays: int,
-    rng_seed: int,
-    p_a: float = DEFAULT_PATH_LOSS_EXPONENT,
-    scale: float = 1.0,
+    n_relays: int, rng_seed: int, p_a: float = DEFAULT_PATH_LOSS_EXPONENT
 ) -> Topology:
     """Relays placed uniformly over the bounding box of the matching grid.
 
@@ -153,12 +144,10 @@ def random_topology(
         k += 1
     lo_x, hi_x = 1 / (k + 1), k / (k + 1)
     half_y = (k - 1) / (2 * (k + 1))
-    center = np.array([0.5, 0.0])
     rng = np.random.default_rng(rng_seed)
     xs = rng.uniform(lo_x, hi_x, size=n_relays)
     ys = rng.uniform(-half_y, half_y, size=n_relays) if half_y > 0 else np.zeros(n_relays)
-    relays = center + scale * (np.column_stack([xs, ys]) - center)
-    pos = np.vstack([[0.0, 0.0], relays, [1.0, 0.0]])
+    pos = np.vstack([[0.0, 0.0], np.column_stack([xs, ys]), [1.0, 0.0]])
     return Topology(positions=pos, p_a=p_a, layout="random")
 
 

@@ -53,7 +53,6 @@ from .allocator import (
     allocate,
     judge,
     node_rates,
-    slot_times,
 )
 from .rate_model import LinkCapacityMatrix, RelaySubset, build_rate_matrix
 
@@ -193,21 +192,20 @@ def extend_inverse(
     return child
 
 
-def extend_solution(blocks: InverseBlocks) -> tuple[TimeAllocation, float]:
-    """Slot durations and achievable rate straight from cached inverse blocks.
+def extend_solution(blocks: InverseBlocks) -> AllocationResult:
+    """The subset's verdict, rate and durations straight from cached inverse
+    blocks.
 
-    Equivalent to a fresh solve of the subset's rate matrix: the first p
-    entries are the parent's unnormalized solution rescaled by the new rate,
-    the last two entries come from the appended block rows.
+    Equivalent to ``allocate`` on a fresh solve of the subset's rate matrix:
+    the unnormalized slots are ``u_chain`` followed by the destination row's
+    sum, and ``judge`` gives the result, with durations only for a feasible
+    subset.  Blocks without a destination row give the singular result.
     """
+    subset = RelaySubset(blocks.subset)
     if blocks.dest_row is None:
-        raise SingularMatrix(f"subset {blocks.subset} has a singular rate matrix")
+        return judge(subset, None)
     u = np.append(blocks.u_chain, blocks.dest_row.sum())
-    s = np.cumsum(u)[-1]
-    times = slot_times(u, s)
-    if times is None:
-        raise ValueError("slot solution does not normalize (zero or cancelling sum)")
-    return times, 1.0 / s
+    return judge(subset, u, np.cumsum(u)[-1])
 
 
 def _beats(rate: float, sub: tuple, best_rate: float, best_sub: tuple) -> bool:

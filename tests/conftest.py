@@ -11,7 +11,6 @@ from relayalloc.allocator import (
     RejectReason,
     TimeAllocation,
     judge,
-    slot_times,
 )
 from relayalloc.rate_model import LinkCapacityMatrix, RelaySubset
 from relayalloc.selector import (
@@ -59,6 +58,23 @@ def caps_from_links(n_relays, links):
     return LinkCapacityMatrix(caps)
 
 
+def cancelling_caps(n_relays):
+    """An instance whose subset {1,2,3,4} has slots that cancel.
+
+    The slots are (2^990, 2^990, -2^990, -2^990, 2^-33), so the ratios u / s
+    to their sum 2^-33 are (2^1023, 2^1023, -2^1023, -2^1023, 1), and any
+    float sum of those overflows.  With ``n_relays`` = 5, relay 5 is a unit
+    two-hop path and {5} at rate 0.5 is the optimum; with 4, the last relay's
+    destination link is 2^33 and no subset is feasible.
+    """
+    links = {(0, 1): 2.0**-990, (0, 3): 2.0**-989, (0, 4): 2.0**-989,
+             (1, 2): 2.0**-990, (2, 3): 2.0**-990, (3, 4): 2.0**-990,
+             (4, n_relays + 1): 2.0**33}
+    if n_relays == 5:
+        links.update({(0, 5): 1.0, (5, 6): 1.0})
+    return caps_from_links(n_relays, links)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
@@ -83,14 +99,14 @@ def trial_outcomes(topology, scheme, snr_db, n_trials, base_seed, modes=montecar
 
 # -- numpy verdict reference ------------------------------------------------------
 #
-# ``allocator.judge`` and ``allocator.slot_times`` as they were written on
-# numpy arrays, before the verdict moved to Python floats.  The walk-versus-
-# oracle tests cannot see a change in judge, since the oracles call it too;
-# the Python-float versions must agree with these exactly.
+# ``allocator.judge`` as it was written on numpy arrays, before the verdict
+# moved to Python floats.  The walk-versus-oracle tests cannot see a change in
+# judge, since the oracles call it too; the Python-float version must agree
+# with this one exactly.
 
 
 def reference_judge(subset, u, s=None):
-    """The numpy form of ``allocator.judge``."""
+    """The numpy form of ``allocator.judge``: times only when feasible."""
     if u is None:
         return AllocationResult(
             subset=subset, times=None, rate=None, feasible=False,
@@ -98,34 +114,28 @@ def reference_judge(subset, u, s=None):
         )
     u = np.asarray(u, dtype=float)
     rate = finite_rate(s)
-    times = reference_slot_times(u, s)
     if s <= 0.0:
         return AllocationResult(
-            subset=subset, times=times, rate=rate, feasible=False,
+            subset=subset, times=None, rate=rate, feasible=False,
             reject_reason=RejectReason.NEGATIVE_RATE,
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        bad = np.flatnonzero(~(u / s > TIME_TOL))
+        t = u / s
+    bad = np.flatnonzero(~(t > TIME_TOL))
     if bad.size:
         return AllocationResult(
-            subset=subset, times=times, rate=rate, feasible=False,
+            subset=subset, times=None, rate=rate, feasible=False,
             reject_reason=RejectReason.NONPOSITIVE_TIME, reject_index=int(bad[0]),
         )
-    return AllocationResult(subset=subset, times=times, rate=rate, feasible=True)
+    return AllocationResult(
+        subset=subset, times=TimeAllocation(t / t.sum()), rate=rate, feasible=True
+    )
 
 
 def finite_rate(s):
     """1/s, or None unless it is finite, as ``judge`` gives a rate."""
     rate = 1.0 / float(s) if s != 0.0 else math.nan
     return rate if math.isfinite(rate) else None
-
-
-def reference_slot_times(u, s):
-    """The numpy form of ``allocator.slot_times``."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        t = u / s
-        t = t / t.sum()
-    return TimeAllocation(t) if np.all(np.isfinite(t)) else None
 
 
 # -- relay-relay ordering oracle --------------------------------------------------
@@ -287,9 +297,8 @@ def full_width_offer(best_rate, best_id, rate, sid0):
 #
 # The recursive search as it was written before it ran on Python floats:
 # every node carries its InverseBlocks and gets a full AllocationResult.
-# The one change is that a negative-rate node's times come from
-# allocator.slot_times, since TimeAllocation refuses the non-finite entries
-# the old renormalization produced on exact cancellations.
+# The one change is that, as from allocator.judge, only a feasible node
+# gets slot durations.
 
 
 def allocation_from_blocks(blocks: InverseBlocks) -> AllocationResult:
@@ -302,18 +311,18 @@ def allocation_from_blocks(blocks: InverseBlocks) -> AllocationResult:
         )
     u = np.append(blocks.u_chain, blocks.dest_row.sum())
     s = np.cumsum(u)[-1]
+    rate = finite_rate(s)
     if s <= 0.0:
         return AllocationResult(
-            subset=subset, times=slot_times(u, s), rate=finite_rate(s),
-            feasible=False, reject_reason=RejectReason.NEGATIVE_RATE,
+            subset=subset, times=None, rate=rate, feasible=False,
+            reject_reason=RejectReason.NEGATIVE_RATE,
         )
-    rate = finite_rate(s)
     t = u / s
     t = t / t.sum()
     bad = np.nonzero(t <= TIME_TOL)[0]
     if bad.size:
         return AllocationResult(
-            subset=subset, times=TimeAllocation(t), rate=rate, feasible=False,
+            subset=subset, times=None, rate=rate, feasible=False,
             reject_reason=RejectReason.NONPOSITIVE_TIME, reject_index=int(bad[0]),
         )
     return AllocationResult(

@@ -12,6 +12,8 @@ from relayalloc.cli import instance_document, load_instance, main, parse_topolog
 from relayalloc.scenario import grid_topology
 from relayalloc.selector import worst_case_ops
 
+from conftest import cancelling_caps
+
 
 def write_json(path, doc):
     path.write_text(json.dumps(doc))
@@ -122,6 +124,8 @@ class TestOptimize:
              "unknown field 'pa'"),
             ({"topology": {"type": "linear", "n_relays": 2, "scale": 2}, "snr_db": 10,
               "seed": 4}, "unknown field 'scale'"),
+            ({"topology": {"type": "grid", "side": 2, "scale": 2}, "snr_db": 10,
+              "seed": 4}, "unknown field 'scale'"),
             ({"topology": {"type": "custom", "positions": [[0, 0], [1, 0]], "side": 2},
               "snr_db": 10, "seed": 4}, "unknown field 'side'"),
             ({"topology": {"type": "grid", "side": 2}, "snr_db": 10, "seed": 4, "mask": []},
@@ -213,6 +217,20 @@ class TestOptimize:
         assert report["subset"] == [] and report["rate"] == a0d
         assert report["subsets"][1] == {"subset": [1], "feasible": False, "rate": None,
                                         "reject_reason": "nonpositive_time"}
+        # {1,2,3,4} has slots whose ratios to their sum 2^-33 overflow any
+        # float sum; it is rejected at its first negative slot, and {5} wins
+        path = write_json(tmp_path / "cancel5.json", instance_document(cancelling_caps(5)))
+        assert main(["optimize", "--instance", path, "--verbose"]) == 0
+        report = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+        assert report["subset"] == [5] and report["rate"] == 0.5
+        table = {tuple(row["subset"]): row for row in report["subsets"]}
+        assert table[(1, 2, 3, 4)] == {"subset": [1, 2, 3, 4], "feasible": False,
+                                       "rate": 8589934592.0,
+                                       "reject_reason": "nonpositive_time"}
+        # without relay 5 no subset is feasible
+        path = write_json(tmp_path / "cancel4.json", instance_document(cancelling_caps(4)))
+        assert main(["optimize", "--instance", path, "--verbose"]) == 3
+        assert "no relay subset nor direct transmission is feasible" in capsys.readouterr().err
 
     def test_capacity_above_the_bound_exits_2(self, tmp_path, capsys):
         # 1/DBL_MAX is subnormal, so the direct rate, its reciprocal, would

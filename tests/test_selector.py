@@ -27,6 +27,7 @@ from relayalloc.selector import (
     NoFeasibleSolution,
     _beats,
     _Best,
+    _extend_blocks,
     _tie_tol,
     batch_equal_time,
     batch_optimized,
@@ -46,6 +47,7 @@ from relayalloc.selector import (
 from conftest import (
     batch_brute_equal_time,
     batch_brute_force,
+    cancelling_caps,
     caps_from_links,
     exponential_caps_batch,
     full_width_offer,
@@ -147,10 +149,10 @@ class TestRecursiveSelect:
         assert out.best.subset.indices == brute_force_select(caps).best.subset.indices
 
     def test_prune_skips_subtree(self):
-        # strong direct link and weak relay chain: {1,2} comes out with
-        # t0 < 0, so {1,2,3} must never be evaluated.  The source's link to
-        # relay 1 is strong enough that {1} has a positive slot sum, so the
-        # walk reaches {1,2} before it prunes
+        # strong direct link and weak relay chain: {1,2} comes out with a
+        # negative slot sum, so {1,2,3} must never be evaluated.  The
+        # source's link to relay 1 is strong enough that {1} has a positive
+        # slot sum, so the walk reaches {1,2} before it prunes
         caps = caps_from_links(
             3,
             {
@@ -161,8 +163,8 @@ class TestRecursiveSelect:
         )
         sub12 = RelaySubset((1, 2))
         res12 = allocate(build_rate_matrix(caps, sub12), sub12)
-        assert not res12.feasible
-        assert res12.times.t[0] < 0  # the engineered violation
+        assert res12.reject_reason is RejectReason.NEGATIVE_RATE  # the engineered violation
+        assert res12.rate < 0
 
         trace = []
         out = recursive_select(caps, trace=trace)
@@ -200,7 +202,7 @@ class TestRecursiveSelect:
             res12 = allocate(build_rate_matrix(caps, sub12), sub12)
             if case is links:
                 assert res12.rate > 0
-                assert res12.times.t[0] > 0 > res12.times.t[1]
+                assert res12.reject_index == 1
             else:
                 assert res12.reject_reason is RejectReason.SINGULAR
             sub123 = RelaySubset((1, 2, 3))
@@ -511,7 +513,9 @@ class TestExtremeMagnitudes:
     def test_selectors_agree_and_rates_are_finite(self, extreme_instances,
                                                   near_bound_instances):
         families = {"extreme": [caps for caps, _ in extreme_instances],
-                    "near bound": near_bound_instances}
+                    "near bound": near_bound_instances,
+                    # slots whose ratios overflow any float sum
+                    "cancelling": [cancelling_caps(5), cancelling_caps(4)]}
         for family, cases in families.items():
             n_infeasible = 0
             for k, caps in enumerate(cases):
@@ -640,29 +644,53 @@ class TestExtendInverse:
         assert len(trace) == plain.candidates_evaluated
 
 
+def assert_same_allocation(got, want, where):
+    """An incremental result against a fresh solve's: the same verdict, a
+    close rate, and close durations where the subset is feasible."""
+    assert got.subset == want.subset, where
+    assert (got.feasible, got.reject_reason) == (want.feasible, want.reject_reason), where
+    assert got.reject_index == want.reject_index, where
+    if want.rate is None:
+        assert got.rate is None, where
+    else:
+        assert got.rate == pytest.approx(want.rate, rel=1e-9), where
+    if want.feasible:
+        assert got.times.t == pytest.approx(want.times.t, rel=1e-7, abs=1e-9), where
+    else:
+        assert got.times is None, where
+
+
 class TestExtendSolution:
     def test_matches_fresh_allocate_along_paths(self, rng):
+        seen = set()
         for _ in range(40):
             caps = symmetric_exponential_caps(rng, 6)
             trace = []
             recursive_select(caps, trace=trace)
-            for sub, result, blocks in trace:
-                if blocks is None or blocks.dest_row is None or not sub:
+            for sub, _result, blocks in trace:
+                if blocks is None or not sub:
                     continue
-                t, rate = extend_solution(blocks)
                 ref = allocate(build_rate_matrix(caps, RelaySubset(sub)), RelaySubset(sub))
-                assert rate == pytest.approx(
-                    ref.rate, rel=1e-9
-                ), f"rate mismatch on {sub}"
-                assert t.t == pytest.approx(ref.times.t, rel=1e-7, abs=1e-9)
+                assert_same_allocation(extend_solution(blocks), ref, sub)
+                seen.add(ref.reject_reason)
+        # feasible, negative-rate and nonpositive-slot subsets all occur
+        assert len(seen) == 3, seen
 
     def test_base_case_is_single_relay_allocate(self, rng):
         caps = symmetric_exponential_caps(rng, 2)
         blocks = extend_inverse(root_blocks(caps), caps, 1)
-        t, rate = extend_solution(blocks)
         ref = allocate(build_rate_matrix(caps, RelaySubset((1,))), RelaySubset((1,)))
-        assert rate == pytest.approx(ref.rate)
-        assert t.t == pytest.approx(ref.times.t)
+        assert_same_allocation(extend_solution(blocks), ref, (1,))
+
+    def test_blocks_without_destination_row_are_singular(self):
+        # relay 1 has no destination link: its blocks still extend, but the
+        # subset {1} itself is singular, as a fresh solve finds
+        caps = caps_from_links(1, {(0, 1): 1.0, (0, 2): 1.0})
+        blocks = _extend_blocks(root_blocks(caps), caps.caps, caps.destination, 1)
+        assert blocks.dest_row is None
+        ref = allocate(build_rate_matrix(caps, RelaySubset((1,))), RelaySubset((1,)))
+        assert ref.reject_reason is RejectReason.SINGULAR
+        assert_same_allocation(extend_solution(blocks), ref, (1,))
 
     def test_negative_rate_extensions_are_rejected_by_selector(self, rng):
         # extensions with nonpositive rate exist and the tree search must
