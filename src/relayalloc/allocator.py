@@ -67,9 +67,6 @@ class TimeAllocation:
         t.setflags(write=False)
         object.__setattr__(self, "t", t)
 
-    def __len__(self) -> int:
-        return self.t.size
-
 
 @dataclass(frozen=True)
 class AllocationResult:

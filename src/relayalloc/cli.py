@@ -23,6 +23,7 @@ from .rate_model import (
 from .scenario import (
     AVERAGE_LAYOUTS,
     AVERAGE_SCHEMES,
+    DEFAULT_PATH_LOSS_EXPONENT,
     NumberingScheme,
     Topology,
     check_snr,
@@ -55,7 +56,7 @@ def main(argv: list[str] | None = None) -> int:
     except NoFeasibleSolution as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -171,8 +172,7 @@ def _is(cls):
     return convert
 
 
-# a bool is an int in Python, but an int is not a bool
-_boolean, _text, _object = _is(bool), _is(str), _is(dict)
+_text, _object = _is(str), _is(dict)
 
 
 def _list_of(convert, length: int | None = None):
@@ -203,8 +203,8 @@ def _load_json(path: str) -> dict:
 
 
 def instance_document(caps: LinkCapacityMatrix) -> dict:
-    """JSON-ready instance document for a capacity matrix (round-trips: an
-    absent link is its zero capacity, so no mask is written)."""
+    """JSON-ready instance document for a capacity matrix; ``load_instance``
+    reads it back to the same matrix."""
     return {
         "n_relays": caps.n_relays,
         "capacities": [float(v) for v in caps.caps.ravel()],
@@ -225,7 +225,7 @@ def parse_topology(spec: dict) -> Topology:
     if kind not in _TOPOLOGY_FIELDS:
         raise ConfigError(f"unknown topology type {kind!r}")
     _known(spec, ("type", "p_a", *_TOPOLOGY_FIELDS[kind]), f"{kind} topology")
-    p_a = _field(spec, "p_a", _number, "a number", 2.5)
+    p_a = _field(spec, "p_a", _number, "a number", DEFAULT_PATH_LOSS_EXPONENT)
     if kind == "linear":
         return linear_topology(_field(spec, "n_relays", _integer, "an integer"), p_a=p_a)
     if kind == "custom":
@@ -256,24 +256,20 @@ def load_instance(path: str) -> LinkCapacityMatrix:
         powers = draw_channel_powers_keyed(params, seed, 1)[0]
         return build_capacity_matrix(powers, None, snr)
 
-    _known(doc, ("n_relays", "capacities", "mask"), path)
+    _known(doc, ("n_relays", "capacities"), path)
     n_relays = _field(doc, "n_relays", _integer, "an integer")
     if n_relays < 0:
         raise ConfigError(f"{path}: n_relays must be nonnegative, got {n_relays}")
     n = n_relays + 2
-    # both lengths are checked before any (n, n) array exists
+    # the length is checked before any (n, n) array exists
     caps = _field(doc, "capacities", _list_of(_number), "a list of numbers")
     if len(caps) != n * n:
         raise ConfigError(
             f"{path}: expected {n * n} capacities for {n_relays} relays, got {len(caps)}"
         )
-    mask = _field(doc, "mask", _list_of(_boolean), "a list of booleans", [True] * (n * n))
-    if len(mask) != n * n:
-        raise ConfigError(f"{path}: mask shape does not match capacities")
-    mask = np.reshape(mask, (n, n))
-    # the diagonal is unused and absent links carry no capacity
-    np.fill_diagonal(mask, False)
-    caps = np.where(mask, np.reshape(caps, (n, n)), 0.0)
+    # an absent link is a capacity of 0; the diagonal is unused
+    caps = np.reshape(caps, (n, n))
+    np.fill_diagonal(caps, 0.0)
     return LinkCapacityMatrix(caps)
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -142,10 +143,10 @@ def sweep(
     a mode named twice is evaluated once.
 
     The same per-trial channel draws are used at every grid point, and work
-    is split over ``parallel`` processes by contiguous trial ranges.  Each
-    worker returns, per mode and SNR point, its k = ceil(epsilon*n_trials)
-    smallest rates and its counter sums; the merge is exact, so results are
-    bit-identical for any ``parallel``.
+    is split into ``parallel`` contiguous trial ranges, run on at most one
+    process per CPU.  Each range yields, per mode and SNR point, its
+    k = ceil(epsilon*n_trials) smallest rates and its counter sums; the merge
+    is exact, so results are bit-identical for any ``parallel``.
     """
     if not snr_grid_db:
         raise ValueError("snr grid must be nonempty")
@@ -156,7 +157,11 @@ def sweep(
     snr_db = tuple(float(v) for v in snr_grid_db)
     for v in snr_db:
         snr_from_db(v)  # refuses a dB value with no finite linear SNR
+    if n_trials <= 0:
+        raise ValueError(f"n_trials must be positive, got {n_trials}")
     # each trial adds up to 2^N rejects to an int64 total
+    if topology.n_relays >= 63:
+        raise ValueError(f"a sweep needs fewer than 63 relays, got {topology.n_relays}")
     limit = 2**63 >> topology.n_relays
     if n_trials >= limit:
         raise ValueError(f"n_trials must be below 2^63 / 2^N = {limit}, got {n_trials}")
@@ -168,16 +173,17 @@ def sweep(
             raise ValueError(f"unknown mode {m!r}")
     modes = tuple(dict.fromkeys(modes))
 
-    # at most one worker per trial, so no range is empty
+    # at most one range per trial, so no range is empty
     jobs = [
         (topology, scheme, snr_db, base_seed, modes, rank, a, b - a)
         for a, b in _ranges(0, n_trials, min(parallel, n_trials))
     ]
-    if len(jobs) == 1:
-        parts = [_fold_trials(*jobs[0])]
+    # a pool starts all its workers at once, so at most one per range and per CPU
+    workers = min(len(jobs), os.cpu_count() or 1)
+    if workers == 1:
+        parts = [_fold_trials(*job) for job in jobs]
     else:
-        # a pool starts all its workers at once, so one per range
-        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_fold_trials, *zip(*jobs)))
 
     curves: dict[str, OutageCurve] = {}

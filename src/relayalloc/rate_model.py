@@ -108,12 +108,6 @@ class RelaySubset:
                 f"subset {self.indices} exceeds relay pool of size {caps.n_relays}"
             )
 
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __iter__(self):
-        return iter(self.indices)
-
 
 @dataclass(frozen=True)
 class RateMatrix:

@@ -88,10 +88,6 @@ class FadingParams:
         object.__setattr__(self, "lam", lam)
 
     @property
-    def n_relays(self) -> int:
-        return self.lam.shape[0] - 2
-
-    @property
     def mean_power(self) -> np.ndarray:
         """Mean channel power per pair, zero on the diagonal."""
         with np.errstate(divide="ignore"):

@@ -99,20 +99,14 @@ class TestOptimize:
             path = write_json(tmp_path / "pos.json", doc)
             assert main(["optimize", "--instance", path]) == 2
             assert "'positions' must be a list of [x, y] pairs" in capsys.readouterr().err
-        # numbers are JSON numbers, the mask is booleans and capacities are
-        # one flat list; a huge n_relays is refused before any array is built
+        # numbers are JSON numbers and capacities are one flat list; a huge
+        # n_relays is refused before any array is built
         caps = [0, 2, 1, 2, 0, 2, 1, 2, 0]
         for doc, message in (
             ({"n_relays": 1, "capacities": [str(v) for v in caps]},
              "'capacities' must be a list of numbers"),
             ({"n_relays": 1, "capacities": [caps[0:3], caps[3:6], caps[6:9]]},
              "'capacities' must be a list of numbers"),
-            ({"n_relays": 1, "capacities": caps, "mask": ["false"] * 9},
-             "'mask' must be a list of booleans"),
-            ({"n_relays": 1, "capacities": caps, "mask": [{}] * 9},
-             "'mask' must be a list of booleans"),
-            ({"n_relays": 1, "capacities": caps, "mask": [1] * 9},
-             "'mask' must be a list of booleans"),
             ({"capacities": caps}, "missing field 'n_relays'"),
             ({"topology": {"type": "linear", "n_relays": 1}, "snr_db": 10},
              "missing field 'seed'"),
@@ -130,6 +124,8 @@ class TestOptimize:
               "snr_db": 10, "seed": 4}, "unknown field 'side'"),
             ({"topology": {"type": "grid", "side": 2}, "snr_db": 10, "seed": 4, "mask": []},
              "unknown field 'mask'"),
+            # an absent link is a capacity of 0, so an instance has no mask
+            ({"n_relays": 1, "capacities": caps, "mask": [True] * 9}, "unknown field 'mask'"),
             ({"n_relays": 0, "capacities": [0, 3, 3, 0], "seed": 4}, "unknown field 'seed'"),
         ):
             path = write_json(tmp_path / "typed.json", doc)
@@ -281,12 +277,10 @@ class TestOptimize:
         assert f"'{field}' must be" in captured.err
 
     @pytest.mark.parametrize("doc, flags, message", [
-        ({"n_relays": 1, "capacities": [0, 2, 1, 2, 0, 2, 1, 2, 0], "mask": [True] * 8}, [],
-         "mask shape does not match capacities"),
         ([], [], "top-level JSON value must be an object"),
         ({"topology": {"type": "linear", "n_relays": 13}, "snr_db": 10, "seed": 1},
          ["--verbose"], "verbose table capped at 12 relays, instance has 13"),
-    ], ids=["mask-length", "top-level-array", "verbose-13-relays"])
+    ], ids=["top-level-array", "verbose-13-relays"])
     def test_rejected_instance_exits_2(self, tmp_path, doc, flags, message, capsys):
         path = write_json(tmp_path / "inst.json", doc)
         assert main(["optimize", "--instance", path, *flags]) == 2
@@ -320,21 +314,22 @@ class TestSerialization:
         again = load_instance(write_json(tmp_path / "i2.json", doc))
         assert np.array_equal(loaded.caps, again.caps)
 
-    def test_instance_mask_zeroes_its_links(self, tmp_path):
-        mask = [True] * 16
-        mask[1] = mask[6] = False  # links 0 -> 1 and 1 -> 2; 1 -> 0 stays
-        path = write_json(tmp_path / "i.json", {
-            "n_relays": 2, "capacities": [3.0] * 16, "mask": mask,
-        })
+    def test_instance_diagonal_loads_as_zeros(self, tmp_path):
+        # the diagonal is unused: negative or nonzero entries are read as +0.0
+        caps = np.full((4, 4), 3.0)
+        np.fill_diagonal(caps, (-3.0, 7.0, -0.0, 1e300))
+        path = write_json(tmp_path / "i.json",
+                          {"n_relays": 2, "capacities": caps.ravel().tolist()})
+        loaded = load_instance(path).caps
         want = np.full((4, 4), 3.0)
-        want[0, 1] = want[1, 2] = 0.0
         np.fill_diagonal(want, 0.0)
-        assert np.array_equal(load_instance(path).caps, want)
+        assert np.array_equal(loaded, want)
+        assert not np.signbit(loaded).any()
 
     @pytest.mark.parametrize("doc", [
-        {"n_relays": 3, "capacities": [0, 1, 10, 1, 5, 1, 0, 1, 1, 5, 10, 1, 0, 1, 0,
-                                       1, 1, 1, 0, 1, 5, 5, 0, 1, 0],
-         "mask": [i % 7 != 3 for i in range(25)]},
+        # links 0 -> 3, 2 -> 0 and 3 -> 2 are absent, written as 0
+        {"n_relays": 3, "capacities": [0, 1, 10, 0, 5, 1, 0, 1, 1, 5, 0, 1, 0, 1, 0,
+                                       1, 1, 0, 0, 1, 5, 5, 0, 1, 0]},
         {"topology": {"type": "random", "n_relays": 9, "seed": 3}, "snr_db": 10, "seed": 1},
     ], ids=["masked", "random9"])
     def test_report_instance_reproduces_the_report(self, tmp_path, doc, capsys):
@@ -474,6 +469,9 @@ class TestSimulate:
         ("snr_db", [], "snr grid must be nonempty"),
         # each trial adds up to 2^N rejects to an int64 total
         ("n_trials", 1e30, f"n_trials must be below 2^63 / 2^N = {2**61},"),
+        ("n_trials", -5, "n_trials must be positive, got -5"),
+        ("n_trials", 0, "n_trials must be positive, got 0"),
+        ("topology", {"type": "linear", "n_relays": 70}, "fewer than 63 relays, got 70"),
         ("topology", {"type": "custom", "positions": [[0, 0]]},
          "positions must be (n >= 2, 2), got (1, 2)"),
         ("topology", {"type": "linear", "n_relays": -1}, "n_relays must be nonnegative"),
@@ -481,7 +479,8 @@ class TestSimulate:
         ("topology", {"type": "random", "n_relays": 0, "seed": 1}, "n_relays must be >= 1"),
         ("topology", {"type": "linear", "n_relays": 2, "p_a": 0},
          "path-loss exponent must be positive"),
-    ], ids=["scheme", "snr-grid-empty", "n-trials-1e30", "custom-one-node",
+    ], ids=["scheme", "snr-grid-empty", "n-trials-1e30", "n-trials-negative", "n-trials-0",
+            "linear-70-relays", "custom-one-node",
             "linear-negative", "grid-side-0", "random-empty", "p-a-0"])
     def test_out_of_range_field_exits_2(self, sweep_config, tmp_path, field, value, message,
                                         capsys):

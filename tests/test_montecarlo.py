@@ -202,6 +202,17 @@ class TestSweep:
         with pytest.raises(ValueError, match=rf"n_trials must be below 2\^63 / 2\^N = {2**62},"):
             sweep(linear_topology(1), DESC, [0], n_trials, 0.01, base_seed=0)
 
+    @pytest.mark.parametrize("n_trials", [0, -5])
+    def test_nonpositive_trial_count_rejected(self, n_trials):
+        with pytest.raises(ValueError, match=rf"n_trials must be positive, got {n_trials}$"):
+            sweep(linear_topology(1), DESC, [0], n_trials, 0.01, base_seed=0)
+
+    @pytest.mark.parametrize("n_relays", [63, 70])
+    def test_pool_too_large_for_int64_totals_rejected(self, n_relays):
+        # 2^63 / 2^N leaves no trial count at N >= 63, so the pool is named
+        with pytest.raises(ValueError, match=rf"fewer than 63 relays, got {n_relays}$"):
+            sweep(linear_topology(n_relays), DESC, [0], 10, 0.1, base_seed=0)
+
     @pytest.mark.parametrize("parallel", [1, 2])
     def test_invalid_topology_raises_from_any_worker(self, parallel):
         # fading parameters are derived in the worker, in or out of process
@@ -230,8 +241,10 @@ class TestSweep:
             sweep(linear_topology(1), DESC, [0, bad], 100, 0.1, base_seed=0)
 
     def test_pool_sized_to_nonempty_ranges(self, monkeypatch):
-        # 8 workers asked for, but 3 trials make only 3 nonempty ranges; the
-        # stand-in pool maps in this process and records its size
+        # 8 workers asked for, but 3 trials make only 3 nonempty ranges, run
+        # on at most one process per CPU, and in this process on one CPU (or
+        # when the count is unknown); the stand-in pool maps in this process
+        # and records its size
         requested = []
 
         class InlinePool:
@@ -249,9 +262,13 @@ class TestSweep:
 
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
         topo = linear_topology(2)
-        pooled = sweep(topo, DESC, [0, 10], 3, 0.5, base_seed=1, parallel=8)
-        assert pooled == sweep(topo, DESC, [0, 10], 3, 0.5, base_seed=1, parallel=1)
-        assert requested == [3]
+        serial = sweep(topo, DESC, [0, 10], 3, 0.5, base_seed=1, parallel=1)
+        assert requested == []
+        for cpus, pools in ((64, [3]), (2, [2]), (1, []), (None, [])):
+            requested.clear()
+            monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+            assert sweep(topo, DESC, [0, 10], 3, 0.5, base_seed=1, parallel=8) == serial
+            assert requested == pools, cpus
 
     def test_infeasible_trial_named_with_its_snr(self):
         # -4000 dB is finite, but its linear SNR underflows to 0.0, so every
