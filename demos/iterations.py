@@ -1,10 +1,11 @@
 # The recursive search skips every subtree below a subset that passes a
 # nonpositive slot duration on to its descendants, or whose slot sum is
 # negative, which is how the paper's algorithm "reduces the number of
-# required iterations".  This prints the
-# share of the 2^N subsets the walk evaluates, read from the counters of
-# recursive_select's outcome, for growing pools on a line and on random
-# layouts.
+# required iterations".  Without a trace it also skips a subtree whose chain
+# slots alone sum to more than the best rate so far allows.  This prints the
+# shares of the 2^N subsets the walk evaluates, prunes as infeasible and
+# skips by that bound, read from the counters of recursive_select's outcome,
+# for growing pools on a line and on random layouts.
 
 import numpy as np
 
@@ -31,26 +32,31 @@ def channel_powers(layout, n_relays):
     ]
 
 
-print(f"share of the 2^N subsets the recursive search evaluates, mean of {DRAWS} draws")
-print(f"{'layout':>8} {'N':>3} {'2^N':>6} " + " ".join(f"{db:>6} dB" for db in SNR_DB))
+print(f"% of the 2^N subsets the recursive search evaluates / prunes as infeasible /"
+      f" skips by the bound, mean of {DRAWS} draws")
+print(f"{'layout':>8} {'N':>3} {'2^N':>6} " + " ".join(f"{db:>15} dB" for db in SNR_DB))
 for layout in ("linear", "random"):
     for n_relays in POOLS:
         powers = channel_powers(layout, n_relays)
-        shares = []
+        cells = []
         for db in SNR_DB:
             snr = SnrConfig(10.0 ** (db / 10.0))
-            evaluated = [
-                recursive_select(build_capacity_matrix(p, None, snr)).candidates_evaluated
-                for p in powers
-            ]
-            shares.append(np.mean(evaluated) / 2**n_relays)
+            counts = []
+            for p in powers:
+                out = recursive_select(build_capacity_matrix(p, None, snr))
+                counts.append((out.candidates_evaluated, out.candidates_pruned,
+                               out.candidates_bounded))
+            shares = 100 * np.mean(counts, axis=0) / 2**n_relays
+            cells.append("/".join(f"{s:.1f}" for s in shares))
         print(f"{layout:>8} {n_relays:>3} {2**n_relays:>6} "
-              + " ".join(f"{100 * s:8.1f}%" for s in shares))
+              + " ".join(f"{c:>18}" for c in cells))
 
 print(
-    "\nevery subset not evaluated lies below one that passes a nonpositive\n"
-    "slot (or a missing decode-chain link) to all its descendants, or whose\n"
-    "negative slot sum means its inherited slots alone give the destination\n"
-    "more than a unit, so it cannot be feasible; the winner is the\n"
-    "exhaustive search's"
+    "\na pruned subset lies below one that passes a nonpositive slot (or a\n"
+    "missing decode-chain link) to all its descendants, or whose negative\n"
+    "slot sum means its inherited slots alone give the destination more than\n"
+    "a unit, so it cannot be feasible.  A bounded subset lies below one whose\n"
+    "chain slots sum to s_chain with 1 / s_chain under the best rate so far,\n"
+    "less its tie tolerance; every descendant adds positive slots to that sum,\n"
+    "so none can win or tie.  The winner is the exhaustive search's"
 )

@@ -62,6 +62,6 @@ print(f"\nbrute force : subset {brute.best.subset.indices}, rate {brute.best.rat
 print(
     f"recursive   : subset {fast.best.subset.indices}, rate {fast.best.rate:.4f}, "
     f"{fast.candidates_evaluated} evaluated, {fast.candidates_pruned} pruned, "
-    f"{fast.op_count_reported} reported ops"
+    f"{fast.candidates_bounded} bounded, {fast.op_count_reported} reported ops"
 )
 print(f"equal time  : subset {uniform.best.subset.indices}, rate {uniform.best.rate:.4f}")

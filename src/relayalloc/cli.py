@@ -321,6 +321,7 @@ def cmd_optimize(args) -> int:
         "feasible": best.feasible,
         "candidates_evaluated": outcome.candidates_evaluated,
         "candidates_pruned": outcome.candidates_pruned,
+        "candidates_bounded": outcome.candidates_bounded,
         "op_count_reported": outcome.op_count_reported,
         "worst_case_ops": worst_case_ops(caps.n_relays) if caps.n_relays else 0,
         "n_relays": caps.n_relays,

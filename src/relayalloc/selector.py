@@ -11,8 +11,10 @@ Three selectors over the 2^N subsets of the relay pool:
   ``h`` in O(N).  This is the partitioned-inverse update of the paper
   (``extend_inverse``, O(p^2) per child) applied to the all-ones vector, so
   the inverse blocks are only built when a trace asks for them.  A subtree
-  is skipped as soon as its root passes a nonpositive slot on to its
+  is pruned as soon as its root passes a nonpositive slot on to its
   descendants, or has a negative slot sum: two sign tests, no division.
+  Without a trace it is also skipped when the slots its root passes on
+  already sum past what the best rate so far allows (see the docstring).
 * ``equal_time_select``: optimal subset choice under uniform slot durations
   (the non-optimized cooperation baseline), a one-matrix call of
   ``batch_equal_time``.
@@ -76,6 +78,7 @@ class OptimizationOutcome:
     best: AllocationResult
     candidates_evaluated: int
     candidates_pruned: int
+    candidates_bounded: int
     op_count_reported: int
 
 
@@ -240,7 +243,8 @@ def brute_force_select(caps: LinkCapacityMatrix) -> OptimizationOutcome:
     if best is None:
         raise NoFeasibleSolution("no relay subset nor direct transmission is feasible")
     return OptimizationOutcome(
-        best=best, candidates_evaluated=count, candidates_pruned=0, op_count_reported=ops
+        best=best, candidates_evaluated=count, candidates_pruned=0, candidates_bounded=0,
+        op_count_reported=ops,
     )
 
 
@@ -271,9 +275,21 @@ def recursive_select(
     needs the test.  It is also skipped when ``s < 0``: then the inherited
     slots alone give the destination more than a unit, in every descendant
     too.  Either way the node is infeasible, so the untraced walk skips its
-    verdict.  A broken decode-chain link likewise kills the subtree.  Every
-    subset is visited or inside a skipped subtree, so the number evaluated
-    is 2^N less the number pruned.
+    verdict.  A broken decode-chain link likewise kills the subtree.  These
+    subsets are ``candidates_pruned``: all of them are infeasible.
+
+    Without a trace a subtree is also skipped, as ``candidates_bounded``,
+    when its root's chain slots, the slots it passes on, sum to ``s_chain``
+    with 1 / s_chain below the best's floor.  A feasible descendant's slot
+    sum is ``s_chain`` plus positive slots, added left to right, and
+    rounding is monotone, so its rate is at most 1 / s_chain in floats too:
+    no skipped subset could take the best held at the skip.  The floor
+    rises with the best except where a tie replaces it with a subset
+    earlier in order at a lower rate; a skipped subset could then tie the
+    new best.  The floor filter below makes the same assumption.  A traced
+    walk stays the paper's walk: it bounds nothing, so every subset it does
+    not trace is infeasible.  Every subset is evaluated, pruned or bounded,
+    so the three counts sum to 2^N.
 
     A node is feasible when ``s > 0`` and its smallest slot over ``s``
     exceeds TIME_TOL, which is ``judge``'s verdict written inline: a call per
@@ -298,6 +314,7 @@ def recursive_select(
     # ops_at[m]: the reported cost of one step from an m-relay node to a child
     ops_at = [op_count(q) for q in range(1, n + 2)]
     pruned = 0
+    bounded = 0
     ops = 0
     # the best node so far: rate, subset, unnormalized slots and their sum,
     # and its floor, as _beats computes it
@@ -375,6 +392,10 @@ def recursive_select(
                 trace.append((sub, result, child_blocks))
             if skip:
                 pruned += below[c]
+            elif trace is None and 1.0 / s_chain < best_floor:
+                # a feasible descendant's slot sum is at least s_chain, so
+                # none can reach the floor
+                bounded += below[c]
             elif c < n:
                 # descend into c; this node resumes at its next child
                 stack.append((children, chain, last, row, h, h_dest, a_last_dest, op,
@@ -400,8 +421,8 @@ def recursive_select(
         raise NoFeasibleSolution("no relay subset nor direct transmission is feasible")
     return OptimizationOutcome(
         best=judge(RelaySubset(best_sub), best_slots, best_s),
-        candidates_evaluated=(1 << n) - pruned, candidates_pruned=pruned,
-        op_count_reported=ops,
+        candidates_evaluated=(1 << n) - pruned - bounded, candidates_pruned=pruned,
+        candidates_bounded=bounded, op_count_reported=ops,
     )
 
 
@@ -422,7 +443,7 @@ def equal_time_select(caps: LinkCapacityMatrix) -> OptimizationOutcome:
     )
     return OptimizationOutcome(
         best=best, candidates_evaluated=2**caps.n_relays, candidates_pruned=0,
-        op_count_reported=0,
+        candidates_bounded=0, op_count_reported=0,
     )
 
 

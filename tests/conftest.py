@@ -396,7 +396,7 @@ def recursive_select_blocks(
         raise NoFeasibleSolution("no relay subset nor direct transmission is feasible")
     return OptimizationOutcome(
         best=best, candidates_evaluated=evaluated, candidates_pruned=pruned,
-        op_count_reported=ops,
+        candidates_bounded=0, op_count_reported=ops,
     )
 
 
@@ -404,7 +404,7 @@ def recursive_select_blocks(
 
 
 def recursive_select_per_node(
-    caps: LinkCapacityMatrix, trace: list | None = None
+    caps: LinkCapacityMatrix, trace: list | None = None, bounded_roots: list | None = None
 ) -> OptimizationOutcome:
     """The float walk of ``selector.recursive_select`` in its plain form.
 
@@ -413,9 +413,14 @@ def recursive_select_per_node(
     and counts itself and its operations one at a time.  Its subtree is
     skipped when the smallest of the slots its descendants inherit, the
     parent's fixed slots and the chain slot ``u``, is not positive, or when
-    its slot sum ``s`` is negative, with or without a destination link.  The
-    library walk does each of these only where it can change the outcome;
-    its outcomes, counters and traces must equal these exactly.
+    its slot sum ``s`` is negative, with or without a destination link.  An
+    untraced walk also skips it when one over ``s_chain``, the sum of the
+    slots it passes on, is below the best's floor, computed here from the
+    best rate at the skip.  The library walk does each of these only where it can change the
+    outcome; its outcomes, counters and traces must equal these exactly.
+
+    ``bounded_roots``, if given, collects (subset, s_chain, floor) for every
+    node whose subtree the floor skips.
     """
     n = caps.n_relays
     dest = n + 1
@@ -423,11 +428,13 @@ def recursive_select_per_node(
     ops_at = [op_count(q) for q in range(1, n + 2)]
     evaluated = 1
     pruned = 0
+    bounded = 0
     ops = 0
     best_rate, best_sub, best_slots, best_s = -math.inf, (), None, None
 
     def visit(chain, h, s_fixed, min_fixed, slots, blocks):
-        nonlocal evaluated, pruned, ops, best_rate, best_sub, best_slots, best_s
+        nonlocal evaluated, pruned, bounded, ops
+        nonlocal best_rate, best_sub, best_slots, best_s
         last = chain[-1] if chain else 0
         row = a[last]
         op = ops_at[len(chain)]
@@ -460,8 +467,13 @@ def recursive_select_per_node(
                 trace.append((sub, judge(RelaySubset(sub), node_slots, s), child_blocks))
             else:
                 child_blocks = None
+            floor = best_rate - RATE_TIE_TOL * max(best_rate, 1.0)
             if skip:
                 pruned += (1 << (n - c)) - 1
+            elif trace is None and 1.0 / s_chain < floor:
+                bounded += (1 << (n - c)) - 1
+                if bounded_roots is not None:
+                    bounded_roots.append((sub, s_chain, floor))
             elif c < n:
                 h_child = [hk + ak * u for hk, ak in zip(h[i + 1:], row[c + 1:])]
                 visit(sub, h_child, s_chain, min(min_fixed, u), child_slots, child_blocks)
@@ -479,5 +491,6 @@ def recursive_select_per_node(
         raise NoFeasibleSolution("no relay subset nor direct transmission is feasible")
     return OptimizationOutcome(
         best=judge(RelaySubset(best_sub), best_slots, best_s),
-        candidates_evaluated=evaluated, candidates_pruned=pruned, op_count_reported=ops,
+        candidates_evaluated=evaluated, candidates_pruned=pruned,
+        candidates_bounded=bounded, op_count_reported=ops,
     )

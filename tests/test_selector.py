@@ -114,7 +114,8 @@ class TestRecursiveSelect:
                 r = recursive_select(caps)
                 assert r.best.subset.indices == b.best.subset.indices
                 assert r.best.rate == b.best.rate
-                assert r.candidates_evaluated + r.candidates_pruned == 2**n_relays
+                assert (r.candidates_evaluated + r.candidates_pruned
+                        + r.candidates_bounded == 2**n_relays)
 
     def test_direct_only_pool(self):
         caps = caps_from_links(0, {(0, 1): 1.7})
@@ -292,7 +293,12 @@ class TestFloatWalk:
             got = recursive_select(caps)
             assert got.best.subset == want.best.subset
             assert got.best.rate == pytest.approx(want.best.rate, rel=1e-12, abs=0)
-            assert counters(got) == counters(want)
+            # the blocks oracle is the paper's walk, which the traced walk keeps
+            traced = recursive_select(caps, trace=[])
+            assert counters(traced) == counters(want)
+            assert sum(three_counts(got)) == 2**caps.n_relays
+            assert got.candidates_evaluated <= traced.candidates_evaluated
+            assert got.candidates_pruned <= traced.candidates_pruned
 
     @pytest.mark.parametrize("n_relays", range(9))
     def test_equals_batched_walk_exactly(self, rng, n_relays):
@@ -376,8 +382,10 @@ class TestFloatWalk:
             assert traced.best.subset == plain.best.subset
             assert traced.best.rate == plain.best.rate
             np.testing.assert_array_equal(traced.best.times.t, plain.best.times.t)
-            assert counters(traced) == counters(plain)
-            assert len(trace) == plain.candidates_evaluated
+            # a traced walk visits every subtree the paper's walk does
+            assert traced.candidates_bounded == 0
+            assert len(trace) == traced.candidates_evaluated
+            assert sum(three_counts(plain)) == 2**caps.n_relays
 
     @pytest.mark.parametrize("family", ["exponential", "masked"])
     def test_traced_verdicts_match_allocate(self, rng, family):
@@ -453,8 +461,10 @@ class TestExactWalk:
             assert walk_outcome(recursive_select, caps) == want, where
             if k % 4 == 0:
                 want_trace, got_trace = [], []
-                assert walk_outcome(recursive_select_per_node, caps, want_trace) == want
-                assert walk_outcome(recursive_select, caps, got_trace) == want, where
+                # a traced walk counts as the paper's walk, with the same winner
+                want_traced = walk_outcome(recursive_select_per_node, caps, want_trace)
+                assert want_traced[0] == want[0], where
+                assert walk_outcome(recursive_select, caps, got_trace) == want_traced, where
                 assert trace_key(got_trace) == trace_key(want_trace), where
 
     def test_extreme_magnitudes_equal_per_node_oracle(self, extreme_instances):
@@ -463,6 +473,66 @@ class TestExactWalk:
             want = walk_outcome(recursive_select_per_node, caps, want_trace)
             assert walk_outcome(recursive_select, caps, got_trace) == want, k
             assert trace_key(got_trace) == trace_key(want_trace), k
+
+
+class TestFloorBound:
+    """The untraced walk skips a subtree whose chain slot sum s_chain gives
+    1 / s_chain below the best's floor; a traced walk never does."""
+
+    def test_strong_direct_link_bounds_every_singleton(self):
+        # each source-relay link is below the direct link, so every chain
+        # slot sum is over 1 / 10 and no child of a singleton is walked.
+        # A strong destination link keeps each singleton's slot sum positive,
+        # so none of them is pruned
+        n_relays = 4
+        links = {(0, n_relays + 1): 10.0}
+        for r in range(1, n_relays + 1):
+            links[(0, r)] = 1.0 + r
+            links[(r, n_relays + 1)] = 100.0
+            for q in range(r + 1, n_relays + 1):
+                links[(r, q)] = 3.0
+        caps = caps_from_links(n_relays, links)
+        trace = []
+        traced = recursive_select(caps, trace=trace)
+        plain = recursive_select(caps)
+        assert plain.best.subset.indices == ()
+        assert plain.best.rate == traced.best.rate == 10.0
+        assert three_counts(plain) == (n_relays + 1, 0, 2**n_relays - n_relays - 1)
+        assert traced.candidates_bounded == 0
+        assert len(trace) == traced.candidates_evaluated > n_relays + 1
+
+    @pytest.mark.parametrize(
+        "family", ["fading", "exponential", "masked", "integer", "extreme"])
+    def test_bounded_descendants_cannot_reach_the_floor(self, rng, family, request):
+        if family == "fading":
+            cases = fading_pools()
+        elif family == "extreme":
+            cases = [caps for caps, _ in request.getfixturevalue("extreme_instances")]
+        else:
+            cases = scalar_cases(rng, family, max_relays=7)
+        # every family has feasible subsets among the skipped ones
+        n_feasible = 0
+        for k, caps in enumerate(cases):
+            roots = []
+            try:
+                recursive_select_per_node(caps, bounded_roots=roots)
+            except NoFeasibleSolution:
+                pass
+            for root, s_chain, floor in roots:
+                for sub in descendants(root, caps.n_relays):
+                    res = allocate(build_rate_matrix(caps, RelaySubset(sub)), RelaySubset(sub))
+                    if res.feasible:
+                        n_feasible += 1
+                        assert res.rate <= 1.0 / s_chain < floor, (family, k, root, sub)
+        assert n_feasible > 0
+
+
+def descendants(root, n_relays):
+    """The subsets of the pool that extend ``root`` by relays above its last."""
+    rest = range(root[-1] + 1, n_relays + 1)
+    for m in range(1, len(rest) + 1):
+        for tail in itertools.combinations(rest, m):
+            yield (*root, *tail)
 
 
 def result_key(result):
@@ -486,13 +556,13 @@ def trace_key(trace):
 
 
 def walk_outcome(select, caps, trace=None):
-    """The winner's fields and the three counters, or the NoFeasibleSolution."""
+    """The winner's fields and the four counters, or the NoFeasibleSolution."""
     try:
         out = select(caps, trace)
     except NoFeasibleSolution as exc:
         return ("no feasible subset", str(exc))
     return (result_key(out.best), out.candidates_evaluated, out.candidates_pruned,
-            out.op_count_reported)
+            out.candidates_bounded, out.op_count_reported)
 
 
 def fading_pools():
@@ -1015,6 +1085,13 @@ def skipped_subsets(caps, trace):
 def counters(outcome):
     return (
         outcome.candidates_evaluated, outcome.candidates_pruned, outcome.op_count_reported
+    )
+
+
+def three_counts(outcome):
+    """Subsets evaluated, pruned as infeasible and skipped by the floor."""
+    return (
+        outcome.candidates_evaluated, outcome.candidates_pruned, outcome.candidates_bounded
     )
 
 
