@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -311,6 +312,8 @@ def load_experiment(path: str, args) -> dict:
 
 
 def cmd_optimize(args) -> int:
+    if args.out:
+        _refuse_overwrite(args.instance, [args.out + ".json"])
     caps = load_instance(args.instance)
     outcome = recursive_select(caps)
     best = outcome.best
@@ -358,8 +361,9 @@ def cmd_optimize(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = load_experiment(args.config, args)
-    topo = parse_topology(cfg["topology"])
     prefix = cfg["out_prefix"]
+    _refuse_overwrite(args.config, [prefix + ".csv", prefix + ".json"])
+    topo = parse_topology(cfg["topology"])
     record = _sweep_scheme(topo, parse_scheme(cfg["scheme"]), cfg, prefix + ".csv")
     _write(prefix + ".json", record)
     print(f"wrote {prefix}.csv and {prefix}.json")
@@ -370,7 +374,7 @@ def cmd_numbering(args) -> int:
     cfg = load_experiment(args.config, args)
     topo = parse_topology(cfg["topology"])
     prefix = cfg["out_prefix"]
-    all_curves: dict[str, dict] = {}
+    csv_paths = {}
     for scheme in NumberingScheme:
         if scheme in AVERAGE_SCHEMES and topo.layout not in AVERAGE_LAYOUTS:
             print(
@@ -378,7 +382,11 @@ def cmd_numbering(args) -> int:
                 file=sys.stderr,
             )
             continue
-        record = _sweep_scheme(topo, scheme, cfg, f"{prefix}_{scheme.value}.csv")
+        csv_paths[scheme] = f"{prefix}_{scheme.value}.csv"
+    _refuse_overwrite(args.config, [*csv_paths.values(), prefix + ".json"])
+    all_curves: dict[str, dict] = {}
+    for scheme, csv_path in csv_paths.items():
+        record = _sweep_scheme(topo, scheme, cfg, csv_path)
         all_curves[scheme.value] = json.loads(record)
     _write(prefix + ".json", json.dumps(all_curves, indent=2, sort_keys=True) + "\n")
     print(f"wrote per-scheme CSVs and {prefix}.json")
@@ -403,6 +411,15 @@ def cmd_complexity(args) -> int:
         print(f"{q:>3}  {op_count(q):>14}")
     print(f"worst-case total over all subsets of {n} relays: {worst_case_ops(n)}")
     return 0
+
+
+def _refuse_overwrite(source: str, outputs: list[str]) -> None:
+    """ConfigError naming the first of ``outputs`` that resolves to the input
+    file ``source``, checked before any work so the input stays as it was."""
+    real = os.path.realpath(source)
+    for path in outputs:
+        if os.path.realpath(path) == real:
+            raise ConfigError(f"output {path} would overwrite the input file {source}")
 
 
 def _write(path: str, text: str) -> None:

@@ -8,11 +8,11 @@ numbers).
 One exact integer splitter, ``_ranges``, cuts the trials into worker ranges
 and each range into blocks.  A worker is sent the experiment and its range,
 derives the rest, and evaluates its range in blocks, each as large as
-BLOCK_BYTES allows for what a block allocates: the drawn links per trial,
-and per column (a trial at one SNR point) the capacity stack and the
-selectors' walk state.  The SNR axis is folded into the batch axis, so a
-block of C trials is one call per selector on an (S*C, n, n) capacity
-stack, with the trial axis vectorized.  The stack is link-major: it is the
+BLOCK_BYTES allows for what a block allocates: the drawn powers per trial,
+freed before the selectors run, and per column (a trial at one SNR point)
+the capacity stack and the selectors' walk state.  The SNR axis is folded
+into the batch axis, so a block of C trials is one call per selector on an
+(S*C, n, n) capacity stack, with the trial axis vectorized.  The stack is link-major: it is the
 transposed view of an (n, n, S*C) array, so each link's values over the
 block are contiguous, and only the links i < j that the selectors read
 (from an earlier to a later node in the transmission order) are computed.
@@ -37,7 +37,6 @@ import numpy as np
 
 from .rate_model import snr_from_db
 from .scenario import (
-    FadingParams,
     NumberingScheme,
     Topology,
     check_snr,
@@ -54,9 +53,12 @@ REJECT_KEYS = ("singular", "negative_rate", "nonpositive_time")
 # Byte budget of one block: 6.4 MiB, what a sweep-deep block (n = 4 nodes,
 # S = 5 SNR points, 3276 trials) is charged by this model.  A block of C
 # trials on n = N + 2 nodes is charged C * (S * 16(n+1)^2 + 4n(n-1)) bytes:
-#   * per trial, 4n(n-1): the float64 powers of the n(n-1)/2 links i < j,
-#     drawn once and shared by every SNR point (the draw's (n, n) power
-#     matrices are freed before the stack is built);
+#   * per trial, 4n(n-1), for the draw, shared by every SNR point.  Its
+#     (n, n) float64 powers, 8n^2 per trial, are alive while the stack is
+#     built and freed before the selectors run, so the 4n(n+1) by which
+#     they exceed this charge fits in the per-column walk-state share
+#     below, which is not yet allocated then.  By tracemalloc the build
+#     peaks at under 82% of BLOCK_BYTES for N = 0..11 at S = 1 and 5;
 #   * per column (a trial at one SNR point), 16(n+1)^2: the (n, n) float64
 #     capacity stack, 8n^2, and the selectors' walk state.  That is the best
 #     rate, subset and floor and the reject counts, and for the nodes on the
@@ -279,18 +281,24 @@ def _evaluate_blocks(
     snr = np.array([snr_from_db(v) for v in snr_db])[:, None]
     check_snr(params, max(snr_db))
     for a, b in _ranges(start, count, -(-count // _block_trials(len(snr_db), n))):
-        links = _ordered_powers(params, topology, scheme, base_seed, a, b - a)
+        powers = draw_channel_powers_keyed(params, base_seed, b - a, a)
+        orders = trial_orders(powers, topology, scheme, base_seed, a)
+        # each trial's nodes in transmission order, one column per trial (a
+        # single column for a shared order, broadcast over the trials)
+        node = np.empty((n, len(orders)), dtype=np.intp)
+        node[0], node[1:-1], node[-1] = 0, orders.T, n - 1
+        powers = powers.transpose(1, 2, 0)  # link-major: (n, n, C), C-contiguous
+        trials = np.arange(b - a)
         # link-major stack: transmitter i's links to the later nodes are one
         # contiguous (n-1-i, S, C) run, built in place; the diagonal and the
         # lower triangle stay 0, since the selectors never read them
         stack = np.zeros((n, n, len(snr_db), b - a))
-        first = 0
         for i in range(n - 1):
             row = stack[i, i + 1:]
-            np.multiply(links[first : first + n - 1 - i, None], snr, out=row)
-            first += n - 1 - i
+            np.multiply(powers[node[i], node[i + 1:], trials][:, None], snr, out=row)
             row += 1.0
             np.log2(row, out=row)
+        del powers, orders, node, trials  # freed before the selectors run
         caps = stack.reshape(n, n, -1).transpose(2, 0, 1)
         out: dict[str, dict[str, np.ndarray]] = {}
         for m in modes:
@@ -308,29 +316,6 @@ def _evaluate_blocks(
                 if key != "best_id"
             }
         yield out
-
-
-def _ordered_powers(
-    params: FadingParams,
-    topology: Topology,
-    scheme: NumberingScheme,
-    base_seed: int,
-    start: int,
-    count: int,
-) -> np.ndarray:
-    """(pairs, count) channel powers of trials [start, start+count), relays in
-    each trial's transmission order: one row per link i < j, in
-    ``np.triu_indices`` order."""
-    n = params.lam.shape[0]
-    powers = draw_channel_powers_keyed(params, base_seed, count, start)
-    orders = trial_orders(powers, topology, scheme, base_seed, start)
-    idx = np.column_stack([
-        np.zeros(len(orders), dtype=np.intp), orders, np.full(len(orders), n - 1),
-    ])
-    iu, ju = np.triu_indices(n, 1)
-    # (pairs, 1) for a shared order, broadcast over the trials
-    tx, rx = idx[:, iu].T, idx[:, ju].T
-    return powers.transpose(1, 2, 0)[tx, rx, np.arange(count)]
 
 
 # -- output formats -----------------------------------------------------------

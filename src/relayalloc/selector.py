@@ -231,20 +231,17 @@ def subsets_by_size(n_relays: int):
 def brute_force_select(caps: LinkCapacityMatrix) -> OptimizationOutcome:
     """Exhaustive oracle: fresh rate matrix and solve for every subset."""
     best_rate, best_sub, best = -math.inf, (), None
-    ops = 0
-    count = 0
-    for sub in subsets_by_size(caps.n_relays):
-        count += 1
-        if sub:
-            ops += op_count(len(sub))
+    n_relays = caps.n_relays
+    for sub in subsets_by_size(n_relays):
         result = allocate(build_rate_matrix(caps, RelaySubset(sub)), RelaySubset(sub))
         if result.feasible and _beats(result.rate, sub, best_rate, best_sub):
             best_rate, best_sub, best = result.rate, sub, result
     if best is None:
         raise NoFeasibleSolution("no relay subset nor direct transmission is feasible")
+    # every subset is solved, and each nonempty one is charged op_count
     return OptimizationOutcome(
-        best=best, candidates_evaluated=count, candidates_pruned=0, candidates_bounded=0,
-        op_count_reported=ops,
+        best=best, candidates_evaluated=1 << n_relays, candidates_pruned=0,
+        candidates_bounded=0, op_count_reported=worst_case_ops(n_relays) if n_relays else 0,
     )
 
 
@@ -558,11 +555,12 @@ class _Best:
     by more than the tolerance nor tied with it, so the trials skipped would
     have kept their best.
 
-    A merge takes one of two read-outs.  When fewer than one trial in
-    ``SPARSE_SHARE`` reaches the floor, the sparse read-out gathers those
-    trials' columns once, picks each one's candidate and applies the take
-    rule on that small block, and writes back only the trials that take, so
-    its cost follows its hits.  On a 3x3-grid sweep block (2500 columns)
+    Every merge picks its candidates and applies the take rule the same
+    way; the share of trials that reach the floor picks only how the
+    winners are written back.  When fewer than one trial in
+    ``SPARSE_SHARE`` does, the merge gathers those trials' columns once,
+    works on that small block and scatters back only the trials that take,
+    so its cost follows its hits.  On a 3x3-grid sweep block (2500 columns)
     110 of ``batch_optimized``'s 256 merges read out a median of 14 trials
     this way, and 18 of ``batch_equal_time``'s a median of 6.  A denser
     merge runs at full width and writes with ``copy_where``, not masked
@@ -573,11 +571,14 @@ class _Best:
     same bits.
 
     The crossover, measured on blocks in which every trial that reaches
-    the floor takes: the sparse read-out is the cheaper up to 37% of the
+    the floor takes: the gathered merge is the cheaper up to 37% of the
     trials at 4 rows and 2500 columns, 65% at one row, and 55% and 85% at
     2 rows and 1 row of 16025 columns.  Replaying the merges of grid3 and
     sweep-deep blocks of both engines, shares from 1/2 to 1/6 gave the same
-    totals within 5%; 1/4 stays below the lowest break-even.
+    totals within 5%; 1/4 stays below the lowest break-even.  Either
+    write-back alone costs one of the two sweeps: on one block, both
+    selectors took 12% longer on sweep-deep when every merge was gathered,
+    and 12% longer on grid3 when every merge ran at full width.
     """
 
     def __init__(self, rate: np.ndarray):
@@ -606,61 +607,44 @@ class _Best:
         n_hit = np.count_nonzero(hit)
         if not n_hit:
             return
-        if SPARSE_SHARE * n_hit >= len(hit):
-            self._merge_dense(rate, top, sid0)
-            return
-        cols = hit.nonzero()[0]
-        top = top.take(cols)
+        dense = SPARSE_SHARE * n_hit >= len(hit)
+        if dense:
+            best, best_id, floor = self.rate, self.id, self.floor
+        else:
+            cols = hit.nonzero()[0]
+            top, rate = top.take(cols), rate.take(cols, axis=1)
+            best, best_id, floor = self.rate.take(cols), self.id.take(cols), self.floor.take(cols)
         if k == 1:
-            self._take(top, sid0, cols)
-            return
-        rate = rate.take(cols, axis=1)
-        j = np.argmax(rate >= top - _tie_tol(top), axis=0)
-        self._take(rate[j, np.arange(len(j))], sid0 + j, cols)
-
-    def _take(self, r: np.ndarray, sid, cols: np.ndarray) -> None:
-        """The take rule on the candidates ``r``, ``sid`` of the trials
-        ``cols``, gathered; only the trials that take are written."""
+            r, sid = top, sid0
+        else:
+            tied = rate >= top - _tie_tol(top)
+            # np.argmax(tied, axis=0) costs one call per trial at full
+            # width; the largest rank of a tied row runs row by row.  Row j
+            # has rank k - 1 - j, so the first tied row has the largest.  A
+            # trial with no tied row has rank 0 and gets row k - 1, which is
+            # NaN as all its rows are (its maximum is NaN), so no merge
+            # takes it.  A block has at most N < 256 rows, so ranks fit uint8.
+            rank = np.max(tied * np.arange(k - 1, -1, -1, dtype=np.uint8)[:, None], axis=0)
+            j = np.subtract(k - 1, rank, dtype=np.intp)
+            flat = j * len(j)
+            flat += self._trials[: len(j)]
+            r, sid = np.take(rate, flat), sid0 + j
         # where r > best, _tie_tol(r) is the tolerance of the larger rate;
         # elsewhere r > best + tol fails for any tol >= 0.  r >= floor is
         # the tie test r >= best - tol: where r <= best, tol is best's own
         # tolerance, and where r > best both tests hold
-        take = r > self.rate.take(cols) + _tie_tol(r)
-        take |= (r >= self.floor.take(cols)) & (sid < self.id.take(cols))
-        cols, r = cols[take], r[take]
-        self.rate[cols] = r
-        self.id[cols] = sid[take] if isinstance(sid, np.ndarray) else sid
-        self.floor[cols] = r - _tie_tol(r)
-
-    def _merge_dense(self, rate: np.ndarray, top: np.ndarray, sid0: int) -> None:
-        """The merge of a (k, T) block at full width; ``top`` is its maximum."""
-        best, best_id = self.rate, self.id
-        if len(rate) == 1:
-            r, sid = top, sid0
+        take = r > best + _tie_tol(r)
+        take |= (r >= floor) & (sid < best_id)
+        if dense:
+            select = select_mask(take)  # built once for both writes
+            copy_where(self.rate, r, select)
+            copy_where(self.id, sid, select)
+            cols, best = slice(None), self.rate
         else:
-            r, sid = self._candidate(rate, top, sid0)
-        take = (r > best + _tie_tol(r)) | ((r >= self.floor) & (sid < best_id))
-        take = select_mask(take)  # built once for both writes
-        copy_where(best, r, take)
-        copy_where(best_id, sid, take)
-        np.subtract(best, _tie_tol(best), out=self.floor)
-
-    def _candidate(self, rate: np.ndarray, top: np.ndarray, sid0: int):
-        """Candidate rate and subset index of every trial of a (k, T) block
-        whose column maxima are ``top``."""
-        tied = rate >= top - _tie_tol(top)
-        # np.argmax(tied, axis=0) costs one call per trial at this width;
-        # the largest rank of a tied row runs row by row.  Row j has rank
-        # k - j, so the first tied row has the largest.  A trial with no
-        # tied row (its maximum is NaN, which no merge takes) has rank 0
-        # and gets row 0, as from argmax.  A block has at most N < 256
-        # rows, so ranks fit uint8.
-        k = len(tied)
-        rank = np.max(tied * np.arange(k, 0, -1, dtype=np.uint8)[:, None], axis=0)
-        j = ((k - rank) * (rank > 0)).astype(np.intp)
-        flat = j * len(j)
-        flat += self._trials
-        return np.take(rate, flat), sid0 + j
+            cols, best = cols[take], r[take]
+            self.rate[cols] = best
+            self.id[cols] = sid[take] if k > 1 else sid
+        self.floor[cols] = best - _tie_tol(best)
 
 
 def batch_optimized(caps_batch: np.ndarray) -> dict[str, np.ndarray]:

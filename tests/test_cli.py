@@ -298,6 +298,16 @@ class TestOptimize:
         on_disk = json.loads((tmp_path / "report.json").read_text())
         assert on_disk == json.loads(capsys.readouterr().out)
 
+    def test_report_over_the_instance_exits_2(self, relay_instance, tmp_path, capsys):
+        # --out inst names inst.json, the instance itself: refused before any work
+        before = Path(relay_instance).read_bytes()
+        assert main(["optimize", "--instance", relay_instance,
+                     "--out", str(tmp_path / "inst")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"would overwrite the input file {relay_instance}" in captured.err
+        assert Path(relay_instance).read_bytes() == before
+
 
 class TestSerialization:
     def test_instance_round_trip(self, tmp_path):
@@ -420,6 +430,21 @@ class TestSimulate:
         assert doc["config"]["out_prefix"] == str(tmp_path / "flagged")
         assert set(doc["curves"]) == {"optimized"}
 
+    @pytest.mark.parametrize("flags", [[], ["--out", "sub/../sweep"]])
+    def test_output_over_the_config_exits_2(self, tmp_path, monkeypatch, flags, capsys):
+        # the default out_prefix "sweep" names sweep.json, the config itself;
+        # so does a prefix spelled another way
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        path = write_json(tmp_path / "sweep.json", {
+            "topology": {"type": "linear", "n_relays": 2}, "snr_db": [0], "n_trials": 200,
+        })
+        before = Path(path).read_bytes()
+        assert main(["simulate", "--config", "sweep.json", *flags]) == 2
+        assert "would overwrite the input file sweep.json" in capsys.readouterr().err
+        assert Path(path).read_bytes() == before
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         path = write_json(tmp_path / "c.json", {"snr_db": [0]})
         assert main(["simulate", "--config", path]) == 2
@@ -519,7 +544,7 @@ class TestSimulate:
     def test_snr_whose_capacities_can_overflow_exits_2(self, tmp_path, parallel, capsys):
         # on linear_topology(2) an SNR of 3070 dB times a channel power can
         # exceed the float range, which would make a capacity inf
-        path = write_json(tmp_path / "hot.json", {
+        path = write_json(tmp_path / "hot_config.json", {
             "topology": {"type": "linear", "n_relays": 2}, "snr_db": [0, 3070],
             "n_trials": 200, "parallel": parallel, "out_prefix": str(tmp_path / "hot"),
         })
@@ -529,7 +554,7 @@ class TestSimulate:
 
     def test_snr_within_the_overflow_bound_is_swept_as_before(self, tmp_path, capsys):
         # the figures were written before the bound existed; 3000 dB is within it
-        path = write_json(tmp_path / "warm.json", {
+        path = write_json(tmp_path / "warm_config.json", {
             "topology": {"type": "linear", "n_relays": 2}, "snr_db": [3000],
             "n_trials": 200, "out_prefix": str(tmp_path / "warm"),
         })
@@ -606,6 +631,30 @@ class TestNumbering:
         doc = json.loads((tmp_path / "rnd.json").read_text())
         assert len(doc) == 3
 
+    def test_record_over_the_config_exits_2(self, tmp_path, capsys):
+        # out_prefix "num" names num.json, the config itself
+        doc = {"topology": {"type": "grid", "side": 2}, "snr_db": [10], "n_trials": 200,
+               "epsilon": 0.05, "out_prefix": str(tmp_path / "num")}
+        cfg = write_json(tmp_path / "num.json", doc)
+        before = Path(cfg).read_bytes()
+        assert main(["numbering", "--config", cfg]) == 2
+        assert f"would overwrite the input file {cfg}" in capsys.readouterr().err
+        assert Path(cfg).read_bytes() == before
+        assert not list(tmp_path.glob("num_*.csv"))
+
+    def test_skipped_scheme_writes_nothing_over_the_config(self, tmp_path, capsys):
+        # a random layout skips average_descending, so a config named like
+        # that scheme's CSV is read, not written
+        cfg = write_json(tmp_path / "rnd_average_descending.csv", {
+            "topology": {"type": "random", "n_relays": 2, "seed": 5}, "snr_db": [10],
+            "n_trials": 100, "epsilon": 0.05, "modes": ["optimized"],
+            "out_prefix": str(tmp_path / "rnd"),
+        })
+        before = Path(cfg).read_bytes()
+        assert main(["numbering", "--config", cfg]) == 0
+        assert Path(cfg).read_bytes() == before
+        assert len(json.loads((tmp_path / "rnd.json").read_text())) == 3
+
     def test_each_scheme_matches_simulate(self, sweep_config, tmp_path, capsys):
         # numbering and simulate share one sweep-and-write path per scheme
         prefix = str(tmp_path / "p")
@@ -621,7 +670,7 @@ class TestNumbering:
 
     def test_too_few_trials_for_epsilon_exits_2(self, tmp_path, capsys):
         cfg = write_json(
-            tmp_path / "few.json",
+            tmp_path / "few_config.json",
             {
                 "topology": {"type": "linear", "n_relays": 2},
                 "n_trials": 50,
