@@ -6,7 +6,6 @@ from .allocator import (
     SingularMatrix,
     TimeAllocation,
     allocate,
-    verify_equalization,
 )
 from .montecarlo import (
     InsufficientSamples,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rate_model import RateMatrix, RelaySubset, mutual_informations
+from .rate_model import RateMatrix, RelaySubset
 
 # Diagonal entries at or below this are treated as structural zeros (absent
 # links); genuine fading draws are almost surely far larger.
@@ -219,12 +219,3 @@ def _floats(u) -> list[float]:
     if isinstance(u, np.ndarray):
         return u.astype(float, copy=False).tolist()
     return [float(x) for x in u]
-
-
-def verify_equalization(rm: RateMatrix, result: AllocationResult) -> float:
-    """Max absolute deviation of any mutual information from the rate."""
-    if not result.feasible:
-        raise ValueError("equalization is only defined for feasible results")
-    info = mutual_informations(rm, result.times.t)
-    return float(np.max(np.abs(info - result.rate)))
-

@@ -39,6 +39,7 @@ from .rate_model import snr_from_db
 from .scenario import (
     NumberingScheme,
     Topology,
+    check_seed,
     check_snr,
     draw_channel_powers_keyed,
     fading_params,
@@ -156,6 +157,7 @@ def sweep(
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
     if parallel < 1:
         raise ValueError(f"parallel must be at least 1, got {parallel}")
+    check_seed(base_seed)
     snr_db = tuple(float(v) for v in snr_grid_db)
     for v in snr_db:
         snr_from_db(v)  # refuses a dB value with no finite linear SNR

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -186,6 +187,14 @@ def _node_stream_key(node: int, n_nodes: int) -> int:
     return _DEST_STREAM_KEY if node == n_nodes - 1 else node
 
 
+def check_seed(base_seed: int) -> None:
+    """ValueError unless ``base_seed`` fits the 64-bit word of the stream
+    keys, 0..2^64 - 1: reduced into it, two seeds would share every draw.
+    A seed that is not an integer raises TypeError."""
+    if not 0 <= operator.index(base_seed) < 1 << 64:
+        raise ValueError(f"seed {base_seed} is outside 0..2**64 - 1")
+
+
 def _philox_stream(base_seed: int, word: int, skip: int = 0) -> Generator:
     """Generator over one keyed stream, positioned after its first ``skip`` doubles.
 
@@ -193,7 +202,8 @@ def _philox_stream(base_seed: int, word: int, skip: int = 0) -> Generator:
     so seeking costs one counter jump plus at most three discarded draws,
     whatever ``skip`` is.
     """
-    key = np.array([base_seed & 0xFFFFFFFFFFFFFFFF, word], dtype=np.uint64)
+    check_seed(base_seed)
+    key = np.array([base_seed, word], dtype=np.uint64)
     gen = Generator(Philox(key=key).advance(skip // 4))
     gen.random(skip % 4)
     return gen

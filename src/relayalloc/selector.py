@@ -25,12 +25,14 @@ lexicographically smallest subset.
 ``batch_optimized`` and ``batch_equal_time`` are the Monte Carlo engines:
 the same subset-tree walk over a stack of fading realizations, vectorized
 over trials.  Each child's per-trial state comes from its parent's in O(1)
-array operations, with no rate matrix built or solved, and every subset is
-visited so that reject counts cover the whole tree.  An absent link makes
-its slot NaN, so a singular subset needs no state of its own, and the
-singular count is one count of paths over the present links.  The
-best-subset merge reads only the trials where a sibling block reaches the
-best rate less its tie tolerance, which is exact (see ``_Best``).
+array operations, with no rate matrix built or solved.  ``batch_optimized``
+visits every subset so that reject counts cover the whole tree.  An absent
+link makes its slot NaN, so a singular subset needs no state of its own, and
+the singular count is one count of paths over the present links.
+``batch_equal_time`` counts no rejects, so it skips a whole subtree once no
+trial can reach the best's floor in it.  The best-subset merge reads only
+the trials where a sibling block reaches the best rate less its tie
+tolerance, which is exact (see ``_Best``).
 
 The walks build each node's slots and slot sum one transmitter at a time,
 in the left-to-right order that ``allocator`` states and ``allocate``
@@ -429,6 +431,9 @@ def equal_time_select(caps: LinkCapacityMatrix) -> OptimizationOutcome:
     ``batch_equal_time`` on a one-matrix stack: a subset's rate is the
     minimum mutual information over its receivers, and the empty subset is
     always a candidate, so an outcome is always returned.
+    ``candidates_evaluated`` is 2^N, the size of the candidate set, not the
+    number of subsets the walk rated: ``batch_equal_time`` skips the
+    subtrees that cannot win, and reports no count of them.
     """
     res = batch_equal_time(caps.caps[None])
     best_id = int(res["best_id"][0])
@@ -466,8 +471,9 @@ def worst_case_ops(n_relays: int) -> int:
 # dominated by Python overhead.  These helpers walk the tree depth first with
 # the trial axis vectorized, and evaluate all children of a node in one block
 # of array operations.  A child's state is its parent's plus one appended
-# transmitter, so no rate matrix is ever built or solved.  Every subset is
-# visited, because the reject counters are defined over all 2^N of them.
+# transmitter, so no rate matrix is ever built or solved.  ``batch_optimized``
+# visits every subset, because its reject counters are defined over all 2^N
+# of them; ``batch_equal_time`` has none, and skips what no trial can win.
 # A node's verdict reads only its slot sum and smallest slot: a slot whose
 # divisor is an absent link is NaN, which carries to every descendant and
 # fails both of ``node_rates``' tests, and a rejected node's rate is NaN.
@@ -562,13 +568,14 @@ class _Best:
     works on that small block and scatters back only the trials that take,
     so its cost follows its hits.  On a 3x3-grid sweep block (2500 columns)
     110 of ``batch_optimized``'s 256 merges read out a median of 14 trials
-    this way, and 18 of ``batch_equal_time``'s a median of 6.  A denser
-    merge runs at full width and writes with ``copy_where``, not masked
-    copies, under one select mask built for both writes: on sweep-deep's
-    16025-column blocks 50-90% of the trials are taken in most merges, and
-    at half taken a ``np.copyto(..., where=take)``, which branches on every
-    element, took 99 us against 24 us for the branch-free select of the
-    same bits.
+    this way.  ``batch_equal_time`` skips the subtrees that no trial can
+    win, and 19 of the 20 merges it makes on such a block read out a median
+    of 5.  A denser merge runs at full width and writes with
+    ``copy_where``, not masked copies, under one select mask built for both
+    writes: on sweep-deep's 16025-column blocks 50-90% of the trials are
+    taken in most merges, and at half taken a ``np.copyto(..., where=take)``,
+    which branches on every element, took 99 us against 24 us for the
+    branch-free select of the same bits.
 
     The crossover, measured on blocks in which every trial that reaches
     the floor takes: the gathered merge is the cheaper up to 37% of the
@@ -800,9 +807,25 @@ def batch_equal_time(caps_batch: np.ndarray) -> dict[str, np.ndarray]:
     sum of its transmitters' capacity rows, and the minimum over its relays
     of what each received; a child c receives ``e[c]`` and adds row c.
 
+    A node with m >= 1 relays is skipped, with its whole subtree, when its
+    ``min_chain / (m + 2)`` is below the best's floor in every trial.  A
+    subset below it has m' >= m + 1 relays, among them the node's own, which
+    received the same ``e`` floats, so its rate min(...) / (m' + 1) is at
+    most ``min_chain / (m + 2)`` in floats too: the numerators are
+    nonnegative, a minimum is exact and a correctly rounded division is
+    monotone.  No skipped subset can then pass either take test of
+    ``_Best.offer`` against the best held at the skip.  A trial whose
+    ``min_chain`` is NaN (from a NaN link) counts as below the floor: every
+    rate below the node is NaN there, which takes nothing.  A later tie can
+    replace a trial's best with an earlier subset at a lower rate, lowering
+    its floor, and a skipped subset could then have tied the new best;
+    ``recursive_select``'s bound makes the same assumption.  On a skip the
+    id countdown moves past the C(N - last, d) subsets of each size m + d
+    below the node, as the blocks of its subtree would have moved it.
+
     ``caps_batch`` is read as in ``batch_optimized``: links i < j only, none
-    above MAX_CAPACITY, so every rate (a sum of at most N + 1 links over
-    m + 2) is finite, and a link-major stack without a copy.
+    negative or above MAX_CAPACITY, so every rate (a sum of at most N + 1
+    links over m + 2) is finite, and a link-major stack without a copy.
     """
     a = _link_major(caps_batch)
     n, _, n_trials = a.shape
@@ -815,8 +838,14 @@ def batch_equal_time(caps_batch: np.ndarray) -> dict[str, np.ndarray]:
     stack = [(0, 0, a[0, 1:], 0.0, np.inf)] if n_relays else []
     while stack:
         last, m, e_parent, a_row, min_chain = stack.pop()
-        e = e_parent + a_row
         lo = last + 1
+        if m and not np.any(min_chain / (m + 2) >= best.floor):
+            # no subset below this node reaches the floor: skip them all, and
+            # count down the ids that their blocks of each size would take
+            for d in range(1, dest - lo + 1):
+                first[m + d] -= math.comb(dest - lo, d)
+            continue
+        e = e_parent + a_row
         min_chain = np.minimum(min_chain, e[:-1])
         e_dest = e[-1] + a[lo:dest, dest]
         first[m + 1] -= dest - lo

@@ -12,7 +12,7 @@ from relayalloc.allocator import (
     TimeAllocation,
     judge,
 )
-from relayalloc.rate_model import LinkCapacityMatrix, RelaySubset
+from relayalloc.rate_model import LinkCapacityMatrix, RelaySubset, mutual_informations
 from relayalloc.selector import (
     RATE_TIE_TOL,
     InverseBlocks,
@@ -95,6 +95,14 @@ def trial_outcomes(topology, scheme, snr_db, n_trials, base_seed, modes=montecar
         m: {key: np.concatenate([b[m][key][0] for b in blocks]) for key in blocks[0][m]}
         for m in modes
     }
+
+
+def verify_equalization(rm, result):
+    """Max absolute deviation of any mutual information from the rate."""
+    if not result.feasible:
+        raise ValueError("equalization is only defined for feasible results")
+    info = mutual_informations(rm, result.times.t)
+    return float(np.max(np.abs(info - result.rate)))
 
 
 # -- numpy verdict reference ------------------------------------------------------
@@ -240,23 +248,31 @@ def batch_brute_force(caps_batch):
     }
 
 
-def batch_brute_equal_time(caps_batch):
-    """Exhaustive equal-time baseline; same return keys as batch_equal_time."""
+def equal_time_rates(caps_batch):
+    """(2^N, T) equal-time rates of every subset in ``subsets_by_size`` order:
+    the least that a receiver gets from its earlier transmitters, summed left
+    to right, over m + 1."""
     caps_batch = np.asarray(caps_batch, dtype=float)
     n_trials, n, _ = caps_batch.shape
-    n_relays = n - 2
     dest = n - 1
-
-    best_rate = np.full(n_trials, -np.inf)
-    best_size = np.zeros(n_trials, dtype=np.int64)
-    best_id = np.full(n_trials, -1, dtype=np.int64)
-    for sid, sub in enumerate(subsets_by_size(n_relays)):
-        m = len(sub)
+    rates = np.empty((1 << (n - 2), n_trials))
+    for sid, sub in enumerate(subsets_by_size(n - 2)):
         tx = np.array((0, *sub))
         rx = np.array((*sub, dest))
         rm = caps_batch[:, tx[:, None], rx[None, :]].transpose(0, 2, 1)
         rm = np.tril(rm)
-        rate = np.cumsum(rm, axis=2)[:, :, -1].min(axis=1) / (m + 1)
+        rates[sid] = np.cumsum(rm, axis=2)[:, :, -1].min(axis=1) / (len(sub) + 1)
+    return rates
+
+
+def batch_brute_equal_time(caps_batch):
+    """Exhaustive equal-time baseline; same return keys as batch_equal_time."""
+    n_trials, n, _ = np.shape(caps_batch)
+    best_rate = np.full(n_trials, -np.inf)
+    best_size = np.zeros(n_trials, dtype=np.int64)
+    best_id = np.full(n_trials, -1, dtype=np.int64)
+    subsets = subsets_by_size(n - 2)
+    for sid, (sub, rate) in enumerate(zip(subsets, equal_time_rates(caps_batch))):
         tol = RATE_TIE_TOL * np.maximum(
             1.0,
             np.maximum(
@@ -265,7 +281,7 @@ def batch_brute_equal_time(caps_batch):
         )
         take = rate > best_rate + tol
         best_rate = np.where(take, rate, best_rate)
-        best_size = np.where(take, m, best_size)
+        best_size = np.where(take, len(sub), best_size)
         best_id = np.where(take, sid, best_id)
     return {"rate": best_rate, "n_active": best_size, "best_id": best_id}
 

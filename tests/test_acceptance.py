@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from relayalloc.allocator import allocate, verify_equalization
+from relayalloc.allocator import allocate
 from relayalloc.cli import main
 from relayalloc.montecarlo import sweep
 from relayalloc.rate_model import LinkCapacityMatrix, RelaySubset, build_rate_matrix
@@ -25,7 +25,12 @@ from relayalloc.selector import (
     worst_case_ops,
 )
 
-from conftest import batch_brute_force, exponential_caps_batch, symmetric_exponential_caps
+from conftest import (
+    batch_brute_force,
+    exponential_caps_batch,
+    symmetric_exponential_caps,
+    verify_equalization,
+)
 from test_selector import counted_extension
 
 DESC = NumberingScheme.AVERAGE_DESCENDING

@@ -16,7 +16,6 @@ from relayalloc.allocator import (
     judge,
     node_rates,
     solve_lower_triangular,
-    verify_equalization,
 )
 from relayalloc.rate_model import (
     LinkCapacityMatrix,
@@ -27,7 +26,7 @@ from relayalloc.rate_model import (
 )
 from relayalloc.selector import brute_force_select, recursive_select, subsets_by_size
 
-from conftest import reference_judge, symmetric_exponential_caps
+from conftest import reference_judge, symmetric_exponential_caps, verify_equalization
 
 
 def rm(entries):

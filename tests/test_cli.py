@@ -259,6 +259,15 @@ class TestOptimize:
         assert captured.err == ("error: snr_db 3080 is too high for this topology: "
                                 "an SNR times a channel power can overflow to inf\n")
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_the_key_word_exits_2(self, tmp_path, seed, capsys):
+        doc = {"topology": {"type": "linear", "n_relays": 2}, "snr_db": 10, "seed": seed}
+        path = write_json(tmp_path / "seeded.json", doc)
+        assert main(["optimize", "--instance", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: seed {seed} is outside 0..2**64 - 1\n"
+
     @pytest.mark.parametrize("field, value", [
         ("snr_db", [10]), ("seed", [4]), ("seed", "four"), ("seed", "4"), ("seed", 4.5),
         ("seed", True), ("n_relays", [2]), ("n_relays", 2.5), ("snr_db", "10"),
@@ -588,6 +597,12 @@ class TestSimulate:
     def test_parallel_below_one_exits_2(self, sweep_config, tmp_path, parallel, capsys):
         assert main(["simulate", "--config", sweep_config, "--parallel", parallel]) == 2
         assert f"parallel must be at least 1, got {parallel}" in capsys.readouterr().err
+        assert not (tmp_path / "curve.json").exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_the_key_word_exits_2(self, sweep_config, tmp_path, seed, capsys):
+        assert main(["simulate", "--config", sweep_config, "--seed", seed]) == 2
+        assert f"seed {seed} is outside 0..2**64 - 1" in capsys.readouterr().err
         assert not (tmp_path / "curve.json").exists()
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -233,6 +234,15 @@ class TestSweep:
     def test_parallel_below_one_rejected(self, parallel):
         with pytest.raises(ValueError, match=f"parallel must be at least 1, got {parallel}"):
             sweep(linear_topology(1), DESC, [0], 100, 0.1, base_seed=0, parallel=parallel)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_the_key_word_rejected_before_any_worker(self, seed, monkeypatch):
+        def no_worker(*job):
+            raise AssertionError("a worker was started")
+
+        monkeypatch.setattr(montecarlo, "_fold_trials", no_worker)
+        with pytest.raises(ValueError, match=re.escape(f"seed {seed} is outside 0..2**64 - 1")):
+            sweep(linear_topology(1), DESC, [0], 100, 0.1, base_seed=seed)
 
     # 4000 dB is finite, but its linear SNR overflows a float
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 4000.0])

@@ -187,6 +187,21 @@ class TestKeyedStreams:
             draw_channel_powers_keyed(params, 1, 4), draw_channel_powers_keyed(params, 2, 4)
         )
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_the_key_word_rejected(self, seed):
+        # reduced into 64 bits, -1 would draw as 2^64 - 1 does and 2^64 as 0
+        params = fading_params(linear_topology(2))
+        message = re.escape(f"seed {seed} is outside 0..2**64 - 1")
+        for draw in (lambda: draw_channel_powers_keyed(params, seed, 4),
+                     lambda: trial_permutations(seed, 2, 4)):
+            with pytest.raises(ValueError, match=message):
+                draw()
+
+    def test_seeds_at_the_ends_of_the_key_word_differ(self):
+        params = fading_params(linear_topology(2))
+        ends = [draw_channel_powers_keyed(params, seed, 4) for seed in (0, 2**64 - 1)]
+        assert not np.allclose(*ends)
+
     def test_nested_pools_share_link_draws(self):
         # appending a relay must not disturb the draws of existing links
         pos_small = np.array([[0, 0], [0.3, 0.1], [1, 0]], dtype=float)

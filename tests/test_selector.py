@@ -49,6 +49,7 @@ from conftest import (
     batch_brute_force,
     cancelling_caps,
     caps_from_links,
+    equal_time_rates,
     exponential_caps_batch,
     full_width_offer,
     recursive_select_blocks,
@@ -949,8 +950,11 @@ class TestBatchEngines:
     @pytest.mark.parametrize("n_relays", [9, 10])
     def test_walk_matches_brute_force_oracle_on_large_masked_pools(self, rng, n_relays):
         caps_b = oracle_cases(rng, n_relays, 200)["masked"]
-        assert_walk_equals_oracle(batch_optimized, batch_brute_force, caps_b,
-                                  f"masked, N={n_relays}")
+        for walk, oracle in (
+            (batch_optimized, batch_brute_force),
+            (batch_equal_time, batch_brute_equal_time),
+        ):
+            assert_walk_equals_oracle(walk, oracle, caps_b, f"masked, N={n_relays}")
 
     @pytest.mark.parametrize("n_relays", range(9))
     def test_layout_and_unread_entries_change_nothing(self, rng, n_relays):
@@ -994,6 +998,80 @@ class TestBatchEngines:
                 engine(caps_b)
             with pytest.raises(NoFeasibleSolution, match="trial 0 "):
                 engine(np.zeros((5, 4, 4)))
+
+
+class TestEqualTimeBound:
+    """batch_equal_time skips a node's subtree when, in every trial, the
+    least that the node's relays received over m + 2 is below the floor."""
+
+    @pytest.mark.parametrize("n_relays", range(11))
+    def test_single_trials_match_brute_force(self, rng, n_relays):
+        # a skip needs every trial of the stack below the floor, so one-trial
+        # stacks are where most subtrees are skipped
+        for name, caps_b in oracle_cases(rng, n_relays, 50).items():
+            want = batch_brute_equal_time(caps_b)
+            for k in range(len(caps_b)):
+                got = batch_equal_time(caps_b[k:k + 1])
+                assert got.keys() == want.keys()
+                for key in want:
+                    assert np.array_equal(got[key], want[key][k:k + 1]), (name, k, key)
+
+    def test_strong_direct_link_offers_only_the_root_block(self, monkeypatch):
+        # every relay receives 1 from the source, so no subset below a
+        # one-relay node rates more than 1/3, far below the direct link's 10
+        caps = np.ones((8, 8))
+        caps[0, 7] = caps[7, 0] = 10.0
+        offered = []
+        offer = _Best.offer
+
+        def counted(best, rate, sid0):
+            offered.append(sid0)
+            offer(best, rate, sid0)
+
+        monkeypatch.setattr(_Best, "offer", counted)
+        got = batch_equal_time(caps[None])
+        assert offered == [1]  # the six one-relay subsets, ids 1..6
+        assert got["rate"].tolist() == [10.0]
+        assert got["best_id"].tolist() == [0]
+        assert got["n_active"].tolist() == [0]
+
+    @pytest.mark.parametrize("n_relays", [2, 5, 7, 9])
+    def test_subsets_below_a_skip_are_below_its_floor(self, rng, n_relays, monkeypatch):
+        # the walk's pops are replayed here, and a pop whose block of
+        # children was not offered is a skip at the floor the next offer met
+        met = []  # per offer: its block's first id and the floor it met
+        offer = _Best.offer
+
+        def recorded(best, rate, sid0):
+            met.append((sid0, best.floor.copy()))
+            offer(best, rate, sid0)
+
+        monkeypatch.setattr(_Best, "offer", recorded)
+        ids = {sub: sid for sid, sub in enumerate(subsets_by_size(n_relays))}
+        skips = 0
+        for name, caps_b in oracle_cases(rng, n_relays, 20).items():
+            rates = equal_time_rates(caps_b)
+            for k in range(len(caps_b)):
+                met.clear()
+                got = batch_equal_time(caps_b[k:k + 1])
+                events = [*met, (None, got["rate"] - _tie_tol(got["rate"]))]
+                i = 0
+                nodes = [()]
+                while nodes:
+                    node = nodes.pop()
+                    last = node[-1] if node else 0
+                    sid0, floor = events[i]
+                    if sid0 == ids[(*node, last + 1)]:
+                        i += 1
+                        nodes.extend((*node, c) for c in range(last + 1, n_relays))
+                        continue
+                    assert node, "the root's block is always offered"
+                    below = [ids[(*node, *more)] for d in range(1, n_relays - last + 1)
+                             for more in itertools.combinations(range(last + 1, n_relays + 1), d)]
+                    assert np.all(rates[below, k] < floor), (name, k, node)
+                    skips += 1
+                assert i == len(met), (name, k)
+        assert skips
 
 
 def assert_walk_equals_oracle(walk, oracle, caps_b, where):
