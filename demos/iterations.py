@@ -2,10 +2,12 @@
 # nonpositive slot duration on to its descendants, or whose slot sum is
 # negative, which is how the paper's algorithm "reduces the number of
 # required iterations".  Without a trace it also skips a subtree whose chain
-# slots alone sum to more than the best rate so far allows.  This prints the
-# shares of the 2^N subsets the walk evaluates, prunes as infeasible and
-# skips by that bound, read from the counters of recursive_select's outcome,
-# for growing pools on a line and on random layouts.
+# slots, plus the least slot time in which the relays still to come could
+# deliver what the destination lacks, sum to more than the best rate so far
+# allows.  This prints the shares of the 2^N subsets the walk evaluates,
+# prunes as infeasible and skips by those bounds, read from the counters of
+# recursive_select's outcome, for growing pools on a line and on random
+# layouts.
 
 import numpy as np
 
@@ -33,7 +35,7 @@ def channel_powers(layout, n_relays):
 
 
 print(f"% of the 2^N subsets the recursive search evaluates / prunes as infeasible /"
-      f" skips by the bound, mean of {DRAWS} draws")
+      f" skips by a bound, mean of {DRAWS} draws")
 print(f"{'layout':>8} {'N':>3} {'2^N':>6} " + " ".join(f"{db:>15} dB" for db in SNR_DB))
 for layout in ("linear", "random"):
     for n_relays in POOLS:
@@ -58,5 +60,9 @@ print(
     "a unit, so it cannot be feasible.  A bounded subset lies below one whose\n"
     "chain slots sum to s_chain with 1 / s_chain under the best rate so far,\n"
     "less its tie tolerance; every descendant adds positive slots to that sum,\n"
-    "so none can win or tie.  The winner is the exhaustive search's"
+    "so none can win or tie.  The subsets below a node are also bounded\n"
+    "when its destination lacks 1 - hd of its unit, which the relays a\n"
+    "descendant adds deliver at most D per unit of slot (D: their strongest\n"
+    "destination link), and 1 / (s_chain + (1 - hd) / D) is under that\n"
+    "floor.  The winner is the exhaustive search's"
 )

@@ -132,7 +132,8 @@ def random_topology(
     """Relays placed uniformly over the bounding box of the matching grid.
 
     The box is that of ``grid_topology(ceil(sqrt(n_relays)))``, i.e. an area
-    equivalent to the grid arrangement of the same pool size.
+    equivalent to the grid arrangement of the same pool size.  The seed
+    follows the one rule of ``check_seed``: 0..2^64 - 1.
     """
     if n_relays < 1:
         raise ValueError("n_relays must be >= 1")
@@ -141,6 +142,7 @@ def random_topology(
         k += 1
     lo_x, hi_x = 1 / (k + 1), k / (k + 1)
     half_y = (k - 1) / (2 * (k + 1))
+    check_seed(rng_seed)
     rng = np.random.default_rng(rng_seed)
     xs = rng.uniform(lo_x, hi_x, size=n_relays)
     ys = rng.uniform(-half_y, half_y, size=n_relays) if half_y > 0 else np.zeros(n_relays)

@@ -13,8 +13,10 @@ Three selectors over the 2^N subsets of the relay pool:
   the inverse blocks are only built when a trace asks for them.  A subtree
   is pruned as soon as its root passes a nonpositive slot on to its
   descendants, or has a negative slot sum: two sign tests, no division.
-  Without a trace it is also skipped when the slots its root passes on
-  already sum past what the best rate so far allows (see the docstring).
+  Without a trace it is also skipped when the slots its root passes on,
+  plus the least slot time in which the relays still to come could deliver
+  what the destination lacks, already sum past what the best rate so far
+  allows (see the docstring).
 * ``equal_time_select``: optimal subset choice under uniform slot durations
   (the non-optimized cooperation baseline), a one-matrix call of
   ``batch_equal_time``.
@@ -62,6 +64,9 @@ from .rate_model import LinkCapacityMatrix, RelaySubset, build_rate_matrix
 
 # Two rates within this absolute-plus-relative distance are tied.
 RATE_TIE_TOL = 1e-9
+
+# The float slack of ``recursive_select``'s destination bound (see there).
+_DEST_SLACK = 2.0**-40
 
 
 class NoFeasibleSolution(Exception):
@@ -285,10 +290,34 @@ def recursive_select(
     no skipped subset could take the best held at the skip.  The floor
     rises with the best except where a tie replaces it with a subset
     earlier in order at a lower rate; a skipped subset could then tie the
-    new best.  The floor filter below makes the same assumption.  A traced
-    walk stays the paper's walk: it bounds nothing, so every subset it does
-    not trace is infeasible.  Every subset is evaluated, pruned or bounded,
-    so the three counts sum to 2^N.
+    new best.  The floor filter below makes the same assumption.
+
+    The destination gives a second bound.  Let ``hd`` be what the
+    destination receives from the slots the child passes on, the float
+    that its ``u_dest`` divides and that becomes ``h[-1]`` on descent, and
+    D[c] the strongest destination link among relays c..N.  In a feasible
+    descendant, c and the relays after it transmit in positive slots and
+    deliver the rest of the destination's unit, 1 - hd, at most D[c] per
+    unit of slot, so their slots sum to at least (1 - hd) / D[c] and its
+    rate is at most 1 / (s_chain + (1 - hd) / D[c]).  The subtree is also
+    bounded when (1 + σ) / (s_chain + max(0, 1 - hd - σ) / D[c]) is below
+    the floor, with σ = ``_DEST_SLACK`` = 2^-40 for float error.  The last
+    slot of a feasible descendant is positive, so every partial sum of its
+    destination's receipt lies in [0, 1).  The products and sums that build
+    it, the subtraction and division of its last slot, and the bound's own
+    1 - hd - σ are at most 2N + 2 roundings of at most 2^-53 each, so the
+    bound's numerator is at most what c and the later relays deliver.  The
+    slot sum, the rate's division and the bound's sum and two divisions
+    are at most N + 5 roundings of relative error 2^-53, which 1 + σ covers.
+    σ = 2^13 * 2^-53 covers both while N < 4000.  When D[c] is at or below
+    SINGULARITY_TOL every descendant is singular, and the subtree is
+    bounded without a division.  A NaN or infinite ``hd`` makes
+    max(0.0, ...) return 0.0, the first bound loosened by σ, and every
+    descendant then has a NaN or negative last slot.
+
+    A traced walk stays the paper's walk: it bounds nothing, so every
+    subset it does not trace is infeasible.  Every subset is evaluated,
+    pruned or bounded, so the three counts sum to 2^N.
 
     A node is feasible when ``s > 0`` and its smallest slot over ``s``
     exceeds TIME_TOL, which is ``judge``'s verdict written inline: a call per
@@ -310,6 +339,9 @@ def recursive_select(
     # per node c: its destination link and the size of the subtree below it
     a_dest = [row[dest] for row in a]
     below = [(1 << (n - c)) - 1 for c in range(n + 1)]
+    # dest_max[c]: the strongest destination link among relays c..N
+    dest_max = [*itertools.accumulate(a_dest[n::-1], max)][::-1]
+    slack, numer = _DEST_SLACK, 1.0 + _DEST_SLACK
     # ops_at[m]: the reported cost of one step from an m-relay node to a child
     ops_at = [op_count(q) for q in range(1, n + 2)]
     pruned = 0
@@ -358,9 +390,11 @@ def recursive_select(
             s_chain = s_fixed + u
             # every descendant inherits u, and min_fixed > 0 wherever the walk is
             skip = u <= 0.0
+            # what the destination receives from the slots passed on
+            hd = h_dest + a_last_dest * u
             t22 = a_dest[c]
             if t22 > SINGULARITY_TOL:
-                u_dest = (1.0 - (h_dest + a_last_dest * u)) / t22
+                u_dest = (1.0 - hd) / t22
                 s = s_chain + u_dest
                 if s > 0.0:
                     # a node that passes on a nonpositive slot is infeasible
@@ -391,9 +425,14 @@ def recursive_select(
                 trace.append((sub, result, child_blocks))
             if skip:
                 pruned += below[c]
-            elif trace is None and 1.0 / s_chain < best_floor:
-                # a feasible descendant's slot sum is at least s_chain, so
-                # none can reach the floor
+            elif trace is None and c < n and (
+                1.0 / s_chain < best_floor
+                or (d := dest_max[c]) <= SINGULARITY_TOL
+                or numer / (s_chain + max(0.0, 1.0 - hd - slack) / d) < best_floor
+            ):
+                # a feasible descendant's slot sum is at least s_chain, plus
+                # the slots in which c and the relays after it can deliver
+                # the destination's 1 - hd, so none can reach the floor
                 bounded += below[c]
             elif c < n:
                 # descend into c; this node resumes at its next child

@@ -15,6 +15,7 @@ from relayalloc.allocator import (
 from relayalloc.rate_model import LinkCapacityMatrix, RelaySubset, mutual_informations
 from relayalloc.selector import (
     RATE_TIE_TOL,
+    _DEST_SLACK,
     InverseBlocks,
     NoFeasibleSolution,
     OptimizationOutcome,
@@ -429,14 +430,19 @@ def recursive_select_per_node(
     and counts itself and its operations one at a time.  Its subtree is
     skipped when the smallest of the slots its descendants inherit, the
     parent's fixed slots and the chain slot ``u``, is not positive, or when
-    its slot sum ``s`` is negative, with or without a destination link.  An
-    untraced walk also skips it when one over ``s_chain``, the sum of the
-    slots it passes on, is below the best's floor, computed here from the
-    best rate at the skip.  The library walk does each of these only where it can change the
-    outcome; its outcomes, counters and traces must equal these exactly.
+    its slot sum ``s`` is negative, with or without a destination link.
+    An untraced walk also bounds it, against the floor computed here from
+    the best rate at the skip, when one over ``s_chain``, the sum of the
+    slots it passes on, is below that floor, or when the destination bound
+    of ``recursive_select`` is.  The library walk does each of these only
+    where it can change the outcome; its outcomes, counters and traces must
+    equal these exactly.
 
-    ``bounded_roots``, if given, collects (subset, s_chain, floor) for every
-    node whose subtree the floor skips.
+    ``bounded_roots``, if given, collects (subset, bound, floor) for every
+    node whose subtree is bounded: the bound is 1 / s_chain when that is
+    below the floor, else the destination bound, or -inf when no relay from
+    the node's last on has a destination link: every descendant is then
+    singular, and the subtree is bounded even before any best is found.
     """
     n = caps.n_relays
     dest = n + 1
@@ -467,10 +473,12 @@ def recursive_select_per_node(
             u = (1.0 - h[i]) / t11
             child_slots = (*slots, u)
             s_chain = s_fixed + u
+            # what the destination receives from the slots passed on
+            hd = h[-1] + row[dest] * u
             t22 = a[c][dest]
             node_slots = s = None
             if t22 > SINGULARITY_TOL:
-                u_dest = (1.0 - (h[-1] + row[dest] * u)) / t22
+                u_dest = (1.0 - hd) / t22
                 node_slots = (*child_slots, u_dest)
                 s = s_chain + u_dest
                 if s > 0.0 and min(min_fixed, u, u_dest) / s > TIME_TOL:
@@ -486,10 +494,22 @@ def recursive_select_per_node(
             floor = best_rate - RATE_TIE_TOL * max(best_rate, 1.0)
             if skip:
                 pruned += (1 << (n - c)) - 1
-            elif trace is None and 1.0 / s_chain < floor:
+                continue
+            # c and the relays after it must deliver the destination's
+            # 1 - hd, each at most d_max per unit of slot
+            d_max = max(a[j][dest] for j in range(c, dest))
+            if 1.0 / s_chain < floor:
+                bound = 1.0 / s_chain
+            elif d_max <= SINGULARITY_TOL:
+                bound = -math.inf
+            else:
+                lack = max(0.0, 1.0 - hd - _DEST_SLACK)
+                bound = (1.0 + _DEST_SLACK) / (s_chain + lack / d_max)
+            # a subtree with no destination link is singular, whatever the floor
+            if trace is None and (bound < floor or d_max <= SINGULARITY_TOL):
                 bounded += (1 << (n - c)) - 1
                 if bounded_roots is not None:
-                    bounded_roots.append((sub, s_chain, floor))
+                    bounded_roots.append((sub, bound, floor))
             elif c < n:
                 h_child = [hk + ak * u for hk, ak in zip(h[i + 1:], row[c + 1:])]
                 visit(sub, h_child, s_chain, min(min_fixed, u), child_slots, child_blocks)

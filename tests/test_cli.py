@@ -268,6 +268,17 @@ class TestOptimize:
         assert captured.out == ""
         assert captured.err == f"error: seed {seed} is outside 0..2**64 - 1\n"
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_topology_seed_outside_the_key_word_exits_2(self, tmp_path, seed, capsys):
+        # the layout's own seed follows the same rule as the draws' seed
+        doc = {"topology": {"type": "random", "n_relays": 3, "seed": seed},
+               "snr_db": 10, "seed": 1}
+        path = write_json(tmp_path / "layout.json", doc)
+        assert main(["optimize", "--instance", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: seed {seed} is outside 0..2**64 - 1\n"
+
     @pytest.mark.parametrize("field, value", [
         ("snr_db", [10]), ("seed", [4]), ("seed", "four"), ("seed", "4"), ("seed", 4.5),
         ("seed", True), ("n_relays", [2]), ("n_relays", 2.5), ("snr_db", "10"),
@@ -603,6 +614,16 @@ class TestSimulate:
     def test_seed_outside_the_key_word_exits_2(self, sweep_config, tmp_path, seed, capsys):
         assert main(["simulate", "--config", sweep_config, "--seed", seed]) == 2
         assert f"seed {seed} is outside 0..2**64 - 1" in capsys.readouterr().err
+        assert not (tmp_path / "curve.json").exists()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_topology_seed_outside_the_key_word_exits_2(self, tmp_path, seed, capsys):
+        cfg = write_json(tmp_path / "cfg.json", {
+            "topology": {"type": "random", "n_relays": 3, "seed": seed},
+            "n_trials": 200, "out_prefix": str(tmp_path / "curve"),
+        })
+        assert main(["simulate", "--config", cfg]) == 2
+        assert f"error: seed {seed} is outside 0..2**64 - 1\n" == capsys.readouterr().err
         assert not (tmp_path / "curve.json").exists()
 
 

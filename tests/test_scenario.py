@@ -69,6 +69,15 @@ class TestTopologies:
     def test_random_nonsquare_pool(self):
         assert random_topology(5, 1).n_relays == 5
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_random_layout_seed_outside_the_key_word_rejected(self, seed):
+        # a layout seed follows the draws' rule, so numpy never sees it
+        with pytest.raises(ValueError, match=re.escape(f"seed {seed} is outside 0..2**64 - 1")):
+            random_topology(3, seed)
+
+    def test_random_layout_seeds_at_the_ends_of_the_key_word(self):
+        assert random_topology(3, 0).n_relays == random_topology(3, 2**64 - 1).n_relays == 3
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_nonfinite_positions_rejected(self, bad):
         with pytest.raises(ValueError, match=r"positions must be finite: node 1 at \(0\.5, "):

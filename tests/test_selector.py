@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -478,7 +479,8 @@ class TestExactWalk:
 
 class TestFloorBound:
     """The untraced walk skips a subtree whose chain slot sum s_chain gives
-    1 / s_chain below the best's floor; a traced walk never does."""
+    1 / s_chain below the best's floor, or whose destination bound is below
+    it; a traced walk never does."""
 
     def test_strong_direct_link_bounds_every_singleton(self):
         # each source-relay link is below the direct link, so every chain
@@ -502,6 +504,69 @@ class TestFloorBound:
         assert traced.candidates_bounded == 0
         assert len(trace) == traced.candidates_evaluated > n_relays + 1
 
+    def test_destination_bound_skips_what_the_chain_bound_does_not(self):
+        # relay 1 lies between source and destination; relays 2 and 3 hear
+        # the source well but reach the destination at only 0.5.  {1} wins
+        # at 32/11 = 2.909.  The chain slots of {1, 2} sum to 3/16 and those
+        # of {2} to 1/4, so 1/s_chain is 5.33 and 4, above the floor.  But a
+        # descendant of either must still deliver 5/8 or 3/4 of a unit to
+        # the destination through relays of link 0.5, which caps its rate
+        # at 1/(3/16 + 5/4) = 0.696 or 1/(1/4 + 3/2) = 0.571
+        links = {(0, 1): 8.0, (0, 2): 4.0, (0, 3): 2.0, (0, 4): 1.0,
+                 (1, 2): 8.0, (1, 3): 8.0, (1, 4): 4.0,
+                 (2, 3): 8.0, (2, 4): 0.5, (3, 4): 0.5}
+        caps = caps_from_links(3, links)
+        plain = recursive_select(caps)
+        want = brute_force_select(caps)
+        assert plain.best.subset.indices == want.best.subset.indices == (1,)
+        assert plain.best.rate == want.best.rate == 32 / 11
+        np.testing.assert_array_equal(plain.best.times.t, want.best.times.t)
+        # {1, 2, 3} and {2, 3} are bounded; both are feasible
+        assert three_counts(plain) == (6, 0, 2)
+        assert three_counts(recursive_select(caps, trace=[])) == (8, 0, 0)
+        roots = []
+        recursive_select_per_node(caps, bounded_roots=roots)
+        roots = [(root, bound) for root, bound, _ in roots if root[-1] < 3]
+        assert [root for root, _ in roots] == [(1, 2), (2,)]
+        assert [bound for _, bound in roots] == pytest.approx([16 / 23, 4 / 7], rel=1e-11)
+
+    def test_floor_within_the_slack_of_the_destination_bound_is_walked(self):
+        # every relay reaches the destination at 0.5, so {1}'s subtree is
+        # bounded by about 1/(2.125 - x/4), where x is the direct link.  This
+        # x puts the direct rate's floor 4.5e-13 below that bound, relative,
+        # within the slack 1 + 2^-40 = 1 + 9.1e-13 of its numerator: the
+        # walk evaluates {1, 2}, where a bound without that slack would
+        # skip it.  The direct link wins; {1} and {1, 2} fall just below
+        # its floor, so neither skip would change the winner
+        x = 0.50000000106739
+        links = {(0, 1): 8.0, (0, 2): 4.0, (1, 2): 8.0, (1, 3): 0.5, (2, 3): 0.5, (0, 3): x}
+        caps = caps_from_links(2, links)
+        plain = recursive_select(caps)
+        assert plain.best.subset.indices == brute_force_select(caps).best.subset.indices == ()
+        assert plain.best.rate == x
+        assert three_counts(plain) == (4, 0, 0)
+
+    def test_relays_without_destination_links_bound_without_division(self):
+        # relays 2 and 3 have no destination link, so every subset whose
+        # last relay is one of them is singular.  {1, 2} passes on slots
+        # summing to 3/4, and 1/s_chain = 4/3 is above {1}'s winning
+        # 8/7: only the destination bound skips {1, 2, 3}, without dividing
+        # by the strongest destination link left, which is 0
+        links = {(0, 1): 2.0, (0, 2): 1.0, (0, 3): 1.0, (0, 4): 0.5,
+                 (1, 2): 2.0, (1, 3): 2.0, (1, 4): 2.0, (2, 3): 2.0}
+        caps = caps_from_links(3, links)
+        plain = recursive_select(caps)
+        want = brute_force_select(caps)
+        assert plain.best.subset.indices == want.best.subset.indices == (1,)
+        assert plain.best.rate == want.best.rate == 8 / 7
+        assert three_counts(plain) == (6, 0, 2)
+        assert three_counts(recursive_select(caps, trace=[])) == (8, 0, 0)
+        roots = []
+        recursive_select_per_node(caps, bounded_roots=roots)
+        # {2} is bounded by its chain slot: 1/s_chain = 1 < 8/7
+        assert [(root, bound) for root, bound, _ in roots if root[-1] < 3] == [
+            ((1, 2), -math.inf), ((2,), 1.0)]
+
     @pytest.mark.parametrize(
         "family", ["fading", "exponential", "masked", "integer", "extreme"])
     def test_bounded_descendants_cannot_reach_the_floor(self, rng, family, request):
@@ -519,12 +584,14 @@ class TestFloorBound:
                 recursive_select_per_node(caps, bounded_roots=roots)
             except NoFeasibleSolution:
                 pass
-            for root, s_chain, floor in roots:
+            # each root carries the bound that skipped it: 1 / s_chain, the
+            # destination bound, or -inf where no descendant is feasible
+            for root, bound, floor in roots:
                 for sub in descendants(root, caps.n_relays):
                     res = allocate(build_rate_matrix(caps, RelaySubset(sub)), RelaySubset(sub))
                     if res.feasible:
                         n_feasible += 1
-                        assert res.rate <= 1.0 / s_chain < floor, (family, k, root, sub)
+                        assert res.rate <= bound < floor, (family, k, root, sub)
         assert n_feasible > 0
 
 
@@ -1167,7 +1234,7 @@ def counters(outcome):
 
 
 def three_counts(outcome):
-    """Subsets evaluated, pruned as infeasible and skipped by the floor."""
+    """Subsets evaluated, pruned as infeasible and skipped by a bound."""
     return (
         outcome.candidates_evaluated, outcome.candidates_pruned, outcome.candidates_bounded
     )
