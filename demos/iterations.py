@@ -58,11 +58,11 @@ print(
     "missing decode-chain link) to all its descendants, or whose negative\n"
     "slot sum means its inherited slots alone give the destination more than\n"
     "a unit, so it cannot be feasible.  A bounded subset lies below one whose\n"
-    "chain slots sum to s_chain with 1 / s_chain under the best rate so far,\n"
-    "less its tie tolerance; every descendant adds positive slots to that sum,\n"
-    "so none can win or tie.  The subsets below a node are also bounded\n"
-    "when its destination lacks 1 - hd of its unit, which the relays a\n"
-    "descendant adds deliver at most D per unit of slot (D: their strongest\n"
-    "destination link), and 1 / (s_chain + (1 - hd) / D) is under that\n"
-    "floor.  The winner is the exhaustive search's"
+    "chain slots sum to s_chain with 1 / s_chain under the best rate so far;\n"
+    "every descendant adds positive slots to that sum, so none can win or\n"
+    "tie.  The subsets below a node are also bounded when its destination\n"
+    "lacks 1 - hd of its unit, which the relays a descendant adds deliver\n"
+    "at most D per unit of slot (D: their strongest destination link), and\n"
+    "1 / (s_chain + (1 - hd) / D) is under that rate.  The winner is the\n"
+    "exhaustive search's"
 )

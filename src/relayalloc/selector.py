@@ -21,8 +21,9 @@ Three selectors over the 2^N subsets of the relay pool:
   (the non-optimized cooperation baseline), a one-matrix call of
   ``batch_equal_time``.
 
-All three break rate ties in favor of fewer relays, then the
-lexicographically smallest subset.
+All three compare rates exactly and break an exact tie in favor of fewer
+relays, then the lexicographically smallest subset: a total order, so the
+winner does not depend on the order in which subsets are visited.
 
 ``batch_optimized`` and ``batch_equal_time`` are the Monte Carlo engines:
 the same subset-tree walk over a stack of fading realizations, vectorized
@@ -32,9 +33,9 @@ visits every subset so that reject counts cover the whole tree.  An absent
 link makes its slot NaN, so a singular subset needs no state of its own, and
 the singular count is one count of paths over the present links.
 ``batch_equal_time`` counts no rejects, so it skips a whole subtree once no
-trial can reach the best's floor in it.  The best-subset merge reads only
-the trials where a sibling block reaches the best rate less its tie
-tolerance, which is exact (see ``_Best``).
+trial can reach the best rate in it.  The best-subset merge reads only
+the trials where a sibling block reaches the best rate, which is exact
+(see ``_Best``).
 
 The walks build each node's slots and slot sum one transmitter at a time,
 in the left-to-right order that ``allocator`` states and ``allocate``
@@ -61,9 +62,6 @@ from .allocator import (
     node_rates,
 )
 from .rate_model import LinkCapacityMatrix, RelaySubset, build_rate_matrix
-
-# Two rates within this absolute-plus-relative distance are tied.
-RATE_TIE_TOL = 1e-9
 
 # The float slack of ``recursive_select``'s destination bound (see there).
 _DEST_SLACK = 2.0**-40
@@ -220,13 +218,12 @@ def extend_solution(blocks: InverseBlocks) -> AllocationResult:
 
 def _beats(rate: float, sub: tuple, best_rate: float, best_sub: tuple) -> bool:
     """``_Best.offer``'s take rule on scalars: ``rate`` wins if higher than
-    the best by more than its own tie tolerance, or if it reaches the best's
-    floor (the best rate less its tolerance) and ``sub`` comes earlier in
-    ``subsets_by_size`` order.  Searches start from the best (-inf, ())."""
-    if rate > best_rate + RATE_TIE_TOL * max(rate, 1.0):
-        return True
-    floor = best_rate - RATE_TIE_TOL * max(best_rate, 1.0)
-    return rate >= floor and (len(sub), sub) < (len(best_sub), best_sub)
+    the best, or if equal to it and ``sub`` comes earlier in
+    ``subsets_by_size`` order.  Rates are compared exactly, so this is a
+    total order on (rate, size, lexicographic) and the winner is the same
+    in any visiting order.  Searches start from the best (-inf, ())."""
+    return rate > best_rate or (
+        rate == best_rate and (len(sub), sub) < (len(best_sub), best_sub))
 
 
 def subsets_by_size(n_relays: int):
@@ -284,13 +281,11 @@ def recursive_select(
 
     Without a trace a subtree is also skipped, as ``candidates_bounded``,
     when its root's chain slots, the slots it passes on, sum to ``s_chain``
-    with 1 / s_chain below the best's floor.  A feasible descendant's slot
+    with 1 / s_chain below the best rate.  A feasible descendant's slot
     sum is ``s_chain`` plus positive slots, added left to right, and
     rounding is monotone, so its rate is at most 1 / s_chain in floats too:
-    no skipped subset could take the best held at the skip.  The floor
-    rises with the best except where a tie replaces it with a subset
-    earlier in order at a lower rate; a skipped subset could then tie the
-    new best.  The floor filter below makes the same assumption.
+    no skipped subset could take the best held at the skip, nor any later
+    best, as the best rate never falls.
 
     The destination gives a second bound.  Let ``hd`` be what the
     destination receives from the slots the child passes on, the float
@@ -301,15 +296,15 @@ def recursive_select(
     unit of slot, so their slots sum to at least (1 - hd) / D[c] and its
     rate is at most 1 / (s_chain + (1 - hd) / D[c]).  The subtree is also
     bounded when (1 + σ) / (s_chain + max(0, 1 - hd - σ) / D[c]) is below
-    the floor, with σ = ``_DEST_SLACK`` = 2^-40 for float error.  The last
-    slot of a feasible descendant is positive, so every partial sum of its
-    destination's receipt lies in [0, 1).  The products and sums that build
-    it, the subtraction and division of its last slot, and the bound's own
-    1 - hd - σ are at most 2N + 2 roundings of at most 2^-53 each, so the
-    bound's numerator is at most what c and the later relays deliver.  The
-    slot sum, the rate's division and the bound's sum and two divisions
-    are at most N + 5 roundings of relative error 2^-53, which 1 + σ covers.
-    σ = 2^13 * 2^-53 covers both while N < 4000.  When D[c] is at or below
+    the best rate, with σ = ``_DEST_SLACK`` = 2^-40 for float error.  The
+    last slot of a feasible descendant is positive, so every partial sum of
+    its destination's receipt lies in [0, 1).  The products and sums that
+    build it, the subtraction and division of its last slot, and the
+    bound's own 1 - hd - σ are at most 2N + 2 roundings of at most 2^-53
+    each, so the bound's numerator is at most what c and the later relays
+    deliver.  The slot sum, the rate's division and the bound's sum and two
+    divisions are at most N + 5 roundings of relative error 2^-53, which
+    1 + σ covers.  σ = 2^13 * 2^-53 covers both while N < 4000.  When D[c] is at or below
     SINGULARITY_TOL every descendant is singular, and the subtree is
     bounded without a division.  A NaN or infinite ``hd`` makes
     max(0.0, ...) return 0.0, the first bound loosened by σ, and every
@@ -322,9 +317,9 @@ def recursive_select(
     A node is feasible when ``s > 0`` and its smallest slot over ``s``
     exceeds TIME_TOL, which is ``judge``'s verdict written inline: a call per
     node would cost more than the node.  A node is judged, and offered to
-    ``_beats``, only when its rate reaches the best's floor, the best rate
-    less its tie tolerance, as ``_Best`` filters its merge: a rate below the
-    floor can neither win nor tie, so the filter is exact.  A node's subset
+    ``_beats``, only when its rate reaches the best rate, as ``_Best``
+    filters its merge: a lower rate can neither win nor tie, so the filter
+    is exact.  A node's subset
     and slots become tuples only when the walk descends into it, it takes
     the best or it is traced, and its smallest slot is taken by comparisons
     in ``min``'s order, so NaN and signed zeros fall as they would.  The walk
@@ -347,17 +342,14 @@ def recursive_select(
     pruned = 0
     bounded = 0
     ops = 0
-    # the best node so far: rate, subset, unnormalized slots and their sum,
-    # and its floor, as _beats computes it
+    # the best node so far: rate, subset, unnormalized slots and their sum
     best_rate, best_sub, best_slots, best_s = -math.inf, (), None, None
-    best_floor = -math.inf
 
     direct = a[0][dest]
     blocks = root_blocks(caps) if trace is not None else None
     if direct > SINGULARITY_TOL:
         u = 1.0 / direct
         best_rate, best_sub, best_slots, best_s = 1.0 / u, (), (u,), u
-        best_floor = best_rate - RATE_TIE_TOL * max(best_rate, 1.0)
     if trace is not None:
         trace.append(((), judge(RelaySubset(()), best_slots, best_s), blocks))
 
@@ -398,9 +390,9 @@ def recursive_select(
                 s = s_chain + u_dest
                 if s > 0.0:
                     # a node that passes on a nonpositive slot is infeasible
-                    # itself, and below the floor no verdict is needed
+                    # itself, and below the best rate no verdict is needed
                     rate = 1.0 / s
-                    if not skip and rate >= best_floor:
+                    if not skip and rate >= best_rate:
                         low = min_fixed
                         if u < low:
                             low = u
@@ -411,7 +403,6 @@ def recursive_select(
                             if _beats(rate, sub, best_rate, best_sub):
                                 best_rate, best_sub, best_s = rate, sub, s
                                 best_slots = (*slots, u, u_dest)
-                                best_floor = best_rate - RATE_TIE_TOL * max(best_rate, 1.0)
                 elif s < 0.0:
                     # the inherited slots alone give the destination over a unit
                     skip = True
@@ -426,13 +417,13 @@ def recursive_select(
             if skip:
                 pruned += below[c]
             elif trace is None and c < n and (
-                1.0 / s_chain < best_floor
+                1.0 / s_chain < best_rate
                 or (d := dest_max[c]) <= SINGULARITY_TOL
-                or numer / (s_chain + max(0.0, 1.0 - hd - slack) / d) < best_floor
+                or numer / (s_chain + max(0.0, 1.0 - hd - slack) / d) < best_rate
             ):
                 # a feasible descendant's slot sum is at least s_chain, plus
                 # the slots in which c and the relays after it can deliver
-                # the destination's 1 - hd, so none can reach the floor
+                # the destination's 1 - hd, so none can reach the best rate
                 bounded += below[c]
             elif c < n:
                 # descend into c; this node resumes at its next child
@@ -519,9 +510,8 @@ def worst_case_ops(n_relays: int) -> int:
 #
 # Every subset is judged, but few can change the best: on a 3x3 grid about
 # 2% of (node, trial) pairs for the optimized search and under 1% for equal
-# time.  ``_Best`` keeps a per-trial rate floor, the best rate less its tie
-# tolerance, and merges only the trials whose block maximum reaches it.  No
-# rate below the floor passes either take test, so this is exact.
+# time.  ``_Best`` merges only the trials whose block maximum reaches the
+# best rate.  No lower rate passes either take test, so this is exact.
 #
 # Blocks are (children, trials): with the trial axis last, each operation
 # runs one long inner loop per child instead of one short loop per trial.
@@ -553,16 +543,9 @@ def _subset_sizes(ends: list[int], ids: np.ndarray) -> np.ndarray:
     return (ids >= np.array(ends[:-1])[:, None]).sum(axis=0)
 
 
-# A merge gathers the trials that reach the floor when fewer than one in this
-# many do, and otherwise runs at full width (see ``_Best``).
+# A merge gathers the trials that reach the best rate when fewer than one in
+# this many do, and otherwise runs at full width (see ``_Best``).
 SPARSE_SHARE = 4
-
-
-def _tie_tol(r: np.ndarray) -> np.ndarray:
-    # a rate's own tie tolerance, as in _beats; best rates are nonnegative
-    # or -inf (no candidate), which counts as magnitude 0, and a NaN
-    # (rejected) rate gets a NaN tolerance, which passes no test
-    return RATE_TIE_TOL * np.maximum(r, 1.0)
 
 
 def copy_where(dst: np.ndarray, src, select: np.ndarray) -> None:
@@ -589,35 +572,38 @@ def select_mask(mask: np.ndarray) -> np.ndarray:
 
 
 class _Best:
-    """Per-trial best subset so far, under the tie rule of ``_beats``.
+    """Per-trial best subset so far, under the tie rule of ``_beats``: a
+    higher rate wins, and an equal one wins when its subset comes earlier in
+    ``subsets_by_size`` order.  Rates are compared exactly, so no merge
+    order changes a trial's winner.
 
     It starts from the empty subset's (T,) rates: a finite one is its
     trial's best, index 0, and the rest (NaN for a rejected subset) start
     at -inf, index -1, which only a finite rate beats.  The merge reads
-    only the trials whose block maximum reaches ``floor``, the best rate
-    less its tie tolerance.  This is exact: a block's candidate is at most
-    its maximum, and a rate below the floor is neither higher than the best
-    by more than the tolerance nor tied with it, so the trials skipped would
-    have kept their best.
+    only the trials whose block maximum reaches the best rate.  This is
+    exact: a block's candidate is at most its maximum, and a rate below the
+    best is neither higher than it nor equal to it, so the trials skipped
+    would have kept their best.  The best rate of a trial never falls.
 
     Every merge picks its candidates and applies the take rule the same
-    way; the share of trials that reach the floor picks only how the
+    way; the share of trials that reach the best picks only how the
     winners are written back.  When fewer than one trial in
     ``SPARSE_SHARE`` does, the merge gathers those trials' columns once,
     works on that small block and scatters back only the trials that take,
-    so its cost follows its hits.  On a 3x3-grid sweep block (2500 columns)
-    110 of ``batch_optimized``'s 256 merges read out a median of 14 trials
-    this way.  ``batch_equal_time`` skips the subtrees that no trial can
-    win, and 19 of the 20 merges it makes on such a block read out a median
-    of 5.  A denser merge runs at full width and writes with
-    ``copy_where``, not masked copies, under one select mask built for both
-    writes: on sweep-deep's 16025-column blocks 50-90% of the trials are
-    taken in most merges, and at half taken a ``np.copyto(..., where=take)``,
-    which branches on every element, took 99 us against 24 us for the
-    branch-free select of the same bits.
+    so its cost follows its hits.  On a 3x3-grid sweep block (2500 columns:
+    500 trials of base seed 1 at 5 SNR points) 110 of ``batch_optimized``'s
+    256 merges read out a median of 14 trials this way.
+    ``batch_equal_time`` skips the subtrees that no trial can win, and 18 of
+    the 27 merges it makes on that block read out a median of 6.  A denser
+    merge runs at full width and writes with ``copy_where``, not masked
+    copies, under one select mask built for both writes: on sweep-deep's
+    16025-column blocks 50-90% of the trials are taken in most merges, and
+    at half taken a ``np.copyto(..., where=take)``, which branches on every
+    element, took 99 us against 24 us for the branch-free select of the
+    same bits.
 
     The crossover, measured on blocks in which every trial that reaches
-    the floor takes: the gathered merge is the cheaper up to 37% of the
+    the best takes: the gathered merge is the cheaper up to 37% of the
     trials at 4 rows and 2500 columns, 65% at one row, and 55% and 85% at
     2 rows and 1 row of 16025 columns.  Replaying the merges of grid3 and
     sweep-deep blocks of both engines, shares from 1/2 to 1/6 gave the same
@@ -631,7 +617,6 @@ class _Best:
         finite = np.isfinite(rate)
         self.rate = np.where(finite, rate, -np.inf)
         self.id = finite.astype(np.int64) - 1
-        self.floor = self.rate - _tie_tol(self.rate)
         self._trials = np.arange(len(rate))
 
     def offer(self, rate: np.ndarray, sid0: int) -> None:
@@ -640,30 +625,30 @@ class _Best:
         Row j is the subset with index ``sid0 + j``; NaN marks a rejected
         subset, which neither sets the block maximum (``np.fmax`` skips it)
         nor passes a comparison, so it counts as no candidate, as -inf
-        would.  The block's candidate is its first rate tied with the block
-        maximum.  It replaces the best when higher by more than its own tie
-        tolerance, or when it reaches the best's floor and comes earlier in
-        ``subsets_by_size`` order, so the walk's visiting order does not
-        decide ties.  No rate is +inf, as the engines' links are at most
-        MAX_CAPACITY, so a block maximum other than NaN has a tied row.
+        would.  The block's candidate is its first rate equal to the block
+        maximum.  It replaces the best when higher, or when equal and
+        earlier in ``subsets_by_size`` order, so the walk's visiting order
+        does not decide ties.  No rate is +inf, as the engines' links are at
+        most MAX_CAPACITY, so a block maximum other than NaN has an equal
+        row.
         """
         k = len(rate)
         top = rate[0] if k == 1 else np.fmax.reduce(rate, axis=0)
-        hit = top >= self.floor
+        hit = top >= self.rate
         n_hit = np.count_nonzero(hit)
         if not n_hit:
             return
         dense = SPARSE_SHARE * n_hit >= len(hit)
         if dense:
-            best, best_id, floor = self.rate, self.id, self.floor
+            best, best_id = self.rate, self.id
         else:
             cols = hit.nonzero()[0]
             top, rate = top.take(cols), rate.take(cols, axis=1)
-            best, best_id, floor = self.rate.take(cols), self.id.take(cols), self.floor.take(cols)
+            best, best_id = self.rate.take(cols), self.id.take(cols)
         if k == 1:
             r, sid = top, sid0
         else:
-            tied = rate >= top - _tie_tol(top)
+            tied = rate == top
             # np.argmax(tied, axis=0) costs one call per trial at full
             # width; the largest rank of a tied row runs row by row.  Row j
             # has rank k - 1 - j, so the first tied row has the largest.  A
@@ -675,22 +660,16 @@ class _Best:
             flat = j * len(j)
             flat += self._trials[: len(j)]
             r, sid = np.take(rate, flat), sid0 + j
-        # where r > best, _tie_tol(r) is the tolerance of the larger rate;
-        # elsewhere r > best + tol fails for any tol >= 0.  r >= floor is
-        # the tie test r >= best - tol: where r <= best, tol is best's own
-        # tolerance, and where r > best both tests hold
-        take = r > best + _tie_tol(r)
-        take |= (r >= floor) & (sid < best_id)
+        take = r > best
+        take |= (r == best) & (sid < best_id)
         if dense:
             select = select_mask(take)  # built once for both writes
             copy_where(self.rate, r, select)
             copy_where(self.id, sid, select)
-            cols, best = slice(None), self.rate
         else:
-            cols, best = cols[take], r[take]
-            self.rate[cols] = best
+            cols = cols[take]
+            self.rate[cols] = r[take]
             self.id[cols] = sid[take] if k > 1 else sid
-        self.floor[cols] = best - _tie_tol(best)
 
 
 def batch_optimized(caps_batch: np.ndarray) -> dict[str, np.ndarray]:
@@ -847,18 +826,16 @@ def batch_equal_time(caps_batch: np.ndarray) -> dict[str, np.ndarray]:
     of what each received; a child c receives ``e[c]`` and adds row c.
 
     A node with m >= 1 relays is skipped, with its whole subtree, when its
-    ``min_chain / (m + 2)`` is below the best's floor in every trial.  A
+    ``min_chain / (m + 2)`` is below the best rate in every trial.  A
     subset below it has m' >= m + 1 relays, among them the node's own, which
     received the same ``e`` floats, so its rate min(...) / (m' + 1) is at
     most ``min_chain / (m + 2)`` in floats too: the numerators are
     nonnegative, a minimum is exact and a correctly rounded division is
     monotone.  No skipped subset can then pass either take test of
-    ``_Best.offer`` against the best held at the skip.  A trial whose
-    ``min_chain`` is NaN (from a NaN link) counts as below the floor: every
-    rate below the node is NaN there, which takes nothing.  A later tie can
-    replace a trial's best with an earlier subset at a lower rate, lowering
-    its floor, and a skipped subset could then have tied the new best;
-    ``recursive_select``'s bound makes the same assumption.  On a skip the
+    ``_Best.offer`` against the best held at the skip, nor against any
+    later best, as a trial's best rate never falls.  A trial whose
+    ``min_chain`` is NaN (from a NaN link) counts as below the best: every
+    rate below the node is NaN there, which takes nothing.  On a skip the
     id countdown moves past the C(N - last, d) subsets of each size m + d
     below the node, as the blocks of its subtree would have moved it.
 
@@ -878,8 +855,8 @@ def batch_equal_time(caps_batch: np.ndarray) -> dict[str, np.ndarray]:
     while stack:
         last, m, e_parent, a_row, min_chain = stack.pop()
         lo = last + 1
-        if m and not np.any(min_chain / (m + 2) >= best.floor):
-            # no subset below this node reaches the floor: skip them all, and
+        if m and not np.any(min_chain / (m + 2) >= best.rate):
+            # no subset below this node reaches the best: skip them all, and
             # count down the ids that their blocks of each size would take
             for d in range(1, dest - lo + 1):
                 first[m + d] -= math.comb(dest - lo, d)

@@ -14,14 +14,12 @@ from relayalloc.allocator import (
 )
 from relayalloc.rate_model import LinkCapacityMatrix, RelaySubset, mutual_informations
 from relayalloc.selector import (
-    RATE_TIE_TOL,
     _DEST_SLACK,
     InverseBlocks,
     NoFeasibleSolution,
     OptimizationOutcome,
     _beats,
     _extend_blocks,
-    _tie_tol,
     op_count,
     root_blocks,
     subsets_by_size,
@@ -74,6 +72,21 @@ def cancelling_caps(n_relays):
     if n_relays == 5:
         links.update({(0, 5): 1.0, (5, 6): 1.0})
     return caps_from_links(n_relays, links)
+
+
+def near_tie_chain_caps():
+    """N = 2 with every link symmetric.  Let p be the direct rate and
+    t = 1e-9 p: {2} rates p + 0.8t and {1, 2} rates p + 1.5t, while {1} is
+    far below.  A rule that tied rates within 1e-9 of each other would give
+    {1, 2} when the subsets come in size order and {2} when {1, 2} comes
+    first; compared exactly, {1, 2} wins at NEAR_TIE_CHAIN_RATE."""
+    return caps_from_links(2, {
+        (0, 1): 3.5885020676915973, (0, 2): 1.9909767328250298, (0, 3): 1.9909767276909591,
+        (1, 2): 5.716536492704572, (1, 3): 0.31531482911739056, (2, 3): 2.886467363491369,
+    })
+
+
+NEAR_TIE_CHAIN_RATE = 1.9909767306774244
 
 
 @pytest.fixture
@@ -182,7 +195,9 @@ def greedy_relay_relay_orders(links):
 # tree instead; these are the reference they are compared against.  The
 # solve and the slot sum add in allocator's left-to-right order, and the
 # equal-time oracle adds each receiver's links in transmitter order, so the
-# oracles' rates equal the walks' bit for bit.
+# oracles' rates equal the walks' bit for bit.  They visit the subsets in
+# ``subsets_by_size`` order and take only a strictly higher rate, so an exact
+# tie goes to the earlier subset, as the selectors' rule gives.
 
 
 def batch_brute_force(caps_batch):
@@ -224,14 +239,7 @@ def batch_brute_force(caps_batch):
             n_bad_t += bad_time
 
             rate = np.where(feasible, 1.0 / s, -np.inf)
-            tol = RATE_TIE_TOL * np.maximum(
-                1.0,
-                np.maximum(
-                    np.where(np.isfinite(best_rate), np.abs(best_rate), 0.0),
-                    np.where(np.isfinite(rate), np.abs(rate), 0.0),
-                ),
-            )
-            take = rate > best_rate + tol
+            take = rate > best_rate
             best_rate = np.where(take, rate, best_rate)
             best_size = np.where(take, m, best_size)
             best_id = np.where(take, sid, best_id)
@@ -274,13 +282,7 @@ def batch_brute_equal_time(caps_batch):
     best_id = np.full(n_trials, -1, dtype=np.int64)
     subsets = subsets_by_size(n - 2)
     for sid, (sub, rate) in enumerate(zip(subsets, equal_time_rates(caps_batch))):
-        tol = RATE_TIE_TOL * np.maximum(
-            1.0,
-            np.maximum(
-                np.where(np.isfinite(best_rate), np.abs(best_rate), 0.0), np.abs(rate)
-            ),
-        )
-        take = rate > best_rate + tol
+        take = rate > best_rate
         best_rate = np.where(take, rate, best_rate)
         best_size = np.where(take, len(sub), best_size)
         best_id = np.where(take, sid, best_id)
@@ -295,17 +297,16 @@ def full_width_offer(best_rate, best_id, rate, sid0):
 
     ``best_rate`` and ``best_id`` are updated in place with the (k, T) block
     ``rate`` of subsets ``sid0 .. sid0 + k - 1``: the block's candidate is
-    its first rate tied with the block maximum, and it replaces the best
-    when higher by more than the tie tolerance, or when tied and earlier in
-    ``subsets_by_size`` order.  The library reads only the trials whose
-    block maximum reaches its rate floor; this reads them all.
+    its first rate equal to the block maximum, and it replaces the best
+    when higher, or when equal and earlier in ``subsets_by_size`` order.
+    The library reads only the trials whose block maximum reaches the best
+    rate; this reads them all.
     """
     top = np.fmax.reduce(rate, axis=0)
-    j = np.argmax(rate >= top - _tie_tol(top), axis=0)
+    j = np.argmax(rate == top, axis=0)
     r = rate[j, np.arange(rate.shape[1])]
     sid = sid0 + j
-    tol = _tie_tol(np.maximum(r, best_rate))
-    take = (r > best_rate + tol) | ((r >= best_rate - tol) & (sid < best_id))
+    take = (r > best_rate) | ((r == best_rate) & (sid < best_id))
     np.copyto(best_rate, r, where=take)
     np.copyto(best_id, sid, where=take)
 
@@ -431,18 +432,18 @@ def recursive_select_per_node(
     skipped when the smallest of the slots its descendants inherit, the
     parent's fixed slots and the chain slot ``u``, is not positive, or when
     its slot sum ``s`` is negative, with or without a destination link.
-    An untraced walk also bounds it, against the floor computed here from
-    the best rate at the skip, when one over ``s_chain``, the sum of the
-    slots it passes on, is below that floor, or when the destination bound
-    of ``recursive_select`` is.  The library walk does each of these only
-    where it can change the outcome; its outcomes, counters and traces must
-    equal these exactly.
+    An untraced walk also bounds it when one over ``s_chain``, the sum of
+    the slots it passes on, is below the best rate at the skip, or when the
+    destination bound of ``recursive_select`` is.  The library walk does
+    each of these only where it can change the outcome; its outcomes,
+    counters and traces must equal these exactly.
 
-    ``bounded_roots``, if given, collects (subset, bound, floor) for every
-    node whose subtree is bounded: the bound is 1 / s_chain when that is
-    below the floor, else the destination bound, or -inf when no relay from
-    the node's last on has a destination link: every descendant is then
-    singular, and the subtree is bounded even before any best is found.
+    ``bounded_roots``, if given, collects (subset, bound, best rate) for
+    every node whose subtree is bounded: the bound is 1 / s_chain when that
+    is below the best rate, else the destination bound, or -inf when no
+    relay from the node's last on has a destination link: every descendant
+    is then singular, and the subtree is bounded even before any best is
+    found.
     """
     n = caps.n_relays
     dest = n + 1
@@ -491,25 +492,24 @@ def recursive_select_per_node(
                 trace.append((sub, judge(RelaySubset(sub), node_slots, s), child_blocks))
             else:
                 child_blocks = None
-            floor = best_rate - RATE_TIE_TOL * max(best_rate, 1.0)
             if skip:
                 pruned += (1 << (n - c)) - 1
                 continue
             # c and the relays after it must deliver the destination's
             # 1 - hd, each at most d_max per unit of slot
             d_max = max(a[j][dest] for j in range(c, dest))
-            if 1.0 / s_chain < floor:
+            if 1.0 / s_chain < best_rate:
                 bound = 1.0 / s_chain
             elif d_max <= SINGULARITY_TOL:
                 bound = -math.inf
             else:
                 lack = max(0.0, 1.0 - hd - _DEST_SLACK)
                 bound = (1.0 + _DEST_SLACK) / (s_chain + lack / d_max)
-            # a subtree with no destination link is singular, whatever the floor
-            if trace is None and (bound < floor or d_max <= SINGULARITY_TOL):
+            # a subtree with no destination link is singular, whatever the best
+            if trace is None and (bound < best_rate or d_max <= SINGULARITY_TOL):
                 bounded += (1 << (n - c)) - 1
                 if bounded_roots is not None:
-                    bounded_roots.append((sub, bound, floor))
+                    bounded_roots.append((sub, bound, best_rate))
             elif c < n:
                 h_child = [hk + ak * u for hk, ak in zip(h[i + 1:], row[c + 1:])]
                 visit(sub, h_child, s_chain, min(min_fixed, u), child_slots, child_blocks)

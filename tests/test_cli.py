@@ -12,7 +12,7 @@ from relayalloc.cli import instance_document, load_instance, main, parse_topolog
 from relayalloc.scenario import grid_topology
 from relayalloc.selector import worst_case_ops
 
-from conftest import cancelling_caps
+from conftest import NEAR_TIE_CHAIN_RATE, cancelling_caps, near_tie_chain_caps
 
 
 def write_json(path, doc):
@@ -60,6 +60,16 @@ class TestOptimize:
         assert report["subset"] != [1, 2]
         table = {tuple(row["subset"]): row for row in report["subsets"]}
         assert table[(1, 2)]["reject_reason"] == "singular"
+
+    def test_near_tie_chain_reports_the_highest_rate(self, tmp_path, capsys):
+        # rates are compared exactly, so {1,2}, 1.5e-9 above the direct
+        # rate, wins over {2}, 0.8e-9 above it, in the walk's order too
+        caps = near_tie_chain_caps()
+        doc = {"n_relays": 2, "capacities": caps.caps.ravel().tolist()}
+        assert main(["optimize", "--instance", write_json(tmp_path / "t.json", doc)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["subset"] == [1, 2]
+        assert report["rate"] == NEAR_TIE_CHAIN_RATE
 
     def test_generated_instance_is_deterministic(self, tmp_path, capsys):
         doc = {"topology": {"type": "linear", "n_relays": 2}, "snr_db": 10, "seed": 4}

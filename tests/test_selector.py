@@ -22,14 +22,13 @@ from relayalloc.scenario import (
     linear_topology,
     random_topology,
 )
+from relayalloc import selector
 from relayalloc.selector import (
-    RATE_TIE_TOL,
     SPARSE_SHARE,
     NoFeasibleSolution,
     _beats,
     _Best,
     _extend_blocks,
-    _tie_tol,
     batch_equal_time,
     batch_optimized,
     brute_force_select,
@@ -46,6 +45,7 @@ from relayalloc.selector import (
 )
 
 from conftest import (
+    NEAR_TIE_CHAIN_RATE,
     batch_brute_equal_time,
     batch_brute_force,
     cancelling_caps,
@@ -53,6 +53,7 @@ from conftest import (
     equal_time_rates,
     exponential_caps_batch,
     full_width_offer,
+    near_tie_chain_caps,
     recursive_select_blocks,
     recursive_select_per_node,
     symmetric_exponential_caps,
@@ -479,8 +480,9 @@ class TestExactWalk:
 
 class TestFloorBound:
     """The untraced walk skips a subtree whose chain slot sum s_chain gives
-    1 / s_chain below the best's floor, or whose destination bound is below
-    it; a traced walk never does."""
+    1 / s_chain below the best rate, or whose destination bound is below
+    it; a traced walk never does.  The best rate so far is the floor of
+    both bounds, and it never falls."""
 
     def test_strong_direct_link_bounds_every_singleton(self):
         # each source-relay link is below the direct link, so every chain
@@ -508,7 +510,7 @@ class TestFloorBound:
         # relay 1 lies between source and destination; relays 2 and 3 hear
         # the source well but reach the destination at only 0.5.  {1} wins
         # at 32/11 = 2.909.  The chain slots of {1, 2} sum to 3/16 and those
-        # of {2} to 1/4, so 1/s_chain is 5.33 and 4, above the floor.  But a
+        # of {2} to 1/4, so 1/s_chain is 5.33 and 4, above the best.  But a
         # descendant of either must still deliver 5/8 or 3/4 of a unit to
         # the destination through relays of link 0.5, which caps its rate
         # at 1/(3/16 + 5/4) = 0.696 or 1/(1/4 + 3/2) = 0.571
@@ -530,21 +532,25 @@ class TestFloorBound:
         assert [root for root, _ in roots] == [(1, 2), (2,)]
         assert [bound for _, bound in roots] == pytest.approx([16 / 23, 4 / 7], rel=1e-11)
 
-    def test_floor_within_the_slack_of_the_destination_bound_is_walked(self):
+    def test_floor_within_the_slack_of_the_destination_bound_is_walked(self, monkeypatch):
         # every relay reaches the destination at 0.5, so {1}'s subtree is
-        # bounded by about 1/(2.125 - x/4), where x is the direct link.  This
-        # x puts the direct rate's floor 4.5e-13 below that bound, relative,
-        # within the slack 1 + 2^-40 = 1 + 9.1e-13 of its numerator: the
-        # walk evaluates {1, 2}, where a bound without that slack would
-        # skip it.  The direct link wins; {1} and {1, 2} fall just below
-        # its floor, so neither skip would change the winner
-        x = 0.50000000106739
+        # bounded by 1/(2.125 - x/4), where x is the direct link.  This x
+        # puts the direct rate 4.5e-13 above that bound, relative, within
+        # the slack 1 + 2^-40 = 1 + 9.1e-13 of its numerator: the walk
+        # evaluates {1, 2}, where a bound without that slack skips it.  The
+        # direct link wins; {1} and {1, 2} rate that bound, just below x,
+        # so neither skip would change the winner
+        x = 0.50000000000024
         links = {(0, 1): 8.0, (0, 2): 4.0, (1, 2): 8.0, (1, 3): 0.5, (2, 3): 0.5, (0, 3): x}
         caps = caps_from_links(2, links)
         plain = recursive_select(caps)
         assert plain.best.subset.indices == brute_force_select(caps).best.subset.indices == ()
         assert plain.best.rate == x
         assert three_counts(plain) == (4, 0, 0)
+        monkeypatch.setattr(selector, "_DEST_SLACK", 0.0)
+        unslacked = recursive_select(caps)
+        assert unslacked.best.subset.indices == ()
+        assert three_counts(unslacked) == (3, 0, 1)
 
     def test_relays_without_destination_links_bound_without_division(self):
         # relays 2 and 3 have no destination link, so every subset whose
@@ -586,12 +592,12 @@ class TestFloorBound:
                 pass
             # each root carries the bound that skipped it: 1 / s_chain, the
             # destination bound, or -inf where no descendant is feasible
-            for root, bound, floor in roots:
+            for root, bound, best_rate in roots:
                 for sub in descendants(root, caps.n_relays):
                     res = allocate(build_rate_matrix(caps, RelaySubset(sub)), RelaySubset(sub))
                     if res.feasible:
                         n_feasible += 1
-                        assert res.rate <= bound < floor, (family, k, root, sub)
+                        assert res.rate <= bound < best_rate, (family, k, root, sub)
         assert n_feasible > 0
 
 
@@ -1069,11 +1075,12 @@ class TestBatchEngines:
 
 class TestEqualTimeBound:
     """batch_equal_time skips a node's subtree when, in every trial, the
-    least that the node's relays received over m + 2 is below the floor."""
+    least that the node's relays received over m + 2 is below the best
+    rate."""
 
     @pytest.mark.parametrize("n_relays", range(11))
     def test_single_trials_match_brute_force(self, rng, n_relays):
-        # a skip needs every trial of the stack below the floor, so one-trial
+        # a skip needs every trial of the stack below the best, so one-trial
         # stacks are where most subtrees are skipped
         for name, caps_b in oracle_cases(rng, n_relays, 50).items():
             want = batch_brute_equal_time(caps_b)
@@ -1105,12 +1112,13 @@ class TestEqualTimeBound:
     @pytest.mark.parametrize("n_relays", [2, 5, 7, 9])
     def test_subsets_below_a_skip_are_below_its_floor(self, rng, n_relays, monkeypatch):
         # the walk's pops are replayed here, and a pop whose block of
-        # children was not offered is a skip at the floor the next offer met
-        met = []  # per offer: its block's first id and the floor it met
+        # children was not offered is a skip at the best rate the next
+        # offer met
+        met = []  # per offer: its block's first id and the best rate it met
         offer = _Best.offer
 
         def recorded(best, rate, sid0):
-            met.append((sid0, best.floor.copy()))
+            met.append((sid0, best.rate.copy()))
             offer(best, rate, sid0)
 
         monkeypatch.setattr(_Best, "offer", recorded)
@@ -1121,13 +1129,13 @@ class TestEqualTimeBound:
             for k in range(len(caps_b)):
                 met.clear()
                 got = batch_equal_time(caps_b[k:k + 1])
-                events = [*met, (None, got["rate"] - _tie_tol(got["rate"]))]
+                events = [*met, (None, got["rate"])]
                 i = 0
                 nodes = [()]
                 while nodes:
                     node = nodes.pop()
                     last = node[-1] if node else 0
-                    sid0, floor = events[i]
+                    sid0, best_rate = events[i]
                     if sid0 == ids[(*node, last + 1)]:
                         i += 1
                         nodes.extend((*node, c) for c in range(last + 1, n_relays))
@@ -1135,7 +1143,7 @@ class TestEqualTimeBound:
                     assert node, "the root's block is always offered"
                     below = [ids[(*node, *more)] for d in range(1, n_relays - last + 1)
                              for more in itertools.combinations(range(last + 1, n_relays + 1), d)]
-                    assert np.all(rates[below, k] < floor), (name, k, node)
+                    assert np.all(rates[below, k] < best_rate), (name, k, node)
                     skips += 1
                 assert i == len(met), (name, k)
         assert skips
@@ -1359,9 +1367,9 @@ class TestCopyWhere:
 
 
 # Cell codes of an offered block, read against the best before the offer:
-# a multiple of the tie tolerance away from it (0.0 is an exact tie), far
+# that many ``np.nextafter`` steps away from it (0 is an exact tie), far
 # above it, far below it, or a rejected subset.
-NEAR = (-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5)
+NEAR = (-2, -1, 0, 1, 2)
 REACHING = (*NEAR, "above")
 SHORT = ("below", "-inf", "nan")
 # Cell codes of the empty subset's row: a finite rate (the trial's start
@@ -1376,7 +1384,7 @@ def offer_sequences(draw):
 
     The empty subset's row is all -inf or mixes finite, -inf and NaN
     rates.  A block has 1 to 5 rows and is one of: no trial may reach the
-    floor, one may, fewer than one in ``SPARSE_SHARE`` may (the sparse
+    best, one may, fewer than one in ``SPARSE_SHARE`` may (the sparse
     read-out), or every trial may (the dense one).  Some rows are wholly
     rejected (-inf) or NaN.
     """
@@ -1409,6 +1417,15 @@ def offer_sequences(draw):
     return n_trials, np.array(start), root, blocks
 
 
+def ulps_from(x, k):
+    """``x`` moved ``k`` floats up, or ``-k`` floats down when ``k`` < 0;
+    past the largest float it is an infinity."""
+    with np.errstate(over="ignore"):
+        for _ in range(abs(k)):
+            x = np.nextafter(x, math.copysign(math.inf, k))
+    return float(x)
+
+
 def block_rates(codes, dead, best, start):
     """The (k, T) rates a block's codes stand for, given the current best."""
     base = np.where(np.isfinite(best), best, start)
@@ -1425,7 +1442,7 @@ def block_rates(codes, dead, best, start):
             elif code == "nan":
                 rate[i, t] = np.nan
             else:
-                rate[i, t] = b + code * RATE_TIE_TOL * max(b, 1.0)
+                rate[i, t] = ulps_from(b, code)
     if dead is not None:
         rate[len(codes) // 2] = dead
     return rate
@@ -1445,8 +1462,6 @@ def test_floor_merge_equals_full_width_merge(case):
     def check():
         assert np.array_equal(best.rate, want_rate)
         assert np.array_equal(best.id, want_id)
-        # the tie test reads the floor, so it must be exactly this bound
-        assert np.array_equal(best.floor, best.rate - _tie_tol(best.rate))
 
     check()
     for codes, dead, sid0 in blocks:
@@ -1488,42 +1503,96 @@ def test_beats_is_the_merge_rule():
                 assert_beats_matches_full_width(start, list(zip(codes, sids)))
 
 
-# Rates around which the floor test is exercised: the infinities, zero, the
+# Rates around which the take test is exercised: the infinities, zero, the
 # smallest denormal and normal, ordinary rates and the largest float.
-FLOOR_RATES = (-np.inf, np.inf, 0.0, 5e-324, 1e-310, float(np.finfo(float).tiny), 1e-9, 0.5,
+BEST_RATES = (-np.inf, np.inf, 0.0, 5e-324, 1e-310, float(np.finfo(float).tiny), 1e-9, 0.5,
                1.0, 3.0, 1e3, 1e300, float(np.finfo(float).max))
 
 
 @st.composite
 def beats_offers(draw):
-    """(rate, subset, best rate, best subset): a best from FLOOR_RATES or any
-    float (-inf with the empty subset, as a search starts), and a rate a
-    multiple of the tie tolerance from it, one ulp either side of its floor,
-    or unrelated to it."""
+    """(rate, subset, best rate, best subset): a best from BEST_RATES or any
+    float (-inf with the empty subset, as a search starts), and a rate equal
+    to it, one or two ulps either side of it, or unrelated to it."""
     anything = st.floats(allow_nan=False)
     subsets = list(subsets_by_size(4))
     if draw(st.booleans()):
         best, best_sub = -np.inf, ()
     else:
-        best = draw(st.one_of(st.sampled_from(FLOOR_RATES), anything))
+        best = draw(st.one_of(st.sampled_from(BEST_RATES), anything))
         best_sub = draw(st.sampled_from(subsets))
-    floor = best - RATE_TIE_TOL * max(best, 1.0)
-    how = draw(st.sampled_from(("tolerance", "floor", "free")))
-    if how == "tolerance":
-        k = draw(st.sampled_from((-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5)))
-        rate = best + k * RATE_TIE_TOL * max(best, 1.0)
-    elif how == "floor":
-        rate = float(np.nextafter(floor, draw(st.sampled_from((-np.inf, np.inf)))))
+    if draw(st.booleans()):
+        rate = ulps_from(best, draw(st.sampled_from(NEAR)))
     else:
-        rate = draw(st.one_of(st.sampled_from(FLOOR_RATES), anything))
+        rate = draw(st.one_of(st.sampled_from(BEST_RATES), anything))
     return rate, draw(st.sampled_from(subsets)), best, best_sub
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(beats_offers())
 def test_beats_implies_the_floor(offer):
-    # recursive_select offers a rate to _beats only when it reaches this
-    # floor, so every rate that _beats takes must reach it
+    # recursive_select offers a rate to _beats only when it reaches the best
+    # rate, so every rate that _beats takes must reach it
     rate, sub, best, best_sub = offer
     if _beats(rate, sub, best, best_sub):
-        assert rate >= best - RATE_TIE_TOL * max(best, 1.0)
+        assert rate >= best
+
+
+def test_near_tie_chain_gives_every_selector_the_highest_rate():
+    caps = near_tie_chain_caps()
+    rates = {sub: allocate(build_rate_matrix(caps, RelaySubset(sub)), RelaySubset(sub)).rate
+             for sub in subsets_by_size(2)}
+    p = rates[()]
+    assert rates[(1,)] < p < rates[(2,)] < rates[(1, 2)] == NEAR_TIE_CHAIN_RATE
+    assert (rates[(2,)] - p) / p == pytest.approx(0.8e-9, rel=0.01)
+    assert (rates[(1, 2)] - p) / p == pytest.approx(1.5e-9, rel=0.01)
+    scalar = {
+        "brute force": brute_force_select,
+        "walk": recursive_select,
+        "traced walk": lambda c: recursive_select(c, trace=[]),
+        "per-node walk": recursive_select_per_node,
+        "blocks walk": recursive_select_blocks,
+    }
+    for name, select in scalar.items():
+        best = select(caps).best
+        assert best.subset.indices == (1, 2), name
+        assert best.rate == NEAR_TIE_CHAIN_RATE, name
+    for name, select in (("batched", batch_optimized), ("batched oracle", batch_brute_force)):
+        out = select(caps.caps[None])
+        assert out["best_id"].tolist() == [3], name  # {1, 2} in subsets_by_size order
+        assert out["rate"].tolist() == [NEAR_TIE_CHAIN_RATE], name
+
+
+def near_tie_offers(rng):
+    """(rate, subset) offers over a 3-relay pool, each at most four ulps or
+    a fraction of 1e-9, relative, from a common rate: exact ties, one-ulp
+    gaps and chains like ``near_tie_chain_caps``' in one list."""
+    base = float(rng.choice((0.25, 1.0, NEAR_TIE_CHAIN_RATE, 1e3)))
+    subsets = list(subsets_by_size(3))
+    picked = rng.choice(len(subsets), size=rng.integers(2, len(subsets) + 1), replace=False)
+    offers = []
+    for i in picked:
+        if rng.random() < 0.5:
+            rate = ulps_from(base, int(rng.integers(-4, 5)))
+        else:
+            rate = base * (1.0 + float(rng.choice((-1.5, -0.8, 0.0, 0.7, 0.8, 1.5))) * 1e-9)
+        offers.append((rate, subsets[i]))
+    return offers
+
+
+def test_beats_winner_does_not_depend_on_the_order():
+    # the chain of near_tie_chain_caps' rates first, in each of its six orders
+    p = 1.9909767276909591
+    chain = [(p, ()), (p * (1 + 0.8e-9), (2,)), (p * (1 + 1.5e-9), (1, 2))]
+    cases = [list(order) for order in itertools.permutations(chain)]
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        offers = near_tie_offers(rng)
+        cases.extend([offers[i] for i in rng.permutation(len(offers))] for _ in range(6))
+    for offers in cases:
+        want = min(offers, key=lambda o: (-o[0], len(o[1]), o[1]))
+        best_rate, best_sub = -math.inf, ()
+        for rate, sub in offers:
+            if _beats(rate, sub, best_rate, best_sub):
+                best_rate, best_sub = rate, sub
+        assert (best_rate, best_sub) == want, offers
