@@ -62,7 +62,7 @@ REJECT_KEYS = ("singular", "negative_rate", "nonpositive_time")
 #     peaks at under 82% of BLOCK_BYTES for N = 0..11 at S = 1 and 5;
 #   * per column (a trial at one SNR point), 16(n+1)^2: the (n, n) float64
 #     capacity stack, 8n^2, and the selectors' walk state.  That is the best
-#     rate, subset and floor and the reject counts, and for the nodes on the
+#     rate and subset and the reject counts, and for the nodes on the
 #     walk's path and the siblings waiting on its stack, their rows of h,
 #     slot sums and minima: by tracemalloc at most 8n^2 + 150 bytes, and
 #     under 8n^2 + 32n + 16 at every n measured (2..13).

@@ -4,8 +4,9 @@ Three selectors over the 2^N subsets of the relay pool:
 
 * ``brute_force_select``: builds every rate matrix from scratch and solves it
   (the reference oracle).
-* ``recursive_select``: depth-first walk of the subset tree where each child
-  subset appends one relay with a larger index.  A node carries only Python
+* ``recursive_select``: walk of the subset tree where each child subset
+  appends one relay with a larger index, and a node rates all its children
+  before it descends into any of them.  A node carries only Python
   floats: the slots fixed for its descendants and ``h[k]``, what each later
   node k receives from them.  A child's two new slots follow in O(1) and its
   ``h`` in O(N).  This is the partitioned-inverse update of the paper
@@ -16,7 +17,8 @@ Three selectors over the 2^N subsets of the relay pool:
   Without a trace it is also skipped when the slots its root passes on,
   plus the least slot time in which the relays still to come could deliver
   what the destination lacks, already sum past what the best rate so far
-  allows (see the docstring).
+  allows (see the docstring); as every sibling is rated first, that best
+  already includes them.
 * ``equal_time_select``: optimal subset choice under uniform slot durations
   (the non-optimized cooperation baseline), a one-matrix call of
   ``batch_equal_time``.
@@ -45,6 +47,7 @@ follows, so ``brute_force_select``, ``recursive_select`` and
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -249,19 +252,28 @@ def brute_force_select(caps: LinkCapacityMatrix) -> OptimizationOutcome:
     )
 
 
+@functools.cache
+def _pool_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``recursive_select``'s tables for a pool of n relays: the size of the
+    subtree below each node c, and the reported cost of one step from an
+    m-relay node to a child."""
+    return (tuple((1 << (n - c)) - 1 for c in range(n + 1)),
+            tuple(op_count(q) for q in range(1, n + 2)))
+
+
 def recursive_select(
     caps: LinkCapacityMatrix, trace: list | None = None
 ) -> OptimizationOutcome:
-    """Depth-first incremental search, equivalent to brute_force_select.
+    """Incremental search over the subset tree, equivalent to brute_force_select.
 
     Children of a subset append one relay beyond its largest index.  A node
     with chain (r1..rm) carries, as Python floats, the unnormalized slots
     fixed for all its descendants (the source and r1..r_{m-1}), which the
     winner and the trace read, their sum and minimum, and ``h[k]``, the sum
     of a[tx, k] * u_tx over those fixed transmitters; ``batch_optimized``
-    keeps the sum, the minimum and ``h`` per trial.  Appending
-    relay c fixes the slot of r_m at (1 - h[c]) / a[r_m, c] and the
-    destination row gives the child's last slot, so a child costs O(1) plus
+    keeps the sum, the minimum and ``h`` per trial.  Appending relay c
+    fixes the slot of r_m at (1 - h[c]) / a[r_m, c] and the destination
+    row gives the child's last slot, so a child costs O(1) plus
     an O(N) update of ``h``, and no matrix or result object is built per
     node.  This is the partitioned-inverse update applied to the all-ones
     vector: ``h[c]`` equals ``f_c @ chain_inv @ 1``, which ``_extend_blocks``
@@ -304,15 +316,28 @@ def recursive_select(
     each, so the bound's numerator is at most what c and the later relays
     deliver.  The slot sum, the rate's division and the bound's sum and two
     divisions are at most N + 5 roundings of relative error 2^-53, which
-    1 + σ covers.  σ = 2^13 * 2^-53 covers both while N < 4000.  When D[c] is at or below
-    SINGULARITY_TOL every descendant is singular, and the subtree is
-    bounded without a division.  A NaN or infinite ``hd`` makes
+    1 + σ covers.  σ = 2^13 * 2^-53 covers both while N < 4000.  When D[c]
+    is at or below SINGULARITY_TOL every descendant is singular, and the
+    subtree is bounded without a division.  A NaN or infinite ``hd`` makes
     max(0.0, ...) return 0.0, the first bound loosened by σ, and every
     descendant then has a NaN or negative last slot.
 
+    A node rates all its children, in index order, before it walks the
+    subtree of any of them: each child gets its verdict, may take the best,
+    and is tested for the skips above.  Its survivors, the children c < N
+    that are neither pruned nor bounded, are then walked in index order,
+    and each one's two bounds are tested again against the best just
+    before the walk descends into it.  The best never falls, so a subtree
+    bounded when its root is rated is bounded at that test too, and the
+    counts are those of the one test before descent.  A sibling's rate, and
+    the best found below an earlier sibling, can thus bound a subtree
+    before the walk enters it.  The winner is the one ``_beats`` orders
+    first, whatever the visiting order.
+
     A traced walk stays the paper's walk: it bounds nothing, so every
-    subset it does not trace is infeasible.  Every subset is evaluated,
-    pruned or bounded, so the three counts sum to 2^N.
+    subset it does not trace is infeasible, and it visits its nodes in the
+    same sibling-first order.  Every subset is evaluated, pruned or
+    bounded, so the three counts sum to 2^N.
 
     A node is feasible when ``s > 0`` and its smallest slot over ``s``
     exceeds TIME_TOL, which is ``judge``'s verdict written inline: a call per
@@ -323,7 +348,8 @@ def recursive_select(
     and slots become tuples only when the walk descends into it, it takes
     the best or it is traced, and its smallest slot is taken by comparisons
     in ``min``'s order, so NaN and signed zeros fall as they would.  The walk
-    keeps the path from the root on an explicit stack in this one frame, so
+    keeps the path from the root on an explicit stack in this one frame,
+    each node with an iterator over the survivors it has still to walk, so
     a node costs no call.  ``trace``, if given, collects (subset, result,
     blocks) triples for every node visited; only then are each node's
     ``InverseBlocks`` built and its slots passed to ``judge``.
@@ -331,14 +357,12 @@ def recursive_select(
     n = caps.n_relays
     dest = n + 1
     a = caps.caps.tolist()
-    # per node c: its destination link and the size of the subtree below it
+    # per node c: its destination link
     a_dest = [row[dest] for row in a]
-    below = [(1 << (n - c)) - 1 for c in range(n + 1)]
+    below, ops_at = _pool_tables(n)
     # dest_max[c]: the strongest destination link among relays c..N
     dest_max = [*itertools.accumulate(a_dest[n::-1], max)][::-1]
     slack, numer = _DEST_SLACK, 1.0 + _DEST_SLACK
-    # ops_at[m]: the reported cost of one step from an m-relay node to a child
-    ops_at = [op_count(q) for q in range(1, n + 2)]
     pruned = 0
     bounded = 0
     ops = 0
@@ -353,98 +377,108 @@ def recursive_select(
     if trace is not None:
         trace.append(((), judge(RelaySubset(()), best_slots, best_s), blocks))
 
-    # The node whose children are being evaluated, starting at the root.
-    # last is its chain's last node (0, the source, for the empty chain);
-    # h[i] belongs to node last + 1 + i, the last entry to the destination.
-    # Each node on the path above it waits on ``stack`` with its state and
-    # the iterator over its children, and resumes at its next child once the
-    # current subtree is done: the order of a recursive walk, in one frame.
+    # The node being walked, starting at the root.  last is its chain's
+    # last node (0, the source, for the empty chain); h[i] belongs to node
+    # last + 1 + i, the last entry to the destination.  On entry
+    # (``survivors`` None) every child is rated, and the survivors are kept
+    # with their chain slot, chain slot sum, bound and blocks.  Each node on
+    # the path above it waits on ``stack`` with its state and the iterator
+    # over its survivors, and resumes at its next survivor once the current
+    # subtree is done: the order of a recursive walk, in one frame.
     chain, last, h, slots = (), 0, [0.0] * (n + 1), ()
     s_fixed, min_fixed = 0.0, math.inf
     row = a[0]
-    h_dest, a_last_dest = h[-1], row[dest]
-    # every child is charged op, and a broken chain link takes it back
-    op = ops_at[0]
-    ops += op * n
-    children = zip(range(1, dest), h, row[1:dest])
     child_blocks = None  # built only for a trace
+    survivors = None
     stack = []
     while True:
-        for c, h_c, t11 in children:
-            if t11 <= SINGULARITY_TOL:
-                # chain link into relay c is absent: every descendant is singular
-                ops -= op
-                pruned += below[c]
-                if trace is not None:
-                    trace.append(((*chain, c), None, None))
-                continue
-            u = (1.0 - h_c) / t11
-            s_chain = s_fixed + u
-            # every descendant inherits u, and min_fixed > 0 wherever the walk is
-            skip = u <= 0.0
-            # what the destination receives from the slots passed on
-            hd = h_dest + a_last_dest * u
-            t22 = a_dest[c]
-            if t22 > SINGULARITY_TOL:
-                u_dest = (1.0 - hd) / t22
-                s = s_chain + u_dest
-                if s > 0.0:
-                    # a node that passes on a nonpositive slot is infeasible
-                    # itself, and below the best rate no verdict is needed
-                    rate = 1.0 / s
-                    if not skip and rate >= best_rate:
-                        low = min_fixed
-                        if u < low:
-                            low = u
-                        if u_dest < low:
-                            low = u_dest
-                        if low / s > TIME_TOL:
-                            sub = (*chain, c)
-                            if _beats(rate, sub, best_rate, best_sub):
-                                best_rate, best_sub, best_s = rate, sub, s
-                                best_slots = (*slots, u, u_dest)
-                elif s < 0.0:
-                    # the inherited slots alone give the destination over a unit
-                    skip = True
-            if trace is not None:
-                sub = (*chain, c)
-                child_blocks = _extend_blocks(blocks, caps.caps, dest, c)
+        if survivors is None:
+            h_dest, a_last_dest = h[-1], row[dest]
+            # every child is charged op, and a broken chain link takes it back
+            op = ops_at[len(chain)]
+            ops += op * (n - last)
+            live = []
+            for c, h_c, t11 in zip(range(last + 1, dest), h, row[last + 1:dest]):
+                if t11 <= SINGULARITY_TOL:
+                    # chain link into relay c is absent: every descendant is singular
+                    ops -= op
+                    pruned += below[c]
+                    if trace is not None:
+                        trace.append(((*chain, c), None, None))
+                    continue
+                u = (1.0 - h_c) / t11
+                s_chain = s_fixed + u
+                # every descendant inherits u, and min_fixed > 0 wherever the walk is
+                skip = u <= 0.0
+                # what the destination receives from the slots passed on
+                hd = h_dest + a_last_dest * u
+                t22 = a_dest[c]
                 if t22 > SINGULARITY_TOL:
-                    result = judge(RelaySubset(sub), (*slots, u, u_dest), s)
-                else:  # a missing destination link: singular
-                    result = judge(RelaySubset(sub), None, None)
-                trace.append((sub, result, child_blocks))
-            if skip:
-                pruned += below[c]
-            elif trace is None and c < n and (
-                1.0 / s_chain < best_rate
-                or (d := dest_max[c]) <= SINGULARITY_TOL
-                or numer / (s_chain + max(0.0, 1.0 - hd - slack) / d) < best_rate
-            ):
-                # a feasible descendant's slot sum is at least s_chain, plus
-                # the slots in which c and the relays after it can deliver
-                # the destination's 1 - hd, so none can reach the best rate
+                    u_dest = (1.0 - hd) / t22
+                    s = s_chain + u_dest
+                    if s > 0.0:
+                        # a node that passes on a nonpositive slot is infeasible
+                        # itself, and below the best rate no verdict is needed
+                        rate = 1.0 / s
+                        if not skip and rate >= best_rate:
+                            low = min_fixed
+                            if u < low:
+                                low = u
+                            if u_dest < low:
+                                low = u_dest
+                            if low / s > TIME_TOL:
+                                sub = (*chain, c)
+                                if _beats(rate, sub, best_rate, best_sub):
+                                    best_rate, best_sub, best_s = rate, sub, s
+                                    best_slots = (*slots, u, u_dest)
+                    elif s < 0.0:
+                        # the inherited slots alone give the destination over a unit
+                        skip = True
+                if trace is not None:
+                    sub = (*chain, c)
+                    child_blocks = _extend_blocks(blocks, caps.caps, dest, c)
+                    if t22 > SINGULARITY_TOL:
+                        result = judge(RelaySubset(sub), (*slots, u, u_dest), s)
+                    else:  # a missing destination link: singular
+                        result = judge(RelaySubset(sub), None, None)
+                    trace.append((sub, result, child_blocks))
+                if skip:
+                    pruned += below[c]
+                elif c < n:
+                    # a feasible descendant's slot sum is at least s_chain, plus
+                    # the slots in which c and the relays after it can deliver
+                    # the destination's 1 - hd: the tighter of the two bounds
+                    d = dest_max[c]
+                    bound = 1.0 / s_chain
+                    if d > SINGULARITY_TOL and not bound < best_rate:
+                        lack = 1.0 - hd - slack
+                        dest_bound = numer / (s_chain + (lack if lack > 0.0 else 0.0) / d)
+                        if dest_bound < bound:
+                            bound = dest_bound
+                    if trace is not None or not (bound < best_rate or d <= SINGULARITY_TOL):
+                        live.append((c, u, s_chain, bound, child_blocks))
+                    else:
+                        bounded += below[c]
+            survivors = iter(live)
+        for c, u, s_chain, bound, child_blocks in survivors:
+            if trace is None and bound < best_rate:
+                # the best rose since c was rated: a later sibling, or an earlier subtree
                 bounded += below[c]
-            elif c < n:
-                # descend into c; this node resumes at its next child
-                stack.append((children, chain, last, row, h, h_dest, a_last_dest, op,
-                              s_fixed, min_fixed, slots, blocks))
-                h = [hk + ak * u for hk, ak in zip(h[c - last:], row[c + 1:])]
-                chain, last, row = (*chain, c), c, a[c]
-                h_dest, a_last_dest = h[-1], row[dest]
-                op = ops_at[len(chain)]
-                ops += op * (n - c)
-                s_fixed = s_chain
-                if u < min_fixed:
-                    min_fixed = u
-                slots, blocks = (*slots, u), child_blocks
-                children = zip(range(c + 1, dest), h, row[c + 1:dest])
-                break
+                continue
+            # descend into c; this node resumes at its next survivor
+            stack.append((survivors, chain, last, row, h, min_fixed, slots))
+            h = [hk + ak * u for hk, ak in zip(h[c - last:], row[c + 1:])]
+            chain, last, row = (*chain, c), c, a[c]
+            s_fixed = s_chain
+            if u < min_fixed:
+                min_fixed = u
+            slots, blocks = (*slots, u), child_blocks
+            survivors = None
+            break
         else:
             if not stack:
                 break
-            (children, chain, last, row, h, h_dest, a_last_dest, op,
-             s_fixed, min_fixed, slots, blocks) = stack.pop()
+            survivors, chain, last, row, h, min_fixed, slots = stack.pop()
 
     if best_slots is None:
         raise NoFeasibleSolution("no relay subset nor direct transmission is feasible")

@@ -428,14 +428,18 @@ def recursive_select_per_node(
 
     Every visited node builds its subset and slot tuples, takes its smallest
     slot with the builtin ``min``, offers every feasible rate to ``_beats``
-    and counts itself and its operations one at a time.  Its subtree is
-    skipped when the smallest of the slots its descendants inherit, the
-    parent's fixed slots and the chain slot ``u``, is not positive, or when
-    its slot sum ``s`` is negative, with or without a destination link.
-    An untraced walk also bounds it when one over ``s_chain``, the sum of
-    the slots it passes on, is below the best rate at the skip, or when the
-    destination bound of ``recursive_select`` is.  The library walk does
-    each of these only where it can change the outcome; its outcomes,
+    and counts itself and its operations one at a time.  A node rates all
+    its children, in index order, before it walks any of their subtrees,
+    which it then walks in index order.  A child's subtree is skipped when
+    the smallest of the slots its descendants inherit, the parent's fixed
+    slots and the chain slot ``u``, is not positive, or when its slot sum
+    ``s`` is negative, with or without a destination link.  An untraced
+    walk also bounds it when one over ``s_chain``, the sum of the slots it
+    passes on, or the destination bound of ``recursive_select`` is below
+    the best rate just before the walk would descend into it, a best that
+    includes every sibling.  The library walk also tests the bounds when it
+    rates the child, which changes no count as the best never falls, and
+    does each of these only where it can change the outcome; its outcomes,
     counters and traces must equal these exactly.
 
     ``bounded_roots``, if given, collects (subset, bound, best rate) for
@@ -461,6 +465,8 @@ def recursive_select_per_node(
         last = chain[-1] if chain else 0
         row = a[last]
         op = ops_at[len(chain)]
+        # rate every child first; the ones not pruned are tested and walked after
+        rated = []
         for i, c in enumerate(range(last + 1, dest)):
             evaluated += 1
             sub = (*chain, c)
@@ -494,7 +500,9 @@ def recursive_select_per_node(
                 child_blocks = None
             if skip:
                 pruned += (1 << (n - c)) - 1
-                continue
+            else:
+                rated.append((i, c, sub, u, child_slots, s_chain, hd, child_blocks))
+        for i, c, sub, u, child_slots, s_chain, hd, child_blocks in rated:
             # c and the relays after it must deliver the destination's
             # 1 - hd, each at most d_max per unit of slot
             d_max = max(a[j][dest] for j in range(c, dest))

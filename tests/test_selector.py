@@ -214,7 +214,8 @@ class TestRecursiveSelect:
 
             trace = []
             out = recursive_select(caps, trace=trace)
-            assert [t[0] for t in trace] == [(), (1,), (1, 2), (1, 3), (2,), (2, 3), (3,)]
+            # every child is rated before the walk descends into any of them
+            assert [t[0] for t in trace] == [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3)]
             assert out.candidates_pruned == 1
             assert out.candidates_evaluated == 7
             assert out.best.subset.indices == brute_force_select(caps).best.subset.indices
@@ -551,6 +552,32 @@ class TestFloorBound:
         unslacked = recursive_select(caps)
         assert unslacked.best.subset.indices == ()
         assert three_counts(unslacked) == (3, 0, 1)
+
+    def test_a_later_sibling_bounds_an_earlier_subtree(self):
+        # relay 3 hears the source and reaches the destination at 10, so
+        # {3} wins at 1/(1/10 + 9/100) = 5.26.  {1} passes on 1/a01 = 1/2,
+        # and its bounds, 1/s_chain = 2 and 1/(1/2 + (1/2)/10) = 1.82, lie
+        # below {3}'s rate but above the direct link's 1 and {1}'s own 1:
+        # a walk that descended into {1} before rating {3} would rate
+        # {1,2}, {1,3} and {1,2,3}.  Every child is rated first, so {3}'s
+        # rate bounds {1}'s subtree and {2}'s
+        links = {(0, 1): 2.0, (0, 2): 1.0, (0, 3): 10.0, (0, 4): 1.0,
+                 (1, 2): 4.0, (1, 3): 4.0, (1, 4): 1.0, (2, 3): 4.0, (2, 4): 1.0,
+                 (3, 4): 10.0}
+        caps = caps_from_links(3, links)
+        plain = recursive_select(caps)
+        want = brute_force_select(caps)
+        assert plain.best.subset.indices == want.best.subset.indices == (3,)
+        assert plain.best.rate == want.best.rate == 1 / (1 / 10 + 9 / 100)
+        assert three_counts(plain) == (4, 0, 4)
+        assert three_counts(recursive_select(caps, trace=[])) == (8, 0, 0)
+        roots = []
+        recursive_select_per_node(caps, bounded_roots=roots)
+        assert roots == [((1,), 2.0, plain.best.rate), ((2,), 1.0, plain.best.rate)]
+        rates = {sub: allocate(build_rate_matrix(caps, RelaySubset(sub)), RelaySubset(sub))
+                 for sub in ((), (1,), (2,))}
+        # the best before {3} is rated lies below both of {1}'s bounds
+        assert max(r.rate for r in rates.values() if r.feasible) == 1.0 < 1 / (1 / 2 + 1 / 20)
 
     def test_relays_without_destination_links_bound_without_division(self):
         # relays 2 and 3 have no destination link, so every subset whose
