@@ -1,15 +1,15 @@
 # The recursive search skips every subtree below a subset that passes a
 # nonpositive slot duration on to its descendants, or whose slot sum is
 # negative, which is how the paper's algorithm "reduces the number of
-# required iterations".  Without a trace it also skips a subtree whose chain
-# slots, plus the least slot time in which the relays still to come could
-# deliver what the destination lacks, sum to more than the best rate so far
-# allows.  A node rates all its children before it descends into any of
-# them, and tests each one's bounds again just before it descends, so the
-# best so far already includes every sibling.  This prints the shares of
-# the 2^N subsets the walk evaluates, prunes as infeasible and skips by
-# those bounds, read from the counters of recursive_select's outcome, for
-# growing pools on a line and on random layouts.
+# required iterations".  It also skips a subtree whose chain slots, plus
+# the least slot time in which the relays still to come could deliver what
+# the destination lacks, sum to more than the best rate so far allows.  A
+# node rates all its children before it descends into any of them, and
+# tests each one's bounds again just before it descends, so the best so
+# far already includes every sibling.  This prints the shares of the 2^N
+# subsets the walk evaluates, prunes as infeasible and skips by those
+# bounds, read from the counters of recursive_select's outcome, for growing
+# pools on a line and on random layouts.
 
 import numpy as np
 

@@ -11,14 +11,13 @@ Three selectors over the 2^N subsets of the relay pool:
   node k receives from them.  A child's two new slots follow in O(1) and its
   ``h`` in O(N).  This is the partitioned-inverse update of the paper
   (``extend_inverse``, O(p^2) per child) applied to the all-ones vector, so
-  the inverse blocks are only built when a trace asks for them.  A subtree
-  is pruned as soon as its root passes a nonpositive slot on to its
-  descendants, or has a negative slot sum: two sign tests, no division.
-  Without a trace it is also skipped when the slots its root passes on,
-  plus the least slot time in which the relays still to come could deliver
-  what the destination lacks, already sum past what the best rate so far
-  allows (see the docstring); as every sibling is rated first, that best
-  already includes them.
+  the walk builds no inverse blocks.  A subtree is pruned as soon as its
+  root passes a nonpositive slot on to its descendants, or has a negative
+  slot sum: two sign tests, no division.  It is also skipped when the
+  slots its root passes on, plus the least slot time in which the relays
+  still to come could deliver what the destination lacks, already sum past
+  what the best rate so far allows (see the docstring); as every sibling
+  is rated first, that best already includes them.
 * ``equal_time_select``: optimal subset choice under uniform slot durations
   (the non-optimized cooperation baseline), a one-matrix call of
   ``batch_equal_time``.
@@ -261,15 +260,13 @@ def _pool_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
             tuple(op_count(q) for q in range(1, n + 2)))
 
 
-def recursive_select(
-    caps: LinkCapacityMatrix, trace: list | None = None
-) -> OptimizationOutcome:
+def recursive_select(caps: LinkCapacityMatrix) -> OptimizationOutcome:
     """Incremental search over the subset tree, equivalent to brute_force_select.
 
     Children of a subset append one relay beyond its largest index.  A node
     with chain (r1..rm) carries, as Python floats, the unnormalized slots
     fixed for all its descendants (the source and r1..r_{m-1}), which the
-    winner and the trace read, their sum and minimum, and ``h[k]``, the sum
+    winner reads, their sum and minimum, and ``h[k]``, the sum
     of a[tx, k] * u_tx over those fixed transmitters; ``batch_optimized``
     keeps the sum, the minimum and ``h`` per trial.  Appending relay c
     fixes the slot of r_m at (1 - h[c]) / a[r_m, c] and the destination
@@ -287,12 +284,12 @@ def recursive_select(
     descends only where this fails, only the slot that appending rp fixes
     needs the test.  It is also skipped when ``s < 0``: then the inherited
     slots alone give the destination more than a unit, in every descendant
-    too.  Either way the node is infeasible, so the untraced walk skips its
-    verdict.  A broken decode-chain link likewise kills the subtree.  These
-    subsets are ``candidates_pruned``: all of them are infeasible.
+    too.  Either way the node is infeasible, so the walk skips its verdict.
+    A broken decode-chain link likewise kills the subtree.  These subsets
+    are ``candidates_pruned``: all of them are infeasible.
 
-    Without a trace a subtree is also skipped, as ``candidates_bounded``,
-    when its root's chain slots, the slots it passes on, sum to ``s_chain``
+    A subtree is also skipped, as ``candidates_bounded``, when its root's
+    chain slots, the slots it passes on, sum to ``s_chain``
     with 1 / s_chain below the best rate.  A feasible descendant's slot
     sum is ``s_chain`` plus positive slots, added left to right, and
     rounding is monotone, so its rate is at most 1 / s_chain in floats too:
@@ -332,27 +329,22 @@ def recursive_select(
     counts are those of the one test before descent.  A sibling's rate, and
     the best found below an earlier sibling, can thus bound a subtree
     before the walk enters it.  The winner is the one ``_beats`` orders
-    first, whatever the visiting order.
-
-    A traced walk stays the paper's walk: it bounds nothing, so every
-    subset it does not trace is infeasible, and it visits its nodes in the
-    same sibling-first order.  Every subset is evaluated, pruned or
-    bounded, so the three counts sum to 2^N.
+    first, whatever the visiting order.  Every subset is evaluated, pruned
+    or bounded, so the three counts sum to 2^N.
 
     A node is feasible when ``s > 0`` and its smallest slot over ``s``
     exceeds TIME_TOL, which is ``judge``'s verdict written inline: a call per
     node would cost more than the node.  A node is judged, and offered to
     ``_beats``, only when its rate reaches the best rate, as ``_Best``
     filters its merge: a lower rate can neither win nor tie, so the filter
-    is exact.  A node's subset
-    and slots become tuples only when the walk descends into it, it takes
-    the best or it is traced, and its smallest slot is taken by comparisons
-    in ``min``'s order, so NaN and signed zeros fall as they would.  The walk
-    keeps the path from the root on an explicit stack in this one frame,
-    each node with an iterator over the survivors it has still to walk, so
-    a node costs no call.  ``trace``, if given, collects (subset, result,
-    blocks) triples for every node visited; only then are each node's
-    ``InverseBlocks`` built and its slots passed to ``judge``.
+    is exact.  A node's subset and slots become tuples only when the walk
+    descends into it or it takes the best, and its smallest slot is taken
+    by comparisons in ``min``'s order, so NaN and signed zeros fall as they
+    would.  The walk keeps the path from the root on an explicit stack in
+    this one frame, each node with an iterator over the survivors it has
+    still to walk, so a node costs no call, and it builds no
+    ``InverseBlocks``: ``extend_inverse`` and ``extend_solution`` give any
+    one node's blocks and verdict.
     """
     n = caps.n_relays
     dest = n + 1
@@ -370,25 +362,21 @@ def recursive_select(
     best_rate, best_sub, best_slots, best_s = -math.inf, (), None, None
 
     direct = a[0][dest]
-    blocks = root_blocks(caps) if trace is not None else None
     if direct > SINGULARITY_TOL:
         u = 1.0 / direct
         best_rate, best_sub, best_slots, best_s = 1.0 / u, (), (u,), u
-    if trace is not None:
-        trace.append(((), judge(RelaySubset(()), best_slots, best_s), blocks))
 
     # The node being walked, starting at the root.  last is its chain's
     # last node (0, the source, for the empty chain); h[i] belongs to node
     # last + 1 + i, the last entry to the destination.  On entry
     # (``survivors`` None) every child is rated, and the survivors are kept
-    # with their chain slot, chain slot sum, bound and blocks.  Each node on
+    # with their chain slot, chain slot sum and bound.  Each node on
     # the path above it waits on ``stack`` with its state and the iterator
     # over its survivors, and resumes at its next survivor once the current
     # subtree is done: the order of a recursive walk, in one frame.
     chain, last, h, slots = (), 0, [0.0] * (n + 1), ()
     s_fixed, min_fixed = 0.0, math.inf
     row = a[0]
-    child_blocks = None  # built only for a trace
     survivors = None
     stack = []
     while True:
@@ -403,8 +391,6 @@ def recursive_select(
                     # chain link into relay c is absent: every descendant is singular
                     ops -= op
                     pruned += below[c]
-                    if trace is not None:
-                        trace.append(((*chain, c), None, None))
                     continue
                 u = (1.0 - h_c) / t11
                 s_chain = s_fixed + u
@@ -434,14 +420,6 @@ def recursive_select(
                     elif s < 0.0:
                         # the inherited slots alone give the destination over a unit
                         skip = True
-                if trace is not None:
-                    sub = (*chain, c)
-                    child_blocks = _extend_blocks(blocks, caps.caps, dest, c)
-                    if t22 > SINGULARITY_TOL:
-                        result = judge(RelaySubset(sub), (*slots, u, u_dest), s)
-                    else:  # a missing destination link: singular
-                        result = judge(RelaySubset(sub), None, None)
-                    trace.append((sub, result, child_blocks))
                 if skip:
                     pruned += below[c]
                 elif c < n:
@@ -455,13 +433,13 @@ def recursive_select(
                         dest_bound = numer / (s_chain + (lack if lack > 0.0 else 0.0) / d)
                         if dest_bound < bound:
                             bound = dest_bound
-                    if trace is not None or not (bound < best_rate or d <= SINGULARITY_TOL):
-                        live.append((c, u, s_chain, bound, child_blocks))
-                    else:
+                    if bound < best_rate or d <= SINGULARITY_TOL:
                         bounded += below[c]
+                    else:
+                        live.append((c, u, s_chain, bound))
             survivors = iter(live)
-        for c, u, s_chain, bound, child_blocks in survivors:
-            if trace is None and bound < best_rate:
+        for c, u, s_chain, bound in survivors:
+            if bound < best_rate:
                 # the best rose since c was rated: a later sibling, or an earlier subtree
                 bounded += below[c]
                 continue
@@ -472,7 +450,7 @@ def recursive_select(
             s_fixed = s_chain
             if u < min_fixed:
                 min_fixed = u
-            slots, blocks = (*slots, u), child_blocks
+            slots = (*slots, u)
             survivors = None
             break
         else:

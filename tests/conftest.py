@@ -21,6 +21,7 @@ from relayalloc.selector import (
     _beats,
     _extend_blocks,
     op_count,
+    recursive_select,
     root_blocks,
     subsets_by_size,
 )
@@ -422,7 +423,8 @@ def recursive_select_blocks(
 
 
 def recursive_select_per_node(
-    caps: LinkCapacityMatrix, trace: list | None = None, bounded_roots: list | None = None
+    caps: LinkCapacityMatrix, trace: list | None = None, bounded_roots: list | None = None,
+    pruned_roots: list | None = None,
 ) -> OptimizationOutcome:
     """The float walk of ``selector.recursive_select`` in its plain form.
 
@@ -439,15 +441,22 @@ def recursive_select_per_node(
     the best rate just before the walk would descend into it, a best that
     includes every sibling.  The library walk also tests the bounds when it
     rates the child, which changes no count as the best never falls, and
-    does each of these only where it can change the outcome; its outcomes,
-    counters and traces must equal these exactly.
+    does each of these only where it can change the outcome; its outcomes
+    and counters must equal the untraced walk's exactly.  A traced walk
+    bounds nothing: it is the paper's walk, the one ``recursive_select_blocks``
+    takes, with the same counters and nodes, visited sibling-first.
+
+    ``trace``, if given, collects (subset, result, blocks) triples for every
+    node visited, its blocks built with ``_extend_blocks``.
 
     ``bounded_roots``, if given, collects (subset, bound, best rate) for
     every node whose subtree is bounded: the bound is 1 / s_chain when that
     is below the best rate, else the destination bound, or -inf when no
     relay from the node's last on has a destination link: every descendant
     is then singular, and the subtree is bounded even before any best is
-    found.
+    found.  ``pruned_roots``, if given, collects the subset of every node
+    whose subtree an untraced walk prunes, so the subsets below the roots
+    number ``candidates_pruned``.
     """
     n = caps.n_relays
     dest = n + 1
@@ -475,6 +484,8 @@ def recursive_select_per_node(
                 pruned += (1 << (n - c)) - 1
                 if trace is not None:
                     trace.append((sub, None, None))
+                elif pruned_roots is not None:
+                    pruned_roots.append(sub)
                 continue
             ops += op
             u = (1.0 - h[i]) / t11
@@ -500,6 +511,8 @@ def recursive_select_per_node(
                 child_blocks = None
             if skip:
                 pruned += (1 << (n - c)) - 1
+                if trace is None and pruned_roots is not None:
+                    pruned_roots.append(sub)
             else:
                 rated.append((i, c, sub, u, child_slots, s_chain, hd, child_blocks))
         for i, c, sub, u, child_slots, s_chain, hd, child_blocks in rated:
@@ -538,3 +551,47 @@ def recursive_select_per_node(
         candidates_evaluated=evaluated, candidates_pruned=pruned,
         candidates_bounded=bounded, op_count_reported=ops,
     )
+
+
+# -- comparing walks ----------------------------------------------------------------
+
+
+def result_key(result):
+    """Every field of an AllocationResult, its slot durations as bytes."""
+    if result is None:
+        return None
+    times = None if result.times is None else result.times.t.tobytes()
+    return (result.subset.indices, times, result.rate, result.feasible,
+            result.reject_reason, result.reject_index)
+
+
+def walk_outcome(select, caps, **kwargs):
+    """The winner's fields and the four counters, or the NoFeasibleSolution."""
+    try:
+        out = select(caps, **kwargs)
+    except NoFeasibleSolution as exc:
+        return ("no feasible subset", str(exc))
+    return (result_key(out.best), out.candidates_evaluated, out.candidates_pruned,
+            out.candidates_bounded, out.op_count_reported)
+
+
+def paper_walk(caps, walk=recursive_select_per_node):
+    """The trace of the paper's walk on ``caps`` and its outcome, None when
+    no subset is feasible.
+
+    The paper's walk bounds nothing, so every subset it does not trace lies
+    below a pruned node, and must be infeasible.  ``walk`` is ``recursive_select_per_node``,
+    whose traced verdicts come from the float recurrence of
+    ``recursive_select``, or ``recursive_select_blocks``, which extends and
+    judges ``InverseBlocks`` in preorder.  Either way the library walk's
+    outcome and four counters must first equal the untraced per-node
+    walk's exactly.
+    """
+    want = walk_outcome(recursive_select_per_node, caps)
+    assert walk_outcome(recursive_select, caps) == want
+    trace = []
+    try:
+        outcome = walk(caps, trace=trace)
+    except NoFeasibleSolution:
+        outcome = None
+    return trace, outcome

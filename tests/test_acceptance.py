@@ -28,6 +28,8 @@ from relayalloc.selector import (
 from conftest import (
     batch_brute_force,
     exponential_caps_batch,
+    paper_walk,
+    recursive_select_blocks,
     symmetric_exponential_caps,
     verify_equalization,
 )
@@ -149,8 +151,7 @@ def test_criterion_4_incremental_inverse_identity():
         rng = np.random.default_rng(4004)
         for _ in range(100):
             caps = symmetric_exponential_caps(rng, 6)
-            trace = []
-            recursive_select(caps, trace=trace)
+            trace, _ = paper_walk(caps, recursive_select_blocks)
             checked = 0
             for sub, _result, blocks in trace:
                 if blocks is None or blocks.dest_row is None:
@@ -168,8 +169,8 @@ def test_criterion_5_prune_soundness():
         pruned_total = 0
         for _ in range(500):
             caps = symmetric_exponential_caps(rng, 6)
-            trace = []
-            outcome = recursive_select(caps, trace=trace)
+            # the paper's walk bounds nothing: every subset it skips is pruned
+            trace, outcome = paper_walk(caps)
             visited = {t[0] for t in trace}
             skipped = [s for s in subsets_by_size(6) if s not in visited]
             assert len(skipped) == outcome.candidates_pruned

@@ -26,7 +26,12 @@ from relayalloc.rate_model import (
 )
 from relayalloc.selector import brute_force_select, recursive_select, subsets_by_size
 
-from conftest import reference_judge, symmetric_exponential_caps, verify_equalization
+from conftest import (
+    paper_walk,
+    reference_judge,
+    symmetric_exponential_caps,
+    verify_equalization,
+)
 
 
 def rm(entries):
@@ -113,8 +118,8 @@ class TestAllocate:
             r = allocate(build_rate_matrix(lcm, RelaySubset(other)), RelaySubset(other))
             assert r.times is None or np.all(np.isfinite(r.times.t)), other
         brute = brute_force_select(lcm)
-        trace = []
-        walk = recursive_select(lcm, trace=trace)
+        walk = recursive_select(lcm)
+        trace, _ = paper_walk(lcm)
         assert walk.best.subset == brute.best.subset
         assert walk.best.rate == pytest.approx(brute.best.rate, rel=1e-9)
         for _sub, result, _blocks in trace:

@@ -54,9 +54,11 @@ from conftest import (
     exponential_caps_batch,
     full_width_offer,
     near_tie_chain_caps,
+    paper_walk,
     recursive_select_blocks,
     recursive_select_per_node,
     symmetric_exponential_caps,
+    walk_outcome,
 )
 
 
@@ -170,20 +172,19 @@ class TestRecursiveSelect:
         assert res12.reject_reason is RejectReason.NEGATIVE_RATE  # the engineered violation
         assert res12.rate < 0
 
-        trace = []
-        out = recursive_select(caps, trace=trace)
+        trace, out = paper_walk(caps)
         visited = {t[0] for t in trace}
         assert (1, 2) in visited
         assert (1, 2, 3) not in visited
         assert out.candidates_pruned > 0
-        assert out.best.subset.indices == brute_force_select(caps).best.subset.indices
+        want = brute_force_select(caps).best.subset
+        assert out.best.subset == recursive_select(caps).best.subset == want
 
     def test_pruned_subsets_are_all_infeasible(self, rng):
         # shadow check of the subtree-pruning rule
         for _ in range(50):
             caps = symmetric_exponential_caps(rng, 6)
-            trace = []
-            recursive_select(caps, trace=trace)
+            trace, _ = paper_walk(caps)
             for sub in skipped_subsets(caps, trace):
                 res = allocate(build_rate_matrix(caps, RelaySubset(sub)), RelaySubset(sub))
                 assert not res.feasible, f"pruned subset {sub} was feasible"
@@ -212,13 +213,13 @@ class TestRecursiveSelect:
             sub123 = RelaySubset((1, 2, 3))
             assert not allocate(build_rate_matrix(caps, sub123), sub123).feasible
 
-            trace = []
-            out = recursive_select(caps, trace=trace)
+            trace, out = paper_walk(caps)
             # every child is rated before the walk descends into any of them
             assert [t[0] for t in trace] == [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3)]
             assert out.candidates_pruned == 1
             assert out.candidates_evaluated == 7
-            assert out.best.subset.indices == brute_force_select(caps).best.subset.indices
+            want = brute_force_select(caps).best.subset
+            assert out.best.subset == recursive_select(caps).best.subset == want
 
     @pytest.mark.parametrize("family", ["fading", "masked", "integer"])
     def test_skipped_subsets_are_infeasible(self, rng, family):
@@ -230,11 +231,7 @@ class TestRecursiveSelect:
             cases = scalar_cases(rng, family, max_relays=7)
         n_skipped = 0
         for k, caps in enumerate(cases):
-            trace = []
-            try:
-                recursive_select(caps, trace=trace)
-            except NoFeasibleSolution:
-                pass
+            trace, _ = paper_walk(caps)
             for sub in skipped_subsets(caps, trace):
                 res = allocate(build_rate_matrix(caps, RelaySubset(sub)), RelaySubset(sub))
                 assert not res.feasible, (family, k, sub)
@@ -244,11 +241,7 @@ class TestRecursiveSelect:
     def test_skipped_extreme_subsets_are_infeasible(self, extreme_instances):
         n_skipped = 0
         for k, (caps, verdicts) in enumerate(extreme_instances):
-            trace = []
-            try:
-                recursive_select(caps, trace=trace)
-            except NoFeasibleSolution:
-                pass
+            trace, _ = paper_walk(caps)
             for sub in skipped_subsets(caps, trace):
                 assert not verdicts[sub].feasible, (k, sub)
                 n_skipped += 1
@@ -261,11 +254,7 @@ class TestRecursiveSelect:
         cases = fading_pools() if family == "fading" else scalar_cases(rng, family)
         n_cut = 0
         for k, caps in enumerate(cases):
-            trace = []
-            try:
-                recursive_select(caps, trace=trace)
-            except NoFeasibleSolution:
-                pass
+            trace, _ = paper_walk(caps)
             visited = [t[0] for t in trace]
             for sub, _result, blocks in trace:
                 if blocks is None:  # broken decode chain
@@ -276,6 +265,37 @@ class TestRecursiveSelect:
                     below = [v for v in visited if len(v) > p and v[:p] == sub]
                     assert not below, (family, k, sub, below)
         assert n_cut > 0
+
+    @pytest.mark.parametrize(
+        "family", ["fading", "exponential", "masked", "integer", "extreme"])
+    def test_pruned_roots_of_the_bounded_walk_have_no_feasible_descendant(
+            self, rng, family, request):
+        # the walk that runs prunes and bounds in one pass: every subset it
+        # prunes lies below a pruned root and is infeasible by allocate
+        if family == "fading":
+            cases = [(caps, None) for caps in fading_pools()]
+        elif family == "extreme":
+            cases = request.getfixturevalue("extreme_instances")
+        else:
+            cases = [(caps, None) for caps in scalar_cases(rng, family, max_relays=7)]
+        n_pruned = 0
+        for k, (caps, verdicts) in enumerate(cases):
+            roots = []
+            want = walk_outcome(recursive_select_per_node, caps, pruned_roots=roots)
+            assert walk_outcome(recursive_select, caps) == want, (family, k)
+            below = [sub for root in roots for sub in descendants(root, caps.n_relays)]
+            # the roots' subtrees are disjoint and hold every pruned subset
+            assert len(set(below)) == len(below), (family, k)
+            if want[0] != "no feasible subset":
+                assert len(below) == want[2], (family, k)
+            for sub in below:
+                if verdicts is None:
+                    res = allocate(build_rate_matrix(caps, RelaySubset(sub)), RelaySubset(sub))
+                else:
+                    res = verdicts[sub]
+                assert not res.feasible, (family, k, sub)
+            n_pruned += len(below)
+        assert n_pruned > 0
 
     def test_no_feasible_solution(self):
         with pytest.raises(NoFeasibleSolution):
@@ -297,8 +317,8 @@ class TestFloatWalk:
             got = recursive_select(caps)
             assert got.best.subset == want.best.subset
             assert got.best.rate == pytest.approx(want.best.rate, rel=1e-12, abs=0)
-            # the blocks oracle is the paper's walk, which the traced walk keeps
-            traced = recursive_select(caps, trace=[])
+            # the blocks oracle is the paper's walk, which the traced per-node walk takes
+            traced = recursive_select_per_node(caps, trace=[])
             assert counters(traced) == counters(want)
             assert sum(three_counts(got)) == 2**caps.n_relays
             assert got.candidates_evaluated <= traced.candidates_evaluated
@@ -372,30 +392,10 @@ class TestFloatWalk:
             if name == "chain":
                 assert got.subset.indices == tuple(range(1, n - 1)), where
 
-    @pytest.mark.parametrize("family", ["exponential", "masked", "integer"])
-    def test_trace_changes_no_outcome(self, rng, family):
-        for caps in scalar_cases(rng, family, max_relays=7):
-            try:
-                plain = recursive_select(caps)
-            except NoFeasibleSolution:
-                with pytest.raises(NoFeasibleSolution):
-                    recursive_select(caps, trace=[])
-                continue
-            trace = []
-            traced = recursive_select(caps, trace=trace)
-            assert traced.best.subset == plain.best.subset
-            assert traced.best.rate == plain.best.rate
-            np.testing.assert_array_equal(traced.best.times.t, plain.best.times.t)
-            # a traced walk visits every subtree the paper's walk does
-            assert traced.candidates_bounded == 0
-            assert len(trace) == traced.candidates_evaluated
-            assert sum(three_counts(plain)) == 2**caps.n_relays
-
     @pytest.mark.parametrize("family", ["exponential", "masked"])
     def test_traced_verdicts_match_allocate(self, rng, family):
         for caps in scalar_cases(rng, family, max_relays=7):
-            trace = []
-            recursive_select(caps, trace=trace)
+            trace, _ = paper_walk(caps)
             for sub, result, _blocks in trace:
                 ref = allocate(build_rate_matrix(caps, RelaySubset(sub)), RelaySubset(sub))
                 if result is None:  # broken decode chain
@@ -454,7 +454,7 @@ def near_bound_instances():
 
 class TestExactWalk:
     """recursive_select against the per-node walk it was derived from: the
-    same outcome, slot bytes, counters and trace on every instance."""
+    same outcome, slot bytes and counters on every instance."""
 
     @pytest.mark.parametrize("family", ["fading", "exponential", "masked", "integer"])
     def test_equals_per_node_oracle(self, rng, family):
@@ -464,26 +464,21 @@ class TestExactWalk:
             want = walk_outcome(recursive_select_per_node, caps)
             assert walk_outcome(recursive_select, caps) == want, where
             if k % 4 == 0:
-                want_trace, got_trace = [], []
-                # a traced walk counts as the paper's walk, with the same winner
-                want_traced = walk_outcome(recursive_select_per_node, caps, want_trace)
-                assert want_traced[0] == want[0], where
-                assert walk_outcome(recursive_select, caps, got_trace) == want_traced, where
-                assert trace_key(got_trace) == trace_key(want_trace), where
+                # the paper's walk, which bounds nothing, finds the same winner
+                paper = walk_outcome(recursive_select_per_node, caps, trace=[])
+                assert paper[0] == want[0], where
 
     def test_extreme_magnitudes_equal_per_node_oracle(self, extreme_instances):
         for k, (caps, _) in enumerate(extreme_instances[:400]):
-            want_trace, got_trace = [], []
-            want = walk_outcome(recursive_select_per_node, caps, want_trace)
-            assert walk_outcome(recursive_select, caps, got_trace) == want, k
-            assert trace_key(got_trace) == trace_key(want_trace), k
+            want = walk_outcome(recursive_select_per_node, caps)
+            assert walk_outcome(recursive_select, caps) == want, k
 
 
 class TestFloorBound:
-    """The untraced walk skips a subtree whose chain slot sum s_chain gives
+    """The walk skips a subtree whose chain slot sum s_chain gives
     1 / s_chain below the best rate, or whose destination bound is below
-    it; a traced walk never does.  The best rate so far is the floor of
-    both bounds, and it never falls."""
+    it; the paper's walk (``recursive_select_blocks``) never does.  The
+    best rate so far is the floor of both bounds, and it never falls."""
 
     def test_strong_direct_link_bounds_every_singleton(self):
         # each source-relay link is below the direct link, so every chain
@@ -499,13 +494,13 @@ class TestFloorBound:
                 links[(r, q)] = 3.0
         caps = caps_from_links(n_relays, links)
         trace = []
-        traced = recursive_select(caps, trace=trace)
+        paper = recursive_select_blocks(caps, trace=trace)
         plain = recursive_select(caps)
         assert plain.best.subset.indices == ()
-        assert plain.best.rate == traced.best.rate == 10.0
+        assert plain.best.rate == paper.best.rate == 10.0
         assert three_counts(plain) == (n_relays + 1, 0, 2**n_relays - n_relays - 1)
-        assert traced.candidates_bounded == 0
-        assert len(trace) == traced.candidates_evaluated > n_relays + 1
+        assert paper.candidates_bounded == 0
+        assert len(trace) == paper.candidates_evaluated > n_relays + 1
 
     def test_destination_bound_skips_what_the_chain_bound_does_not(self):
         # relay 1 lies between source and destination; relays 2 and 3 hear
@@ -526,7 +521,7 @@ class TestFloorBound:
         np.testing.assert_array_equal(plain.best.times.t, want.best.times.t)
         # {1, 2, 3} and {2, 3} are bounded; both are feasible
         assert three_counts(plain) == (6, 0, 2)
-        assert three_counts(recursive_select(caps, trace=[])) == (8, 0, 0)
+        assert three_counts(recursive_select_blocks(caps)) == (8, 0, 0)
         roots = []
         recursive_select_per_node(caps, bounded_roots=roots)
         roots = [(root, bound) for root, bound, _ in roots if root[-1] < 3]
@@ -570,7 +565,7 @@ class TestFloorBound:
         assert plain.best.subset.indices == want.best.subset.indices == (3,)
         assert plain.best.rate == want.best.rate == 1 / (1 / 10 + 9 / 100)
         assert three_counts(plain) == (4, 0, 4)
-        assert three_counts(recursive_select(caps, trace=[])) == (8, 0, 0)
+        assert three_counts(recursive_select_blocks(caps)) == (8, 0, 0)
         roots = []
         recursive_select_per_node(caps, bounded_roots=roots)
         assert roots == [((1,), 2.0, plain.best.rate), ((2,), 1.0, plain.best.rate)]
@@ -593,7 +588,7 @@ class TestFloorBound:
         assert plain.best.subset.indices == want.best.subset.indices == (1,)
         assert plain.best.rate == want.best.rate == 8 / 7
         assert three_counts(plain) == (6, 0, 2)
-        assert three_counts(recursive_select(caps, trace=[])) == (8, 0, 0)
+        assert three_counts(recursive_select_blocks(caps)) == (8, 0, 0)
         roots = []
         recursive_select_per_node(caps, bounded_roots=roots)
         # {2} is bounded by its chain slot: 1/s_chain = 1 < 8/7
@@ -634,36 +629,6 @@ def descendants(root, n_relays):
     for m in range(1, len(rest) + 1):
         for tail in itertools.combinations(rest, m):
             yield (*root, *tail)
-
-
-def result_key(result):
-    """Every field of an AllocationResult, its slot durations as bytes."""
-    if result is None:
-        return None
-    times = None if result.times is None else result.times.t.tobytes()
-    return (result.subset.indices, times, result.rate, result.feasible,
-            result.reject_reason, result.reject_index)
-
-
-def trace_key(trace):
-    """A trace's subsets, results and inverse blocks, arrays as bytes."""
-    def blocks_key(b):
-        if b is None:
-            return None
-        dest_row = None if b.dest_row is None else b.dest_row.tobytes()
-        return (b.subset, b.chain_inv.tobytes(), dest_row, b.u_chain.tobytes())
-
-    return [(sub, result_key(res), blocks_key(b)) for sub, res, b in trace]
-
-
-def walk_outcome(select, caps, trace=None):
-    """The winner's fields and the four counters, or the NoFeasibleSolution."""
-    try:
-        out = select(caps, trace)
-    except NoFeasibleSolution as exc:
-        return ("no feasible subset", str(exc))
-    return (result_key(out.best), out.candidates_evaluated, out.candidates_pruned,
-            out.candidates_bounded, out.op_count_reported)
 
 
 def fading_pools():
@@ -716,11 +681,7 @@ class TestExtremeMagnitudes:
 
     def test_traced_verdicts_match_allocate(self, extreme_instances):
         for k, (caps, verdicts) in enumerate(extreme_instances):
-            trace = []
-            try:
-                recursive_select(caps, trace=trace)
-            except NoFeasibleSolution:
-                pass
+            trace, _ = paper_walk(caps)
             for sub, result, _blocks in trace:
                 if result is not None:  # None: a broken decode chain
                     assert result.feasible == verdicts[sub].feasible, (k, sub)
@@ -768,8 +729,7 @@ class TestExtendInverse:
 
     def test_identity_along_every_tree_path(self, rng):
         caps = symmetric_exponential_caps(rng, 5)
-        trace = []
-        recursive_select(caps, trace=trace)
+        trace, _ = paper_walk(caps, recursive_select_blocks)
         for sub, _result, blocks in trace:
             if blocks is None or blocks.dest_row is None or not sub:
                 continue
@@ -805,7 +765,7 @@ class TestExtendInverse:
             blocks = extend_inverse(root_blocks(caps), caps, 1)
             plain = recursive_select(caps)
             trace = []
-            traced = recursive_select(caps, trace=trace)
+            traced = recursive_select_per_node(caps, trace=trace)
         assert blocks.dest_row[-1] == 1e250
         assert plain.best.subset.indices == (2,)
         assert traced.best.subset == plain.best.subset
@@ -836,8 +796,7 @@ class TestExtendSolution:
         seen = set()
         for _ in range(40):
             caps = symmetric_exponential_caps(rng, 6)
-            trace = []
-            recursive_select(caps, trace=trace)
+            trace, _ = paper_walk(caps, recursive_select_blocks)
             for sub, _result, blocks in trace:
                 if blocks is None or not sub:
                     continue
@@ -869,8 +828,7 @@ class TestExtendSolution:
         seen = 0
         for _ in range(50):
             caps = symmetric_exponential_caps(rng, 5)
-            trace = []
-            recursive_select(caps, trace=trace)
+            trace, _ = paper_walk(caps)
             for _sub, result, _blocks in trace:
                 if result is not None and result.reject_reason is RejectReason.NEGATIVE_RATE:
                     assert not result.feasible
@@ -1257,7 +1215,7 @@ def singular_cases(rng, n_relays, n_draws):
 
 
 def skipped_subsets(caps, trace):
-    """The subsets of the pool that a traced walk did not evaluate."""
+    """The subsets of the pool that a traced walk did not visit."""
     visited = {t[0] for t in trace}
     return [sub for sub in subsets_by_size(caps.n_relays) if sub not in visited]
 
@@ -1576,7 +1534,6 @@ def test_near_tie_chain_gives_every_selector_the_highest_rate():
     scalar = {
         "brute force": brute_force_select,
         "walk": recursive_select,
-        "traced walk": lambda c: recursive_select(c, trace=[]),
         "per-node walk": recursive_select_per_node,
         "blocks walk": recursive_select_blocks,
     }
