@@ -1,7 +1,9 @@
-# The subset search never inverts a rate matrix from scratch: appending a
-# relay extends the parent's inverse with two block rows in O(p^2).  This
-# walks one extension chain, checks it against fresh inversions, and prints
-# the operation-count model.
+# The paper's partitioned-inverse update: appending a relay extends the
+# parent's inverse with two block rows in O(p^2), with no inversion from
+# scratch.  The subset search carries that extension applied to the
+# all-ones vector, h[k] = f_k @ chain_inv @ 1 per later node k, so it builds
+# no blocks.  This walks one extension chain with extend_inverse, checks it
+# against fresh inversions, and prints the operation-count model.
 
 import numpy as np
 

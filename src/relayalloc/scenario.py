@@ -77,12 +77,16 @@ class FadingParams:
 
     def __post_init__(self):
         lam = np.array(self.lam, dtype=float)  # copied: the caller's array stays writeable
-        n = lam.shape[0]
-        if lam.ndim != 2 or lam.shape != (n, n):
+        if lam.ndim != 2 or lam.shape[0] != lam.shape[1]:
             raise ValueError(f"lambda matrix must be square, got {lam.shape}")
-        off = ~np.eye(n, dtype=bool)
-        if np.any(lam[off] <= 0):
-            raise ValueError("off-diagonal lambda entries must be positive")
+        off = lam[~np.eye(lam.shape[0], dtype=bool)]
+        # as from fading_params; a NaN fails here, before the symmetry test
+        with np.errstate(divide="ignore", over="ignore"):
+            if not np.all((off > 0) & np.isfinite(off) & np.isfinite(1.0 / off)):
+                raise ValueError(
+                    "off-diagonal lambda entries must be positive and finite, "
+                    "with a finite mean power 1/lambda"
+                )
         if not np.allclose(lam, lam.T):
             raise ValueError("lambda matrix must be symmetric")
         lam.setflags(write=False)
@@ -360,7 +364,9 @@ def instantaneous_orders(links: np.ndarray, scheme: NumberingScheme) -> np.ndarr
         order[:, -1] = np.argmin(taken, axis=1)
         order += 1
         return order
-    raise ValueError(f"unknown numbering scheme {scheme!r}")
+    raise ValueError(
+        f"instantaneous_orders needs an instantaneous numbering scheme, got {scheme.value}"
+    )
 
 
 def _average_order(topo: Topology, serpentine: bool) -> tuple[int, ...]:

@@ -120,6 +120,38 @@ def verify_equalization(rm, result):
     return float(np.max(np.abs(info - result.rate)))
 
 
+# -- counted partitioned-inverse extension ----------------------------------------
+
+
+def counted_extension(chain_inv, f_new, f_dest, t11, t21, t22):
+    """Mirror of the O(p^2) extension with explicit scalar operation counting.
+
+    Returns (new bottom rows of the inverse, ops) where ops counts every
+    scalar multiply, divide, add, and subtract.
+    """
+    p = chain_inv.shape[0]
+    ops = 0
+    fb_new = np.zeros(p)
+    fb_dest = np.zeros(p)
+    for j in range(p):
+        for i in range(p):
+            fb_new[j] += f_new[i] * chain_inv[i, j]
+            fb_dest[j] += f_dest[i] * chain_inv[i, j]
+            ops += 4
+    # T2 inverse: [[1/a, 0], [-c/(a*b), 1/b]]
+    inv_a = 1.0 / t11
+    inv_b = 1.0 / t22
+    cross = -t21 * inv_a * inv_b
+    ops += 4
+    g_new = np.zeros(p)
+    g_dest = np.zeros(p)
+    for j in range(p):
+        g_new[j] = -inv_a * fb_new[j]
+        g_dest[j] = -(cross * fb_new[j] + inv_b * fb_dest[j])
+        ops += 4
+    return g_new, g_dest, cross, inv_a, inv_b, ops
+
+
 # -- numpy verdict reference ------------------------------------------------------
 #
 # ``allocator.judge`` as it was written on numpy arrays, before the verdict

@@ -27,13 +27,13 @@ from relayalloc.selector import (
 
 from conftest import (
     batch_brute_force,
+    counted_extension,
     exponential_caps_batch,
     paper_walk,
     recursive_select_blocks,
     symmetric_exponential_caps,
     verify_equalization,
 )
-from test_selector import counted_extension
 
 DESC = NumberingScheme.AVERAGE_DESCENDING
 SNR_GRID_DB = [0.0, 5.0, 10.0, 15.0, 20.0]

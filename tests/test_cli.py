@@ -10,7 +10,7 @@ import pytest
 from relayalloc import cli
 from relayalloc.cli import instance_document, load_instance, main, parse_topology
 from relayalloc.scenario import grid_topology
-from relayalloc.selector import worst_case_ops
+from relayalloc.selector import brute_force_select, worst_case_ops
 
 from conftest import NEAR_TIE_CHAIN_RATE, cancelling_caps, near_tie_chain_caps
 
@@ -70,6 +70,37 @@ class TestOptimize:
         report = json.loads(capsys.readouterr().out)
         assert report["subset"] == [1, 2]
         assert report["rate"] == NEAR_TIE_CHAIN_RATE
+
+    @pytest.mark.parametrize("doc, subset, counts", [
+        # each of the 2^9 subsets is rated, pruned as infeasible or skipped
+        # below the best rate (bounded).  Every child is rated before the
+        # walk descends, so {4}, the winner, bounds its earlier siblings'
+        # subtrees: 15 subsets are rated
+        ({"topology": {"type": "random", "n_relays": 9, "seed": 3}, "snr_db": 10, "seed": 1},
+         [4], (15, 26, 471)),
+        # the chain slot sum of {1} is 1 / a01 = 1, below the direct rate of
+        # 5, so the walk skips {1,2}, {1,3} and {1,2,3} as bounded.  {2}
+        # passes on 1 / a02 = 0.1 and the destination still lacks 0.5, which
+        # only relay 3 can deliver, at 1 per unit slot: {2,3} has a rate of
+        # at most 1 / (0.1 + 0.5) = 1.67, so it is bounded too
+        ({"n_relays": 3, "capacities": [0, 1, 10, 1, 5, 1, 0, 1, 1, 5, 10, 1, 0, 1, 0,
+                                        1, 1, 1, 0, 1, 5, 5, 0, 1, 0]},
+         [], (4, 0, 4)),
+    ], ids=["random9", "missing-dest"])
+    def test_walk_counters(self, tmp_path, doc, subset, counts, capsys):
+        path = write_json(tmp_path / "inst.json", doc)
+        assert main(["optimize", "--instance", path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["subset"] == subset
+        got = tuple(report[f"candidates_{k}"] for k in ("evaluated", "pruned", "bounded"))
+        assert got == counts
+        assert sum(got) == 2 ** report["instance"]["n_relays"]
+        # the exhaustive oracle, which solves every subset afresh, picks the
+        # subset and the rate that optimize reports
+        best = brute_force_select(load_instance(path)).best
+        assert (list(best.subset.indices), best.rate) == (report["subset"], report["rate"])
+        if not subset:  # direct transmission, at the direct link's capacity
+            assert best.rate == 5.0
 
     def test_generated_instance_is_deterministic(self, tmp_path, capsys):
         doc = {"topology": {"type": "linear", "n_relays": 2}, "snr_db": 10, "seed": 4}
@@ -373,12 +404,13 @@ class TestSerialization:
         {"topology": {"type": "random", "n_relays": 9, "seed": 3}, "snr_db": 10, "seed": 1},
     ], ids=["masked", "random9"])
     def test_report_instance_reproduces_the_report(self, tmp_path, doc, capsys):
-        # the report's instance, fed back, gives the same answer and counters
+        # the report's instance holds the resolved capacities: fed back, it
+        # gives the same report byte for byte
         assert main(["optimize", "--instance", write_json(tmp_path / "a.json", doc)]) == 0
-        first = json.loads(capsys.readouterr().out)
-        path = write_json(tmp_path / "b.json", first["instance"])
+        first = capsys.readouterr().out
+        path = write_json(tmp_path / "b.json", json.loads(first)["instance"])
         assert main(["optimize", "--instance", path]) == 0
-        assert json.loads(capsys.readouterr().out) == first
+        assert capsys.readouterr().out == first
 
     def test_topology_round_trip(self):
         topo = grid_topology(2, p_a=3.0)
@@ -446,6 +478,23 @@ class TestSimulate:
         second = (tmp_path / "curve.csv").read_bytes(), (tmp_path / "curve.json").read_bytes()
         assert first == second
 
+    def test_worker_count_leaves_the_rows_unchanged(self, tmp_path, monkeypatch, capsys):
+        # 2 and 64 ranges run on at most one process per CPU and give the rows
+        # of one range; the "# config:" line echoes parallel, so it is skipped
+        monkeypatch.chdir(tmp_path)
+        write_json(tmp_path / "linear2_config.json", {
+            "topology": {"type": "linear", "n_relays": 2}, "n_trials": 200,
+            "out_prefix": "linear2",
+        })
+        rows = []
+        for flags, out in ((["--parallel", "2"], "linear2"),
+                           (["--parallel", "1", "--out", "linear2_p1"], "linear2_p1"),
+                           (["--parallel", "64", "--out", "linear2_p64"], "linear2_p64")):
+            assert main(["simulate", "--config", "linear2_config.json", *flags]) == 0
+            rows.append((tmp_path / f"{out}.csv").read_text().splitlines()[1:])
+        assert rows[0] == rows[1] == rows[2]
+        assert [row.split(",")[0] for row in rows[0][1:]] == ["0", "5", "10", "15", "20"]
+
     def test_flag_overrides_echoed(self, sweep_config, tmp_path, capsys):
         assert main(["simulate", "--config", sweep_config, "--trials", "200",
                      "--seed", "9", "--mode", "optimized", "--scheme", "random",
@@ -467,7 +516,7 @@ class TestSimulate:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "sub").mkdir()
         path = write_json(tmp_path / "sweep.json", {
-            "topology": {"type": "linear", "n_relays": 2}, "snr_db": [0], "n_trials": 200,
+            "topology": {"type": "linear", "n_relays": 2}, "n_trials": 200,
         })
         before = Path(path).read_bytes()
         assert main(["simulate", "--config", "sweep.json", *flags]) == 2
@@ -573,14 +622,16 @@ class TestSimulate:
     @pytest.mark.parametrize("parallel", [1, 2])
     def test_snr_whose_capacities_can_overflow_exits_2(self, tmp_path, parallel, capsys):
         # on linear_topology(2) an SNR of 3070 dB times a channel power can
-        # exceed the float range, which would make a capacity inf
-        path = write_json(tmp_path / "hot_config.json", {
-            "topology": {"type": "linear", "n_relays": 2}, "snr_db": [0, 3070],
-            "n_trials": 200, "parallel": parallel, "out_prefix": str(tmp_path / "hot"),
-        })
-        assert main(["simulate", "--config", path]) == 2
-        assert "snr_db 3070 is too high for this topology" in capsys.readouterr().err
-        assert not (tmp_path / "hot.csv").exists()
+        # exceed the float range, which would make a capacity inf; the grid's
+        # largest SNR is the one checked
+        for grid in ([3070], [0, 3070]):
+            path = write_json(tmp_path / "hot_config.json", {
+                "topology": {"type": "linear", "n_relays": 2}, "snr_db": grid,
+                "n_trials": 200, "parallel": parallel, "out_prefix": str(tmp_path / "hot"),
+            })
+            assert main(["simulate", "--config", path]) == 2
+            assert "snr_db 3070 is too high for this topology" in capsys.readouterr().err
+            assert not (tmp_path / "hot.csv").exists()
 
     def test_snr_within_the_overflow_bound_is_swept_as_before(self, tmp_path, capsys):
         # the figures were written before the bound existed; 3000 dB is within it
@@ -656,6 +707,14 @@ class TestNumbering:
         assert len(doc) == 5
         for scheme in doc:
             assert (tmp_path / f"num_{scheme}.csv").exists()
+        # a 3x3 grid with every default, on two workers
+        cfg = write_json(tmp_path / "grid3_config.json", {
+            "topology": {"type": "grid", "side": 3}, "n_trials": 200,
+            "out_prefix": str(tmp_path / "grid3"),
+        })
+        assert main(["numbering", "--config", cfg, "--parallel", "2"]) == 0
+        assert len(json.loads((tmp_path / "grid3.json").read_text())) == 5
+        assert len(list(tmp_path.glob("grid3_*.csv"))) == 5
 
     def test_random_topology_skips_average_schemes(self, tmp_path, capsys):
         cfg = write_json(

@@ -96,6 +96,10 @@ class TestBuildCapacityMatrix:
         with pytest.raises(ValueError):
             build_capacity_matrix(np.ones((3, 2)), None, SnrConfig(1.0))
 
+    def test_single_node_rejected(self):
+        with pytest.raises(ValueError, match="need at least source and destination nodes"):
+            build_capacity_matrix(np.ones((1, 1)), None, SnrConfig(1.0))
+
     @pytest.mark.parametrize("other", [1.0, np.nan])
     def test_negative_power_rejected_beside_nan(self, other):
         # a NaN elsewhere does not hide the negative power
@@ -209,6 +213,10 @@ class TestRelaySubset:
             RelaySubset((2, 1))
         with pytest.raises(ValueError):
             RelaySubset((1, 1))
+
+    def test_indices_start_at_one(self):
+        with pytest.raises(ValueError, match=r"relay indices start at 1, got \(0,\)"):
+            RelaySubset((0,))
 
     def test_bounds_checked_against_pool(self, rng):
         caps = symmetric_exponential_caps(rng, 2)

@@ -132,6 +132,26 @@ class TestFadingParams:
         off = ~np.eye(4, dtype=bool)
         assert doubled.lam[off] == pytest.approx(base.lam[off] * 2**2.5)
 
+    @pytest.mark.parametrize("lam", [5.0, [1.0, 2.0], np.ones((2, 3))],
+                             ids=["scalar", "vector", "2x3"])
+    def test_nonsquare_lambda_rejected(self, lam):
+        with pytest.raises(ValueError, match=r"lambda matrix must be square, got \("):
+            FadingParams(lam=lam)
+
+    # NaN; inf, whose mean power is 0; and a denormal whose mean power overflows
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -2.0, 1e-310])
+    def test_off_diagonal_lambda_rejected(self, bad):
+        lam = np.full((3, 3), np.inf)
+        lam[0, 1] = lam[1, 0] = lam[0, 2] = lam[2, 0] = 1.0
+        lam[1, 2] = lam[2, 1] = bad
+        with pytest.raises(ValueError, match="off-diagonal lambda entries must be positive and "
+                                             "finite, with a finite mean power 1/lambda"):
+            FadingParams(lam=lam)
+
+    def test_asymmetric_lambda_rejected(self):
+        with pytest.raises(ValueError, match="lambda matrix must be symmetric"):
+            FadingParams(lam=np.array([[np.inf, 1.0], [2.0, np.inf]]))
+
     def test_callers_lambda_stays_writeable(self):
         lam = np.array([[0.0, 2.0], [2.0, 0.0]])
         params = FadingParams(lam=lam)
@@ -269,7 +289,7 @@ class TestRenumber:
         order = renumber(caps, NumberingScheme.INSTANTANEOUS_RELAY_RELAY)
         assert order == (2, 1, 3, 4)
 
-    @pytest.mark.parametrize("n_relays", range(1, 10))
+    @pytest.mark.parametrize("n_relays", range(10))
     def test_relay_relay_orders_match_greedy_loop(self, rng, n_relays):
         # continuous links, then integers 0..2, where most steps tie
         n = n_relays + 2
@@ -301,6 +321,19 @@ class TestRenumber:
         topo = random_topology(4, 0)
         with pytest.raises(ValueError):
             renumber(topo, NumberingScheme.AVERAGE_DESCENDING)
+
+    def test_scheme_needs_its_input(self):
+        caps = caps_from_links(2, {(0, 1): 1.0, (0, 2): 2.0})
+        with pytest.raises(ValueError, match="average_linear numbering requires a Topology"):
+            renumber(caps, NumberingScheme.AVERAGE_LINEAR)
+        with pytest.raises(ValueError, match="instantaneous_source_relay numbering requires "
+                                             "a LinkCapacityMatrix"):
+            renumber(linear_topology(2), NumberingScheme.INSTANTANEOUS_SOURCE_RELAY)
+        # an average or random order is not read from the links
+        for scheme in (NumberingScheme.AVERAGE_DESCENDING, NumberingScheme.RANDOM):
+            with pytest.raises(ValueError, match=f"instantaneous_orders needs an instantaneous "
+                                                 f"numbering scheme, got {scheme.value}"):
+                instantaneous_orders(caps.caps[None], scheme)
 
     def test_random_has_only_per_trial_orders(self):
         # random orders are keyed per trial (trial_permutations), never drawn
