@@ -12,10 +12,15 @@ BLOCK_BYTES allows for what a block allocates: the drawn powers per trial,
 freed before the selectors run, and per column (a trial at one SNR point)
 the capacity stack and the selectors' walk state.  The SNR axis is folded
 into the batch axis, so a block of C trials is one call per selector on an
-(S*C, n, n) capacity stack, with the trial axis vectorized.  The stack is link-major: it is the
-transposed view of an (n, n, S*C) array, so each link's values over the
-block are contiguous, and only the links i < j that the selectors read
-(from an earlier to a later node in the transmission order) are computed.
+(S*C, n, n) capacity stack, with the trial axis vectorized.  The stack is
+link-major: it is the transposed view of an (n, n, S*C) array, so each
+link's values over the block are contiguous, and only the links i < j that
+the selectors read (from an earlier to a later node in the transmission
+order) are computed.  Every block's stack is the C-contiguous prefix of one
+buffer per worker, sized for its largest block, so no block allocates or
+zero-fills a stack of its own; the entries the selectors never read keep
+whatever an earlier block left.  Each block's draws key one Philox bit
+generator to every link's stream in turn.
 The worker keeps only what the curves need: per mode and SNR point, the
 k = ceil(epsilon*T) smallest rates and the sums of the active relay counts
 and reject counters.  Memory per worker is thus bounded by the block and
@@ -61,7 +66,8 @@ REJECT_KEYS = ("singular", "negative_rate", "nonpositive_time")
 #     below, which is not yet allocated then.  By tracemalloc the build
 #     peaks at under 82% of BLOCK_BYTES for N = 0..11 at S = 1 and 5;
 #   * per column (a trial at one SNR point), 16(n+1)^2: the (n, n) float64
-#     capacity stack, 8n^2, and the selectors' walk state.  That is the best
+#     capacity stack, 8n^2, a prefix of one worker buffer sized for the
+#     worker's largest block, and the selectors' walk state.  That is the best
 #     rate and subset and the reject counts, and for the nodes on the
 #     walk's path and the siblings waiting on its stack, their rows of h,
 #     slot sums and minima: by tracemalloc at most 8n^2 + 150 bytes, and
@@ -282,7 +288,12 @@ def _evaluate_blocks(
     n = params.lam.shape[0]
     snr = np.array([snr_from_db(v) for v in snr_db])[:, None]
     check_snr(params, max(snr_db))
-    for a, b in _ranges(start, count, -(-count // _block_trials(len(snr_db), n))):
+    blocks = -(-count // _block_trials(len(snr_db), n))
+    # every block's stack is the C-contiguous prefix of this one buffer,
+    # sized for the largest block; its diagonal and lower triangle are never
+    # written, since the selectors never read them
+    buffer = np.empty(n * n * len(snr_db) * -(-count // blocks))
+    for a, b in _ranges(start, count, blocks):
         powers = draw_channel_powers_keyed(params, base_seed, b - a, a)
         orders = trial_orders(powers, topology, scheme, base_seed, a)
         # each trial's nodes in transmission order, one column per trial (a
@@ -291,10 +302,9 @@ def _evaluate_blocks(
         node[0], node[1:-1], node[-1] = 0, orders.T, n - 1
         powers = powers.transpose(1, 2, 0)  # link-major: (n, n, C), C-contiguous
         trials = np.arange(b - a)
-        # link-major stack: transmitter i's links to the later nodes are one
-        # contiguous (n-1-i, S, C) run, built in place; the diagonal and the
-        # lower triangle stay 0, since the selectors never read them
-        stack = np.zeros((n, n, len(snr_db), b - a))
+        # link-major stack, a prefix of the worker buffer: transmitter i's
+        # links to the later nodes are one contiguous (n-1-i, S, C) run
+        stack = buffer[: n * n * len(snr_db) * (b - a)].reshape(n, n, len(snr_db), b - a)
         for i in range(n - 1):
             row = stack[i, i + 1:]
             np.multiply(powers[node[i], node[i + 1:], trials][:, None], snr, out=row)

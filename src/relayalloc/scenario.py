@@ -201,26 +201,48 @@ def check_seed(base_seed: int) -> None:
         raise ValueError(f"seed {base_seed} is outside 0..2**64 - 1")
 
 
-def _philox_stream(base_seed: int, word: int, skip: int = 0) -> Generator:
-    """Generator over one keyed stream, positioned after its first ``skip`` doubles.
+def _seek(gen: Generator, base_seed: int, word: int, skip: int) -> Generator:
+    """Key ``gen``'s Philox to the stream (base_seed, word) and position it
+    after the stream's first ``skip`` doubles; returns ``gen``.
 
     Each Philox counter yields four 64-bit words and each double takes one,
-    so seeking costs one counter jump plus at most three discarded draws,
-    whatever ``skip`` is.
+    so the counter is set to skip // 4 with an empty buffer (the state that
+    ``Philox(key=...).advance(skip // 4)`` holds), and skip % 4 draws are
+    discarded: one state write plus at most three draws, whatever ``skip``
+    is.  Re-keying one bit generator this way spares the OS entropy read
+    that every new ``Philox`` makes for a seed sequence a key then ignores.
     """
-    check_seed(base_seed)
-    key = np.array([base_seed, word], dtype=np.uint64)
-    gen = Generator(Philox(key=key).advance(skip // 4))
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.frombuffer((skip // 4).to_bytes(32, "little"), dtype=np.uint64),
+            "key": (base_seed, word),
+        },
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     gen.random(skip % 4)
     return gen
+
+
+def _philox_stream(base_seed: int, word: int, skip: int = 0) -> Generator:
+    """Generator over one keyed stream, positioned after its first ``skip`` doubles."""
+    check_seed(base_seed)
+    return _seek(Generator(Philox()), base_seed, word, skip)
+
+
+def _pair_word(key_i: int, key_j: int) -> int:
+    """Stream word of the unordered pair of node keys."""
+    return (min(key_i, key_j) << 32) | max(key_i, key_j)
 
 
 def pair_uniforms(
     base_seed: int, key_i: int, key_j: int, n_trials: int, start: int = 0
 ) -> np.ndarray:
     """Uniforms for trials [start, start+n_trials) of one pair's substream."""
-    ki, kj = min(key_i, key_j), max(key_i, key_j)
-    return _philox_stream(base_seed, (ki << 32) | kj, start).random(n_trials)
+    return _philox_stream(base_seed, _pair_word(key_i, key_j), start).random(n_trials)
 
 
 def draw_channel_powers_keyed(
@@ -228,6 +250,8 @@ def draw_channel_powers_keyed(
 ) -> np.ndarray:
     """(n_trials, n, n) symmetric power draws from per-pair substreams.
 
+    Each pair's draws are -mean * log1p(-u) over its ``pair_uniforms``;
+    one bit generator is re-keyed and seeked to every pair's stream in turn.
     The result is the transposed view of a link-major (n, n, n_trials)
     buffer: ``powers.transpose(1, 2, 0)`` is C-contiguous, so each link's
     draws over the trials are adjacent in memory.
@@ -235,13 +259,16 @@ def draw_channel_powers_keyed(
     n = params.lam.shape[0]
     mean = params.mean_power
     powers = np.zeros((n, n, n_trials))
+    check_seed(base_seed)
+    gen = Generator(Philox())
     for i in range(n):
         for j in range(i + 1, n):
-            u = pair_uniforms(
-                base_seed, _node_stream_key(i, n), _node_stream_key(j, n), n_trials, start
-            )
-            draws = -mean[i, j] * np.log1p(-u)
-            powers[i, j] = draws
+            word = _pair_word(_node_stream_key(i, n), _node_stream_key(j, n))
+            draws = powers[i, j]
+            _seek(gen, base_seed, word, start).random(out=draws)
+            np.negative(draws, out=draws)
+            np.log1p(draws, out=draws)
+            draws *= -mean[i, j]
             powers[j, i] = draws
     return powers.transpose(2, 0, 1)
 
@@ -350,8 +377,18 @@ def instantaneous_orders(links: np.ndarray, scheme: NumberingScheme) -> np.ndarr
             return order
         taken = np.zeros((n_trials, n_relays), dtype=bool)
         rows = np.arange(n_trials)
-        # the first step reads the source's links, where nothing is taken yet
-        nxt = np.argmax(links[:, 0, 1 : n_relays + 1], axis=1)
+        # the first step reads the source's links, where nothing is taken
+        # yet: their first maximum, by a running strict comparison over the
+        # N rows links[:, 0, r], each contiguous in a link-major stack (an
+        # argmax along the strided relay axis loops once per trial).  Links
+        # are finite, so this is argmax's pick.
+        top = links[:, 0, 1]
+        nxt = np.zeros(n_trials, dtype=np.intp)
+        for r in range(2, n_relays + 1):
+            row = links[:, 0, r]
+            more = row > top
+            np.copyto(nxt, r - 1, where=more)
+            top = np.where(more, row, top)
         order[:, 0] = nxt
         for step in range(1, n_relays - 1):
             taken[rows, nxt] = True

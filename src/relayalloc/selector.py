@@ -560,27 +560,23 @@ def _subset_sizes(ends: list[int], ids: np.ndarray) -> np.ndarray:
 SPARSE_SHARE = 4
 
 
-def copy_where(dst: np.ndarray, src, select: np.ndarray) -> None:
+def copy_where(dst: np.ndarray, src, mask: np.ndarray) -> None:
     """``np.copyto(dst, src, where=mask)`` bit for bit, without a branch per
-    element: ``dst ^ ((dst ^ src) & select)`` on the int64 views.
+    element: ``dst ^ ((dst ^ src) & select)`` on the int64 views, where
+    ``select`` is the boolean ``mask`` as int64 0 or -1 (every bit set).
 
     ``dst`` holds 8-byte floats or ints, ``src`` broadcasts to it, and
-    ``select`` is the int64 ``select_mask`` of a boolean mask of ``dst``'s
-    shape, built once for several writes under the same mask.  A masked
-    copy branches on every element, so it is slowest on mixed masks: on
-    16025 float64s (a sweep-deep block) it took 2 us at 0% true, 25 us at
-    10% and 99 us at 50%, while these three passes took 23-30 us whatever
-    the mask (2-vCPU host, numpy 2.4).
+    ``mask`` has ``dst``'s shape.  ``_Best.offer`` writes only its ids this
+    way; its rates take a single ``np.fmax``.  A masked copy branches on
+    every element, so it is slowest on mixed masks: on 16025 float64s (a
+    sweep-deep block) it took 2 us at 0% true, 25 us at 10% and 99 us at
+    50%, while these three passes took 23-30 us whatever the mask (2-vCPU
+    host, numpy 2.4).
     """
     bits = dst.view(np.int64)
     diff = np.bitwise_xor(bits, np.asarray(src, dtype=dst.dtype).view(np.int64))
-    diff &= select
+    diff &= np.negative(mask.view(np.int8), dtype=np.int64)
     bits ^= diff
-
-
-def select_mask(mask: np.ndarray) -> np.ndarray:
-    """A boolean mask as int64 0 or -1 (every bit set), for ``copy_where``."""
-    return np.negative(mask.view(np.int8), dtype=np.int64)
 
 
 class _Best:
@@ -591,11 +587,13 @@ class _Best:
 
     It starts from the empty subset's (T,) rates: a finite one is its
     trial's best, index 0, and the rest (NaN for a rejected subset) start
-    at -inf, index -1, which only a finite rate beats.  The merge reads
-    only the trials whose block maximum reaches the best rate.  This is
-    exact: a block's candidate is at most its maximum, and a rate below the
-    best is neither higher than it nor equal to it, so the trials skipped
-    would have kept their best.  The best rate of a trial never falls.
+    at -inf, index -1, which only a finite rate beats.  A block's candidate
+    in a trial is its first row equal to the block maximum, so the
+    candidate's rate is that maximum and is never gathered.  The merge
+    reads only the trials whose block maximum reaches the best rate.  This
+    is exact: a rate below the best is neither higher than it nor equal to
+    it, so the trials skipped would have kept their best.  The best rate of
+    a trial never falls.
 
     Every merge picks its candidates and applies the take rule the same
     way; the share of trials that reach the best picks only how the
@@ -607,12 +605,13 @@ class _Best:
     256 merges read out a median of 14 trials this way.
     ``batch_equal_time`` skips the subtrees that no trial can win, and 18 of
     the 27 merges it makes on that block read out a median of 6.  A denser
-    merge runs at full width and writes with ``copy_where``, not masked
-    copies, under one select mask built for both writes: on sweep-deep's
-    16025-column blocks 50-90% of the trials are taken in most merges, and
-    at half taken a ``np.copyto(..., where=take)``, which branches on every
-    element, took 99 us against 24 us for the branch-free select of the
-    same bits.
+    merge runs at full width.  It writes the rate with one
+    ``np.fmax(rate, top)``, exact because a trial that takes has
+    ``top >= best`` and every other keeps its best, and the ids with
+    ``copy_where``, not a masked copy: on sweep-deep's 16025-column blocks
+    50-90% of the trials are taken in most merges, and at half taken a
+    ``np.copyto(..., where=take)``, which branches on every element, took
+    99 us against 24 us for the branch-free select of the same bits.
 
     The crossover, measured on blocks in which every trial that reaches
     the best takes: the gathered merge is the cheaper up to 37% of the
@@ -629,7 +628,6 @@ class _Best:
         finite = np.isfinite(rate)
         self.rate = np.where(finite, rate, -np.inf)
         self.id = finite.astype(np.int64) - 1
-        self._trials = np.arange(len(rate))
 
     def offer(self, rate: np.ndarray, sid0: int) -> None:
         """Merge a (k, T) block of sibling rates into the best, in place.
@@ -637,12 +635,13 @@ class _Best:
         Row j is the subset with index ``sid0 + j``; NaN marks a rejected
         subset, which neither sets the block maximum (``np.fmax`` skips it)
         nor passes a comparison, so it counts as no candidate, as -inf
-        would.  The block's candidate is its first rate equal to the block
-        maximum.  It replaces the best when higher, or when equal and
-        earlier in ``subsets_by_size`` order, so the walk's visiting order
-        does not decide ties.  No rate is +inf, as the engines' links are at
-        most MAX_CAPACITY, so a block maximum other than NaN has an equal
-        row.
+        would.  The block's candidate is its first row equal to the block
+        maximum, whose rate is that maximum, ``top``.  It replaces the best
+        when higher, or when equal and earlier in ``subsets_by_size`` order,
+        so the walk's visiting order does not decide ties.  No rate is +inf,
+        as the engines' links are at most MAX_CAPACITY, so a block maximum
+        other than NaN has an equal row; a trial whose rows are all NaN has
+        a NaN ``top``, which takes nothing.
         """
         k = len(rate)
         top = rate[0] if k == 1 else np.fmax.reduce(rate, axis=0)
@@ -658,29 +657,27 @@ class _Best:
             top, rate = top.take(cols), rate.take(cols, axis=1)
             best, best_id = self.rate.take(cols), self.id.take(cols)
         if k == 1:
-            r, sid = top, sid0
+            sid = sid0
         else:
             tied = rate == top
             # np.argmax(tied, axis=0) costs one call per trial at full
             # width; the largest rank of a tied row runs row by row.  Row j
             # has rank k - 1 - j, so the first tied row has the largest.  A
-            # trial with no tied row has rank 0 and gets row k - 1, which is
-            # NaN as all its rows are (its maximum is NaN), so no merge
-            # takes it.  A block has at most N < 256 rows, so ranks fit uint8.
+            # trial with no tied row has rank 0 and gets row k - 1; its
+            # maximum is NaN, as all its rows are, so no merge takes it.  A
+            # block has at most N < 256 rows, so ranks fit uint8.
             rank = np.max(tied * np.arange(k - 1, -1, -1, dtype=np.uint8)[:, None], axis=0)
-            j = np.subtract(k - 1, rank, dtype=np.intp)
-            flat = j * len(j)
-            flat += self._trials[: len(j)]
-            r, sid = np.take(rate, flat), sid0 + j
-        take = r > best
-        take |= (r == best) & (sid < best_id)
+            sid = np.subtract(sid0 + k - 1, rank, dtype=np.int64)
+        take = top > best
+        take |= (top == best) & (sid < best_id)
         if dense:
-            select = select_mask(take)  # built once for both writes
-            copy_where(self.rate, r, select)
-            copy_where(self.id, sid, select)
+            # where the take rule holds, top >= best; elsewhere fmax keeps
+            # the best, over a lower or NaN top alike
+            np.fmax(self.rate, top, out=self.rate)
+            copy_where(self.id, sid, take)
         else:
             cols = cols[take]
-            self.rate[cols] = r[take]
+            self.rate[cols] = top[take]
             self.id[cols] = sid[take] if k > 1 else sid
 
 

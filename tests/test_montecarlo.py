@@ -422,6 +422,40 @@ class TestLinkMajorStacks:
         assert calls == [12] * 20
 
 
+class TestLayerNames:
+    """The layers a sweep calls through ``montecarlo``'s own names.
+
+    The traced bench wraps these module attributes by name to time each
+    layer; a sweep that bypassed one would leave its time at zero.
+    """
+
+    LAYERS = ("draw_channel_powers_keyed", "batch_optimized", "batch_equal_time",
+              "outage_rate")
+
+    def test_sweep_calls_each_layer_by_name(self, monkeypatch):
+        calls = {name: 0 for name in self.LAYERS}
+
+        def counted(name):
+            fn = getattr(montecarlo, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in self.LAYERS:
+            assert callable(getattr(montecarlo, name, None)), name
+            monkeypatch.setattr(montecarlo, name, counted(name))
+        set_block_trials(monkeypatch, 40)
+        curves = sweep(linear_topology(2), NumberingScheme.INSTANTANEOUS_RELAY_RELAY,
+                       [0, 10, 20], 100, 0.05, base_seed=3, parallel=1)
+        # 100 trials in blocks of at most 40 are 3 blocks; one draw and both
+        # selectors per block, and one fold per mode and SNR point
+        assert calls == {"draw_channel_powers_keyed": 3, "batch_optimized": 3,
+                         "batch_equal_time": 3, "outage_rate": 6}
+        assert set(curves) == set(montecarlo.MODES)
+
+
 class TestBlockBudget:
     """What one block allocates, at the size ``_block_trials`` gives."""
 

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from relayalloc.rate_model import SnrConfig, build_capacity_matrix
 from relayalloc.scenario import (
@@ -24,6 +25,13 @@ from relayalloc.scenario import (
 from relayalloc.selector import brute_force_select
 
 from conftest import caps_from_links, greedy_relay_relay_orders
+
+
+def jumped_uniforms(seed, word, skip, n):
+    """n doubles of the Philox stream keyed (seed, word) after its first
+    ``skip``, reached by numpy's own counter jump ``Philox.advance``."""
+    bits = Philox(key=np.array([seed, word], dtype=np.uint64)).advance(skip // 4)
+    return Generator(bits).random(skip % 4 + n)[skip % 4:]
 
 
 class TestTopologies:
@@ -189,26 +197,42 @@ class TestKeyedStreams:
         assert np.array_equal(full, again)
         assert np.array_equal(full[6:], tail)
 
-    @pytest.mark.parametrize("start", [1, 3, 4, 5, 101, 125003])
+    @pytest.mark.parametrize("start", [1, 3, 4, 5, 101, 125003, 2**62 - 1])
     def test_seeking_reproduces_the_stream(self, start):
-        # a seek jumps whole Philox counters (4 doubles) and discards the rest;
-        # it must land on the exact bits a replay from trial 0 gives
+        # a seek sets the Philox counter to start // 4 and discards the
+        # start % 4 doubles left; it must land on the exact bits of numpy's
+        # own counter jump, and of a replay from trial 0 where one is short
+        # enough to run.  2^62 - 1 is the last trial a one-relay sweep may have
         n = 7
-        uniforms = pair_uniforms(5, 2, 0xFFFFFFFF, start + n)
-        assert np.array_equal(pair_uniforms(5, 2, 0xFFFFFFFF, n, start=start), uniforms[start:])
-        perms = trial_permutations(5, 3, start + n)
-        assert np.array_equal(trial_permutations(5, 3, n, start=start), perms[start:])
+        assert np.array_equal(
+            pair_uniforms(5, 2, 0xFFFFFFFF, n, start=start),
+            jumped_uniforms(5, (2 << 32) | 0xFFFFFFFF, start, n),
+        )
+        # three relays' permutations read 3 doubles per trial
+        reserved = (0xFFFFFFFF << 32) | 0xFFFFFFFF
+        u = jumped_uniforms(5, reserved, 3 * start, 3 * n).reshape(n, 3)
+        perms = trial_permutations(5, 3, n, start=start)
+        assert np.array_equal(perms, np.argsort(u, axis=1, kind="stable") + 1)
+        if start < 2**20:
+            uniforms = pair_uniforms(5, 2, 0xFFFFFFFF, start + n)
+            assert np.array_equal(pair_uniforms(5, 2, 0xFFFFFFFF, n, start=start),
+                                  uniforms[start:])
+            assert np.array_equal(perms, trial_permutations(5, 3, start + n)[start:])
 
     def test_draws_are_symmetric_per_pair_exponentials(self):
+        # one bit generator, re-keyed and seeked per pair, gives each pair's
+        # own stream bit for bit, at any start
         params = fading_params(grid_topology(2))
         n = params.lam.shape[0]
-        powers = draw_channel_powers_keyed(params, 7, 9, start=3)
-        assert np.array_equal(powers, powers.transpose(0, 2, 1))
-        assert not powers[:, np.arange(n), np.arange(n)].any()
-        for i, j in itertools.combinations(range(n), 2):
-            key_j = 0xFFFFFFFF if j == n - 1 else j
-            u = pair_uniforms(7, i, key_j, 9, start=3)
-            assert np.array_equal(powers[:, i, j], -params.mean_power[i, j] * np.log1p(-u))
+        for start in (0, 1, 3, 4, 5, 101, 125003, 2**62 - 1):
+            powers = draw_channel_powers_keyed(params, 7, 9, start=start)
+            assert np.array_equal(powers, powers.transpose(0, 2, 1))
+            assert not powers[:, np.arange(n), np.arange(n)].any()
+            for i, j in itertools.combinations(range(n), 2):
+                key_j = 0xFFFFFFFF if j == n - 1 else j
+                u = pair_uniforms(7, i, key_j, 9, start=start)
+                want = -params.mean_power[i, j] * np.log1p(-u)
+                assert np.array_equal(powers[:, i, j], want), (start, i, j)
 
     def test_seed_changes_draws(self):
         params = fading_params(linear_topology(2))

@@ -39,7 +39,6 @@ from relayalloc.selector import (
     op_count,
     recursive_select,
     root_blocks,
-    select_mask,
     subsets_by_size,
     worst_case_ops,
 )
@@ -998,6 +997,31 @@ class TestBatchEngines:
                         assert np.array_equal(got[key], want[key]), (
                             select.__name__, key, variant, name)
 
+    @pytest.mark.parametrize("n_relays", range(10))
+    def test_unread_entries_match_the_zero_filled_stack(self, rng, n_relays):
+        # the sweep builds each block's stack in one reused buffer and
+        # writes only the links i < j, so its diagonal and lower triangle
+        # hold whatever an earlier block left: no value there may move a bit
+        n = n_relays + 2
+        lower = np.tril_indices(n)
+        cases = oracle_cases(rng, n_relays, 60)
+        for name in ("fading", "masked", "integer"):
+            zeroed = cases[name].copy()
+            zeroed[:, lower[0], lower[1]] = 0.0
+            want = {select: select(zeroed) for select in (batch_optimized, batch_equal_time)}
+            fills = [np.nan, np.inf, -1.0, 2 * MAX_CAPACITY]
+            for fill in [*fills, "mixed"]:
+                # filled link-major, as the sweep passes its stack
+                unread = np.ascontiguousarray(zeroed.transpose(1, 2, 0))
+                values = rng.choice(fills, size=(len(lower[0]), len(zeroed)))
+                unread[lower] = values if fill == "mixed" else fill
+                for select, res in want.items():
+                    got = select(unread.transpose(2, 0, 1))
+                    assert got.keys() == res.keys()
+                    for key in res:
+                        assert np.array_equal(got[key], res[key]), (
+                            select.__name__, key, fill, name)
+
     @pytest.mark.parametrize("n_relays", [9, 10])
     def test_counts_past_the_block_buffer_match_brute_force(self, rng, n_relays):
         # node_rates counts into a uint8 buffer, which batch_optimized empties
@@ -1300,14 +1324,14 @@ class TestCopyWhere:
         for x in (src, src[7]):
             want = np.where(mask, x, dst)
             got = dst.copy()
-            copy_where(got, x, select_mask(mask))
+            copy_where(got, x, mask)
             assert got.dtype == want.dtype
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_writes_through_a_view_and_leaves_src_alone(self):
         buf = np.full((2, 4), -np.inf)
         src = np.array([1.0, np.nan, -0.0, 2.0])
-        copy_where(buf[1], src, select_mask(np.array([True, True, True, False])))
+        copy_where(buf[1], src, np.array([True, True, True, False]))
         assert np.array_equal(buf[0], np.full(4, -np.inf))
         assert np.array_equal(buf[1].view(np.int64),
                               np.array([1.0, np.nan, -0.0, -np.inf]).view(np.int64))
