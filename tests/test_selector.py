@@ -976,51 +976,36 @@ class TestBatchEngines:
         ):
             assert_walk_equals_oracle(walk, oracle, caps_b, f"masked, N={n_relays}")
 
-    @pytest.mark.parametrize("n_relays", range(9))
+    @pytest.mark.parametrize("n_relays", range(10))
     def test_layout_and_unread_entries_change_nothing(self, rng, n_relays):
         # the selectors read only the links i < j, and a link-major stack
         # (the transposed view of a C-contiguous (n, n, T) array) is read
-        # in place: neither layout nor the unread entries may move a bit
+        # in place: neither layout nor the unread entries may move a bit.
+        # The sweep builds each block's stack in one reused buffer and
+        # writes only the links i < j, so its diagonal and lower triangle
+        # hold whatever an earlier block left
         n = n_relays + 2
         lower = np.tril_indices(n)
+        fills = [np.nan, np.inf, -1.0, 2 * MAX_CAPACITY]
         for name, caps_b in oracle_cases(rng, n_relays, 60).items():
-            link_major = np.ascontiguousarray(caps_b.transpose(1, 2, 0)).transpose(2, 0, 1)
-            assert link_major.transpose(1, 2, 0).flags.c_contiguous
-            unread = caps_b.copy()
-            unread[:, lower[0], lower[1]] = np.nan
+            zeroed = caps_b.copy()
+            zeroed[:, lower[0], lower[1]] = 0.0
+            link_major = np.ascontiguousarray(caps_b.transpose(1, 2, 0))
+            variants = {"symmetric": caps_b, "link-major": link_major.transpose(2, 0, 1)}
+            assert link_major.flags.c_contiguous
+            for fill in [*fills, "mixed"]:
+                unread = link_major.copy()
+                values = rng.choice(fills, size=(len(lower[0]), len(caps_b)))
+                unread[lower] = values if fill == "mixed" else fill
+                variants[f"{fill} lower"] = unread.transpose(2, 0, 1)
             for select in (batch_optimized, batch_equal_time):
-                want = select(caps_b)
-                for variant, stack in (("link-major", link_major), ("NaN lower", unread)):
+                want = select(zeroed)
+                for variant, stack in variants.items():
                     got = select(stack)
                     assert got.keys() == want.keys()
                     for key in want:
                         assert np.array_equal(got[key], want[key]), (
                             select.__name__, key, variant, name)
-
-    @pytest.mark.parametrize("n_relays", range(10))
-    def test_unread_entries_match_the_zero_filled_stack(self, rng, n_relays):
-        # the sweep builds each block's stack in one reused buffer and
-        # writes only the links i < j, so its diagonal and lower triangle
-        # hold whatever an earlier block left: no value there may move a bit
-        n = n_relays + 2
-        lower = np.tril_indices(n)
-        cases = oracle_cases(rng, n_relays, 60)
-        for name in ("fading", "masked", "integer"):
-            zeroed = cases[name].copy()
-            zeroed[:, lower[0], lower[1]] = 0.0
-            want = {select: select(zeroed) for select in (batch_optimized, batch_equal_time)}
-            fills = [np.nan, np.inf, -1.0, 2 * MAX_CAPACITY]
-            for fill in [*fills, "mixed"]:
-                # filled link-major, as the sweep passes its stack
-                unread = np.ascontiguousarray(zeroed.transpose(1, 2, 0))
-                values = rng.choice(fills, size=(len(lower[0]), len(zeroed)))
-                unread[lower] = values if fill == "mixed" else fill
-                for select, res in want.items():
-                    got = select(unread.transpose(2, 0, 1))
-                    assert got.keys() == res.keys()
-                    for key in res:
-                        assert np.array_equal(got[key], res[key]), (
-                            select.__name__, key, fill, name)
 
     @pytest.mark.parametrize("n_relays", [9, 10])
     def test_counts_past_the_block_buffer_match_brute_force(self, rng, n_relays):
