@@ -250,7 +250,10 @@ def load_instance(path: str) -> LinkCapacityMatrix:
         _known(doc, ("topology", "snr_db", "seed"), path)
         topo = parse_topology(_field(doc, "topology", _object, "an object"))
         snr_db = _field(doc, "snr_db", _number, "a number")
-        snr = SnrConfig(snr_from_db(snr_db))
+        linear = snr_from_db(snr_db)
+        if linear == 0.0:
+            raise ConfigError(f"snr_db {snr_db:g} underflows to a linear SNR of 0")
+        snr = SnrConfig(linear)
         seed = _field(doc, "seed", _integer, "an integer")
         params = fading_params(topo)
         check_snr(params, snr_db)

@@ -182,6 +182,9 @@ def sweep(
         if m not in MODES:
             raise ValueError(f"unknown mode {m!r}")
     modes = tuple(dict.fromkeys(modes))
+    # refused here, before any worker starts: coincident nodes, or an SNR
+    # whose capacities can overflow
+    check_snr(fading_params(topology), max(snr_db))
 
     # at most one range per trial, so no range is empty
     jobs = [
@@ -287,7 +290,6 @@ def _evaluate_blocks(
     params = fading_params(topology)
     n = params.lam.shape[0]
     snr = np.array([snr_from_db(v) for v in snr_db])[:, None]
-    check_snr(params, max(snr_db))
     blocks = -(-count // _block_trials(len(snr_db), n))
     # every block's stack is the C-contiguous prefix of this one buffer,
     # sized for the largest block; its diagonal and lower triangle are never

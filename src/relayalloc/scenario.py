@@ -227,22 +227,9 @@ def _seek(gen: Generator, base_seed: int, word: int, skip: int) -> Generator:
     return gen
 
 
-def _philox_stream(base_seed: int, word: int, skip: int = 0) -> Generator:
-    """Generator over one keyed stream, positioned after its first ``skip`` doubles."""
-    check_seed(base_seed)
-    return _seek(Generator(Philox()), base_seed, word, skip)
-
-
 def _pair_word(key_i: int, key_j: int) -> int:
     """Stream word of the unordered pair of node keys."""
     return (min(key_i, key_j) << 32) | max(key_i, key_j)
-
-
-def pair_uniforms(
-    base_seed: int, key_i: int, key_j: int, n_trials: int, start: int = 0
-) -> np.ndarray:
-    """Uniforms for trials [start, start+n_trials) of one pair's substream."""
-    return _philox_stream(base_seed, _pair_word(key_i, key_j), start).random(n_trials)
 
 
 def draw_channel_powers_keyed(
@@ -250,8 +237,10 @@ def draw_channel_powers_keyed(
 ) -> np.ndarray:
     """(n_trials, n, n) symmetric power draws from per-pair substreams.
 
-    Each pair's draws are -mean * log1p(-u) over its ``pair_uniforms``;
-    one bit generator is re-keyed and seeked to every pair's stream in turn.
+    Pair (i, j) draws -mean * log1p(-u) over the uniforms at trials
+    [start, start+n_trials) of its stream, (base_seed, ``_pair_word`` of the
+    two node keys); one bit generator is ``_seek``-ed to every pair's stream
+    in turn.
     The result is the transposed view of a link-major (n, n, n_trials)
     buffer: ``powers.transpose(1, 2, 0)`` is C-contiguous, so each link's
     draws over the trials are adjacent in memory.
@@ -294,13 +283,14 @@ def trial_permutations(
 ) -> np.ndarray:
     """(n_trials, N) random relay orders (1-based), one per trial substream.
 
-    The permutation is the argsort of a row of keyed uniforms, so it is
-    reproducible per trial index under any chunking.
+    Trial i's permutation is the argsort of the N uniforms from position
+    i * N of one keyed stream, which ``_seek`` reaches directly, so it is
+    reproducible per trial index under any chunking.  The stream's word is
+    the destination's key paired with itself, which no real pair is.
     """
-    # reserved stream word; node keys are far too small to collide with it
-    gen = _philox_stream(
-        base_seed, (_DEST_STREAM_KEY << 32) | _DEST_STREAM_KEY, start * n_relays
-    )
+    check_seed(base_seed)
+    word = _pair_word(_DEST_STREAM_KEY, _DEST_STREAM_KEY)
+    gen = _seek(Generator(Philox()), base_seed, word, start * n_relays)
     u = gen.random((n_trials, n_relays))
     return np.argsort(u, axis=1, kind="stable") + 1
 

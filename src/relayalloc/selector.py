@@ -127,23 +127,33 @@ def root_blocks(caps: LinkCapacityMatrix) -> InverseBlocks:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _extend_blocks(
-    parent: InverseBlocks, a: np.ndarray, dest: int, new_relay: int
-) -> InverseBlocks | None:
-    """Partitioned-inverse update appending ``new_relay`` to the parent subset.
+def extend_inverse(
+    parent: InverseBlocks, caps: LinkCapacityMatrix, new_relay: int
+) -> InverseBlocks:
+    """Partitioned-inverse update appending ``new_relay``, a relay of larger
+    index than all of the parent subset's, in O(p^2).
 
-    Returns None when the decode-chain link into the new relay is absent
-    (every descendant shares that link, so the whole subtree is singular).
-    A missing new-relay-to-destination link only nulls ``dest_row``.
-    Entries beyond the float range become inf or NaN, as the scalar walk's
-    slots do, and ``judge`` rejects them.
+    Raises SingularMatrix when the decode-chain link into the new relay is
+    absent: every descendant shares that link, so the whole subtree is
+    singular and no chain inverse exists.  A missing new-relay-to-destination
+    link only nulls ``dest_row``: the subset itself is singular, which
+    ``extend_solution`` reports, but its blocks extend further.  Entries
+    beyond the float range become inf or NaN, as the scalar walk's slots
+    do, and ``judge`` rejects them.
     """
     sub = parent.subset
+    if sub and new_relay <= sub[-1]:
+        raise ValueError(f"new relay {new_relay} must exceed all of {sub}")
+    if not 1 <= new_relay <= caps.n_relays:
+        raise ValueError(f"relay index {new_relay} outside pool 1..{caps.n_relays}")
+    a, dest = caps.caps, caps.destination
     p = len(sub)
     last = sub[-1] if sub else 0
     t11 = a[last, new_relay]
     if t11 <= SINGULARITY_TOL:
-        return None
+        raise SingularMatrix(
+            f"subset {(*sub, new_relay)} has no decode-chain link into relay {new_relay}"
+        )
     t22 = a[new_relay, dest]
     t21 = a[last, dest]
 
@@ -178,28 +188,6 @@ def _extend_blocks(
     return InverseBlocks(
         subset=(*sub, new_relay), chain_inv=chain_inv, dest_row=dest_row, u_chain=u_chain
     )
-
-
-def extend_inverse(
-    parent: InverseBlocks, caps: LinkCapacityMatrix, new_relay: int
-) -> InverseBlocks:
-    """Extend a cached inverse by one relay of larger index.
-
-    Raises SingularMatrix when either new diagonal entry (chain link into the
-    new relay, or its destination link) is absent.
-    """
-    if parent.subset and new_relay <= parent.subset[-1]:
-        raise ValueError(
-            f"new relay {new_relay} must exceed all of {parent.subset}"
-        )
-    if not 1 <= new_relay <= caps.n_relays:
-        raise ValueError(f"relay index {new_relay} outside pool 1..{caps.n_relays}")
-    child = _extend_blocks(parent, caps.caps, caps.destination, new_relay)
-    if child is None or child.dest_row is None:
-        raise SingularMatrix(
-            f"subset {(*parent.subset, new_relay)} has a zero diagonal entry"
-        )
-    return child
 
 
 def extend_solution(blocks: InverseBlocks) -> AllocationResult:
@@ -273,7 +261,7 @@ def recursive_select(caps: LinkCapacityMatrix) -> OptimizationOutcome:
     row gives the child's last slot, so a child costs O(1) plus
     an O(N) update of ``h``, and no matrix or result object is built per
     node.  This is the partitioned-inverse update applied to the all-ones
-    vector: ``h[c]`` equals ``f_c @ chain_inv @ 1``, which ``_extend_blocks``
+    vector: ``h[c]`` equals ``f_c @ chain_inv @ 1``, which ``extend_inverse``
     forms in O(p^2), so the reported operation count stays the paper's.
 
     A subset (r1..rp) passes its first p slots, the source's and

@@ -9,6 +9,7 @@ from relayalloc.allocator import (
     TIME_TOL,
     AllocationResult,
     RejectReason,
+    SingularMatrix,
     TimeAllocation,
     judge,
 )
@@ -19,7 +20,7 @@ from relayalloc.selector import (
     NoFeasibleSolution,
     OptimizationOutcome,
     _beats,
-    _extend_blocks,
+    extend_inverse,
     op_count,
     recursive_select,
     root_blocks,
@@ -398,8 +399,6 @@ def recursive_select_blocks(
     node visited.
     """
     n = caps.n_relays
-    a = caps.caps
-    dest = caps.destination
     evaluated = 0
     pruned = 0
     ops = 0
@@ -416,8 +415,9 @@ def recursive_select_blocks(
         start = blocks.subset[-1] + 1 if blocks.subset else 1
         for j in range(start, n + 1):
             evaluated += 1
-            child = _extend_blocks(blocks, a, dest, j)
-            if child is None:
+            try:
+                child = extend_inverse(blocks, caps, j)
+            except SingularMatrix:
                 # chain link into relay j is absent: every descendant is singular
                 pruned += (1 << (n - j)) - 1
                 if trace is not None:
@@ -479,7 +479,7 @@ def recursive_select_per_node(
     takes, with the same counters and nodes, visited sibling-first.
 
     ``trace``, if given, collects (subset, result, blocks) triples for every
-    node visited, its blocks built with ``_extend_blocks``.
+    node visited, its blocks built with ``extend_inverse``.
 
     ``bounded_roots``, if given, collects (subset, bound, best rate) for
     every node whose subtree is bounded: the bound is 1 / s_chain when that
@@ -537,7 +537,7 @@ def recursive_select_per_node(
                         best_rate, best_sub, best_slots, best_s = rate, sub, node_slots, s
             skip = not min(min_fixed, u) > 0.0 or (s is not None and s < 0.0)
             if trace is not None:
-                child_blocks = _extend_blocks(blocks, caps.caps, dest, c)
+                child_blocks = extend_inverse(blocks, caps, c)
                 trace.append((sub, judge(RelaySubset(sub), node_slots, s), child_blocks))
             else:
                 child_blocks = None

@@ -288,6 +288,16 @@ class TestOptimize:
         assert captured.out == ""
         assert "snr_db 4000 has no finite linear SNR" in captured.err
 
+    def test_snr_that_underflows_to_zero_exits_2(self, tmp_path, capsys):
+        # -4000 dB is finite, but its linear SNR is 0.0; the error names the
+        # instance's field, not an internal one
+        doc = {"topology": {"type": "linear", "n_relays": 2}, "snr_db": -4000, "seed": 4}
+        path = write_json(tmp_path / "cold.json", doc)
+        assert main(["optimize", "--instance", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: snr_db -4000 underflows to a linear SNR of 0\n"
+
     def test_snr_whose_capacities_can_overflow_exits_2(self, tmp_path, capsys):
         # the sweep's bound holds for a generated instance too: on
         # linear_topology(2) an SNR of 3080 dB times a channel power can

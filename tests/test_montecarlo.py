@@ -215,11 +215,19 @@ class TestSweep:
             sweep(linear_topology(n_relays), DESC, [0], 10, 0.1, base_seed=0)
 
     @pytest.mark.parametrize("parallel", [1, 2])
-    def test_invalid_topology_raises_from_any_worker(self, parallel):
-        # fading parameters are derived in the worker, in or out of process
+    def test_invalid_topology_raises_from_any_worker(self, parallel, monkeypatch):
+        # coincident nodes, and an SNR whose capacities can overflow, are
+        # refused before a process pool starts, whatever the worker count
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 64)
         topo = Topology(np.array([[0, 0], [0.5, 0], [0.5, 0], [1, 0]], dtype=float))
         with pytest.raises(ValueError, match="nodes 1 and 2 are coincident"):
             sweep(topo, NumberingScheme.RANDOM, [0], 100, 0.1, base_seed=0, parallel=parallel)
+        with pytest.raises(ValueError, match="snr_db 3070 is too high for this topology"):
+            sweep(linear_topology(2), DESC, [0, 3070], 100, 0.1, base_seed=0, parallel=parallel)
 
     def test_insufficient_trials_rejected(self):
         with pytest.raises(InsufficientSamples):

@@ -15,7 +15,6 @@ from relayalloc.scenario import (
     grid_topology,
     instantaneous_orders,
     linear_topology,
-    pair_uniforms,
     permute_relays,
     random_topology,
     renumber,
@@ -197,26 +196,23 @@ class TestKeyedStreams:
         assert np.array_equal(full, again)
         assert np.array_equal(full[6:], tail)
 
-    @pytest.mark.parametrize("start", [1, 3, 4, 5, 101, 125003, 2**62 - 1])
+    @pytest.mark.parametrize("start", [0, 1, 3, 4, 5, 101, 125003, 2**62 - 1])
     def test_seeking_reproduces_the_stream(self, start):
         # a seek sets the Philox counter to start // 4 and discards the
         # start % 4 doubles left; it must land on the exact bits of numpy's
         # own counter jump, and of a replay from trial 0 where one is short
         # enough to run.  2^62 - 1 is the last trial a one-relay sweep may have
         n = 7
-        assert np.array_equal(
-            pair_uniforms(5, 2, 0xFFFFFFFF, n, start=start),
-            jumped_uniforms(5, (2 << 32) | 0xFFFFFFFF, start, n),
-        )
-        # three relays' permutations read 3 doubles per trial
+        # three relays' permutations read 3 doubles per trial, from the
+        # stream of the destination's key paired with itself
         reserved = (0xFFFFFFFF << 32) | 0xFFFFFFFF
         u = jumped_uniforms(5, reserved, 3 * start, 3 * n).reshape(n, 3)
         perms = trial_permutations(5, 3, n, start=start)
         assert np.array_equal(perms, np.argsort(u, axis=1, kind="stable") + 1)
         if start < 2**20:
-            uniforms = pair_uniforms(5, 2, 0xFFFFFFFF, start + n)
-            assert np.array_equal(pair_uniforms(5, 2, 0xFFFFFFFF, n, start=start),
-                                  uniforms[start:])
+            params = fading_params(linear_topology(2))
+            assert np.array_equal(draw_channel_powers_keyed(params, 5, n, start=start),
+                                  draw_channel_powers_keyed(params, 5, start + n)[start:])
             assert np.array_equal(perms, trial_permutations(5, 3, start + n)[start:])
 
     def test_draws_are_symmetric_per_pair_exponentials(self):
@@ -230,7 +226,7 @@ class TestKeyedStreams:
             assert not powers[:, np.arange(n), np.arange(n)].any()
             for i, j in itertools.combinations(range(n), 2):
                 key_j = 0xFFFFFFFF if j == n - 1 else j
-                u = pair_uniforms(7, i, key_j, 9, start=start)
+                u = jumped_uniforms(7, (i << 32) | key_j, start, 9)
                 want = -params.mean_power[i, j] * np.log1p(-u)
                 assert np.array_equal(powers[:, i, j], want), (start, i, j)
 
@@ -264,10 +260,6 @@ class TestKeyedStreams:
         assert np.allclose(big[:, 0, 1], small[:, 0, 1])  # s - r1
         assert np.allclose(big[:, 0, 3], small[:, 0, 2])  # s - d
         assert np.allclose(big[:, 1, 3], small[:, 1, 2])  # r1 - d
-
-    def test_pair_uniforms_in_unit_interval(self):
-        u = pair_uniforms(0, 1, 2, 1000)
-        assert u.min() >= 0.0 and u.max() < 1.0
 
     def test_trial_permutations_are_permutations(self):
         perms = trial_permutations(9, 5, 200)

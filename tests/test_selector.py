@@ -28,7 +28,6 @@ from relayalloc.selector import (
     NoFeasibleSolution,
     _beats,
     _Best,
-    _extend_blocks,
     batch_equal_time,
     batch_optimized,
     brute_force_select,
@@ -745,8 +744,10 @@ class TestExtendInverse:
 
     def test_zero_destination_link_raises(self):
         caps = caps_from_links(1, {(0, 1): 1.0, (0, 2): 1.0})
-        with pytest.raises(SingularMatrix):
-            extend_inverse(root_blocks(caps), caps, 1)  # r1-d link absent
+        blocks = extend_inverse(root_blocks(caps), caps, 1)  # r1-d link absent
+        assert blocks.dest_row is None
+        with pytest.raises(SingularMatrix, match=r"subset \(1,\) has a singular rate matrix"):
+            blocks.full_inverse
         # without the direct link the empty subset's blocks have no full inverse
         blocks = root_blocks(caps_from_links(1, {(0, 1): 1.0, (1, 2): 1.0}))
         assert blocks.dest_row is None
@@ -824,14 +825,23 @@ class TestExtendSolution:
         assert_same_allocation(extend_solution(blocks), ref, (1,))
 
     def test_blocks_without_destination_row_are_singular(self):
-        # relay 1 has no destination link: its blocks still extend, but the
-        # subset {1} itself is singular, as a fresh solve finds
-        caps = caps_from_links(1, {(0, 1): 1.0, (0, 2): 1.0})
-        blocks = _extend_blocks(root_blocks(caps), caps.caps, caps.destination, 1)
+        # relay 1 has no destination link: the subset {1} is singular, as a
+        # fresh solve finds, but its blocks still extend, and the paper's
+        # tree reaches the feasible {1, 2} through it
+        caps = caps_from_links(2, {
+            (0, 1): 2.0, (0, 2): 1.0, (1, 2): 2.0, (2, 3): 2.0, (0, 3): 0.5,
+        })
+        blocks = extend_inverse(root_blocks(caps), caps, 1)
         assert blocks.dest_row is None
         ref = allocate(build_rate_matrix(caps, RelaySubset((1,))), RelaySubset((1,)))
         assert ref.reject_reason is RejectReason.SINGULAR
         assert_same_allocation(extend_solution(blocks), ref, (1,))
+        blocks = extend_inverse(blocks, caps, 2)
+        rm = build_rate_matrix(caps, RelaySubset((1, 2)))
+        assert np.abs(blocks.full_inverse @ rm.entries - np.eye(3)).max() < 1e-10
+        ref = allocate(rm, RelaySubset((1, 2)))
+        assert ref.feasible
+        assert_same_allocation(extend_solution(blocks), ref, (1, 2))
 
     def test_negative_rate_extensions_are_rejected_by_selector(self, rng):
         # extensions with nonpositive rate exist and the tree search must
